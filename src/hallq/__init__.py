@@ -21,7 +21,7 @@ from .repcat import (
     RepCategory,
 )
 from .scalar import Scalar, ScalarDomainError, ScalarRing
-from .uq import ChargeTooLarge, GeneratorTable, RelationVerifier, build_generators
+from .uq import GeneratorTable, RelationVerifier
 
 __version__ = "0.1.0"
 
@@ -30,7 +30,6 @@ __all__ = [
     "CacheCorruption",
     "CacheStore",
     "ChargeError",
-    "ChargeTooLarge",
     "Complex",
     "ComplexCategory",
     "ConditionAError",
@@ -53,6 +52,5 @@ __all__ = [
     "ScalarDomainError",
     "ScalarRing",
     "TensorElement",
-    "build_generators",
     "parse_quiver",
 ]

@@ -1,17 +1,17 @@
 """Append-only persistent cache for structure constants.
 
 One JSON record per line, {"k": [...], "v": ...}, keyed by quiver content
-hash, field size, operation tag and canonical argument keys.  Appends take
-an advisory lock; readers load once at open and tolerate a truncated
-final line from a concurrent writer.  Audit mode recomputes on every hit
-and raises on disagreement.
+hash, field size, operation tag and canonical argument keys.  Other
+processes may append to the same file: appends take an advisory file lock,
+and readers load once at open and tolerate a truncated final line from
+such a writer.  Audit mode recomputes on every hit and raises on
+disagreement.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from threading import RLock
 
 try:
     import fcntl
@@ -24,7 +24,6 @@ class CacheStore:
         self.path = path
         self.audit = audit
         self._mem: dict[tuple, object] = {}
-        self._lock = RLock()
         if path and os.path.exists(path):
             self._load()
 
@@ -37,7 +36,7 @@ class CacheStore:
                 try:
                     rec = json.loads(line)
                 except json.JSONDecodeError:
-                    continue  # torn tail write from a concurrent appender
+                    continue  # torn tail write from another process
                 self._mem[self._norm_key(rec["k"])] = rec["v"]
 
     @staticmethod
@@ -45,28 +44,25 @@ class CacheStore:
         return tuple(str(part) for part in key)
 
     def get(self, key):
-        with self._lock:
-            return self._mem.get(self._norm_key(key))
+        return self._mem.get(self._norm_key(key))
 
     def put(self, key, value):
         norm = self._norm_key(key)
-        with self._lock:
-            if norm in self._mem:
-                return
-            self._mem[norm] = value
-            if not self.path:
-                return
-            line = json.dumps({"k": list(norm), "v": value}, sort_keys=True)
-            with open(self.path, "a", encoding="utf-8") as fh:
+        if norm in self._mem:
+            return
+        self._mem[norm] = value
+        if not self.path:
+            return
+        line = json.dumps({"k": list(norm), "v": value}, sort_keys=True)
+        with open(self.path, "a", encoding="utf-8") as fh:
+            if fcntl is not None:
+                fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
+            try:
+                fh.write(line + "\n")
+                fh.flush()
+            finally:
                 if fcntl is not None:
-                    fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
-                try:
-                    fh.write(line + "\n")
-                    fh.flush()
-                finally:
-                    if fcntl is not None:
-                        fcntl.flock(fh.fileno(), fcntl.LOCK_UN)
+                    fcntl.flock(fh.fileno(), fcntl.LOCK_UN)
 
     def __len__(self):
-        with self._lock:
-            return len(self._mem)
+        return len(self._mem)

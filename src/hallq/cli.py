@@ -20,7 +20,6 @@ import random
 import re
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from .cache import CacheStore
 from .cplx import ComplexCategory
@@ -89,7 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="seed for the randomized associativity triples")
     p.add_argument("--random", type=int, default=10,
                    help="number of random associativity triples")
-    p.add_argument("--jobs", type=int, default=1, help="suite worker threads")
     p.add_argument("--timing", action="store_true", help="print elapsed times")
     p.set_defaults(func=cmd_verify)
     return parser
@@ -227,25 +225,14 @@ def cmd_verify(args) -> int:
     suites = _build_suites(args, cat)
     results = {}
     timings = {}
-
-    def run(item):
-        name, fn = item
+    for name, fn in suites:
         t0 = time.monotonic()
         try:
-            checks = fn()
+            results[name] = fn()
         except EnumerationTooLarge as exc:
-            checks = [{"id": name, "ok": None, "lhs": "", "rhs": "",
-                       "residual": f"skipped: {exc}"}]
-        return name, checks, time.monotonic() - t0
-
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            for name, checks, dt in pool.map(run, suites):
-                results[name], timings[name] = checks, dt
-    else:
-        for item in suites:
-            name, checks, dt = run(item)
-            results[name], timings[name] = checks, dt
+            results[name] = [{"id": name, "ok": None, "lhs": "", "rhs": "",
+                              "residual": f"skipped: {exc}"}]
+        timings[name] = time.monotonic() - t0
 
     any_fail = False
     report = {"suite": args.suite, "config": {
@@ -394,21 +381,8 @@ def _oracle_suite(cat, max_dim):
 
 def _loc_of(cpx, dh, x):
     """Evaluate a one-monomial normal element on the complex side."""
-    assert len(x.terms) == 1
     ((mono, coeff),) = x.terms.items()
-    akey, alpha, bkey, beta = mono
-    factors = []
-    a = dh.cat.class_by_key(akey)
-    b = dh.cat.class_by_key(bkey)
-    if a.total_dim:
-        factors.append(cpx.e_elem(a.rep))
-    if any(alpha):
-        factors.append(cpx.k_elem(alpha))
-    if b.total_dim:
-        factors.append(cpx.f_elem(b.rep))
-    if any(beta):
-        factors.append(cpx.kd_elem(beta))
-    return cpx.product_all(factors).scale(coeff)
+    return cpx.normal_monomial(mono).scale(coeff)
 
 
 if __name__ == "__main__":

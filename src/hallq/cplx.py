@@ -213,9 +213,6 @@ class ComplexCategory:
         ident = tuple(np.eye(pr.dim[i], dtype=np.int64) for i in range(self.quiver.n))
         return Complex(pr, pr, ident, mor_zero(pr, pr), self.p)
 
-    def c_complex(self, a: Rep) -> Complex:
-        return self.resolution(a)
-
     # ------------------------------------------------------------------
     # homology and decomposition
 
@@ -467,7 +464,7 @@ class ComplexCategory:
         hom = self.cat.hom_dim(ha0, hb0) + self.cat.hom_dim(ha1, hb1)
         return Fraction(self.p) ** (int(mu) + hom)
 
-    def shift_product(self, x: LocElement, y: LocElement) -> LocElement:
+    def product(self, x: LocElement, y: LocElement) -> LocElement:
         out = LocElement.zero(self.ring)
         for (ka, ga, da), ca in x.terms.items():
             for (kb, gb, db), cb in y.terms.items():
@@ -504,9 +501,6 @@ class ComplexCategory:
             )
         self._product_cache[memo] = out
         return out
-
-    def product(self, x: LocElement, y: LocElement) -> LocElement:
-        return self.shift_product(x, y)
 
     def product_all(self, factors) -> LocElement:
         out = self.one()
@@ -595,8 +589,8 @@ class ComplexCategory:
             )
         return out
 
-    def eval_normal_monomial(self, mono) -> Combination:
-        """Evaluate a normal-ordered monomial (A, alpha, B, beta) here."""
+    def normal_monomial(self, mono) -> LocElement:
+        """E_A K_alpha F_B Kd_beta on the complex side, for mono (A, alpha, B, beta)."""
         akey, alpha, bkey, beta = mono
         factors = []
         a = self.cat.class_by_key(akey)
@@ -609,7 +603,11 @@ class ComplexCategory:
             factors.append(self.f_elem(b.rep))
         if any(beta):
             factors.append(self.kd_elem(beta))
-        return self.normalize(self.product_all(factors))
+        return self.product_all(factors)
+
+    def eval_normal_monomial(self, mono) -> Combination:
+        """Evaluate a normal-ordered monomial (A, alpha, B, beta) here."""
+        return self.normalize(self.normal_monomial(mono))
 
     def eval_dh_element(self, x) -> Combination:
         out = Combination.zero(self.ring)
@@ -653,21 +651,3 @@ class ComplexCategory:
         for term, c in x.items_sorted():
             bits.append(f"({c.render()})*{term}")
         return " + ".join(bits)
-
-    def complex_to_json(self, cx: Complex) -> dict:
-        """Block data of a complex: term dimensions and differentials."""
-        return {
-            "m1": list(cx.m1.dim),
-            "m0": list(cx.m0.dim),
-            "d1": [m.tolist() for m in cx.d1],
-            "d0": [m.tolist() for m in cx.d0],
-            "key": self.complex_key(cx),
-        }
-
-    def render_complex(self, cx: Complex) -> str:
-        rows = [f"m1 dims {cx.m1.dim}  m0 dims {cx.m0.dim}"]
-        for label, mats in (("d1", cx.d1), ("d0", cx.d0)):
-            for i, m in enumerate(mats):
-                if m.size:
-                    rows.append(f"{label}[{self.quiver.vertices[i]}] = {m.tolist()}")
-        return "\n".join(rows)

@@ -30,7 +30,6 @@ end (the quotient map is an algebra homomorphism, so this is exact).
 from __future__ import annotations
 
 from fractions import Fraction
-from threading import RLock
 
 from .combo import Combination
 from .quiver import kv_add, kv_sub
@@ -50,7 +49,6 @@ class DHAlgebra:
         self.cat = cat
         self.quiver = cat.quiver
         self.ring = cat.quiver.scalar_ring()
-        self._lock = RLock()
         self._fe: dict[tuple, DHElement] = {}
         self._eab: dict[tuple, DHElement] = {}
         self._zero_key = cat.zero_class().key
@@ -124,7 +122,7 @@ class DHAlgebra:
         out = self.zero()
         for (a, al, b, be), c in x.terms.items():
             tw = self._v_sym(be, self._kcls(fkey))
-            for dkey, coeff in self._ff_coeffs(b, fkey):
+            for dkey, coeff in self._ee_coeffs(b, fkey):
                 out.add_term((a, al, dkey, be), c * tw * coeff)
         return out
 
@@ -171,16 +169,11 @@ class DHAlgebra:
                 )
         return out
 
-    def _ff_coeffs(self, akey: str, bkey: str):
-        """F_A o F_B: the dagger image of the E rule, same coefficients."""
-        return self._ee_coeffs(akey, bkey)
-
     def _fe_expand(self, bkey: str, akey: str) -> DHElement:
         """Normal form of F_B o E_A (rule R4, then the E(A1,B1) table)."""
         memo = (bkey, akey)
-        with self._lock:
-            if memo in self._fe:
-                return self._fe[memo]
+        if memo in self._fe:
+            return self._fe[memo]
         if bkey == self._zero_key:
             out = self.eab(akey, self._zero_key)
         elif akey == self._zero_key:
@@ -203,16 +196,14 @@ class DHAlgebra:
                     coeff = tw * (ga * gb * a2.aut_order)
                     term = self._k_left(tuple(a2.kclass), self.eab(a1k, b1k))
                     out = out + term.scale(coeff)
-        with self._lock:
-            self._fe[memo] = out
+        self._fe[memo] = out
         return out
 
     def eab(self, akey: str, bkey: str) -> DHElement:
         """Normal form of the two-sided generator E(A, B) (rule R5)."""
         memo = (akey, bkey)
-        with self._lock:
-            if memo in self._eab:
-                return self._eab[memo]
+        if memo in self._eab:
+            return self._eab[memo]
         z = self.quiver.zero_kvector()
         out = self.element((akey, z, bkey, z))
         if bkey != self._zero_key and akey != self._zero_key:
@@ -235,8 +226,7 @@ class DHAlgebra:
                     coeff = tw * (gb * ga * b2.aut_order)
                     term = self._kd_left(tuple(b2.kclass), self.eab(a1k, b1k))
                     out = out - term.scale(coeff)
-        with self._lock:
-            self._eab[memo] = out
+        self._eab[memo] = out
         return out
 
     def from_eab_coords(self, coords) -> DHElement:

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from threading import RLock
 
 import numpy as np
 
@@ -106,8 +105,8 @@ def _sort_key(cls: IsoClass):
 class RepCategory:
     """Context object: one quiver, one field, shared memo caches.
 
-    The caches are multi-reader single-writer (one RLock); all values are
-    immutable once stored, so concurrent readers are safe.
+    The memo caches are plain dicts with no locking: one context, and every
+    algebra built on it, is used by one thread.
     """
 
     def __init__(self, quiver: Quiver, bounds: Bounds | None = None, store=None):
@@ -117,7 +116,6 @@ class RepCategory:
         if self.p > self.bounds.max_p:
             raise EnumerationTooLarge(f"p={self.p} exceeds bound {self.bounds.max_p}")
         self.store = store
-        self._lock = RLock()
         self._classify: dict[tuple, list[IsoClass]] = {}
         self._by_key: dict[str, IsoClass] = {}
         self._canon: dict[str, str] = {}
@@ -227,12 +225,10 @@ class RepCategory:
 
     def hom_dim(self, a: Rep, b: Rep) -> int:
         memo_key = (a.key, b.key)
-        with self._lock:
-            if memo_key in self._homdim:
-                return self._homdim[memo_key]
+        if memo_key in self._homdim:
+            return self._homdim[memo_key]
         val = self._stored("homdim", memo_key, lambda: len(self.hom_basis(a, b)))
-        with self._lock:
-            self._homdim[memo_key] = val
+        self._homdim[memo_key] = val
         return val
 
     def hom_count(self, a: Rep, b: Rep) -> int:
@@ -250,9 +246,8 @@ class RepCategory:
 
     def aut_order(self, a: Rep) -> int:
         """|Aut(a)| by brute force over the endomorphism space."""
-        with self._lock:
-            if a.key in self._aut_brute:
-                return self._aut_brute[a.key]
+        if a.key in self._aut_brute:
+            return self._aut_brute[a.key]
 
         def compute():
             basis = self.hom_basis(a, a)
@@ -279,42 +274,39 @@ class RepCategory:
             return count
 
         val = self._stored("aut", (a.key,), compute)
-        with self._lock:
-            self._aut_brute[a.key] = val
+        self._aut_brute[a.key] = val
         return val
 
     # ------------------------------------------------------------------
     # isomorphism classification
 
     def _gl_list(self, n: int):
-        with self._lock:
-            if n not in self._gl:
-                self._gl[n] = fplin.all_invertible(n, self.p)
-            return self._gl[n]
+        if n not in self._gl:
+            self._gl[n] = fplin.all_invertible(n, self.p)
+        return self._gl[n]
 
     def _gl_inverses(self, n: int):
-        with self._lock:
-            if n not in self._glinv:
-                self._glinv[n] = [fplin.inverse(g, self.p) for g in self._gl_list(n)]
-            return self._glinv[n]
+        if n not in self._glinv:
+            self._glinv[n] = [fplin.inverse(g, self.p) for g in self._gl_list(n)]
+        return self._glinv[n]
 
     def _group_stacks(self, dim):
         """Stacked base-change data for the full group prod GL(d_i).
 
         Returns (size, per-vertex array of shape (size, d_i, d_i), inverses).
         Cached per dimension vector: class canonicalization calls this for
-        every sub and quotient it meets.
+        every sub and quotient it meets.  The group order is checked against
+        the bound before any group element is listed.
         """
         dim = tuple(dim)
-        with self._lock:
-            if dim in self._stacks:
-                return self._stacks[dim]
-        per_vertex = [self._gl_list(d) for d in dim]
+        if dim in self._stacks:
+            return self._stacks[dim]
         size = 1
-        for g in per_vertex:
-            size *= len(g)
+        for d in dim:
+            size *= fplin.gl_order(d, self.p)
         if size > self.bounds.max_group:
             raise EnumerationTooLarge(f"base-change group of size {size} too large")
+        per_vertex = [self._gl_list(d) for d in dim]
         idx = np.array(list(product(*[range(len(g)) for g in per_vertex])), dtype=np.int64)
         if idx.size == 0:
             idx = idx.reshape(size, len(dim))
@@ -328,9 +320,20 @@ class RepCategory:
             stacks.append(arr[idx[:, i]])
             inv_stacks.append(inv[idx[:, i]])
         out = (size, stacks, inv_stacks)
-        with self._lock:
-            self._stacks[dim] = out
+        self._stacks[dim] = out
         return out
+
+    def _code_powers(self, entries: int):
+        """Place values p^i of the int64 orbit codes of `entries` entries.
+
+        A code ranges up to p^entries - 1; past 2^63 - 1 it would wrap and
+        distinct matrix tuples would share a code.
+        """
+        if self.p**entries - 1 > np.iinfo(np.int64).max:
+            raise EnumerationTooLarge(
+                f"orbit codes of {entries} entries over F_{self.p} overflow int64"
+            )
+        return self.p ** np.arange(entries, dtype=np.int64)
 
     def _orbit_codes(self, mats, stacks, inv_stacks, pows, entry_counts):
         """Codes of the full base-change orbit of one matrix tuple."""
@@ -349,9 +352,8 @@ class RepCategory:
     def classify(self, d) -> list:
         """All isomorphism classes with dimension vector d, sorted by key."""
         d = tuple(int(x) for x in d)
-        with self._lock:
-            if d in self._classify:
-                return self._classify[d]
+        if d in self._classify:
+            return self._classify[d]
         if sum(d) > self.bounds.max_total_dim:
             raise EnumerationTooLarge(
                 f"total dimension {sum(d)} exceeds bound {self.bounds.max_total_dim}"
@@ -377,15 +379,12 @@ class RepCategory:
 
         rows = self._stored("classify", d, compute)
         classes = [self._register(self.rep_from_key(k), int(aut)) for k, aut in rows]
-        with self._lock:
-            self._classify[d] = classes
+        self._classify[d] = classes
         return classes
 
     def _classify_scan(self, d, entry_counts, n_tuples):
-        q, p = self.quiver, self.p
-        total_entries = sum(entry_counts)
         size, stacks, inv_stacks = self._group_stacks(d)
-        pows = p ** np.arange(total_entries, dtype=np.int64)
+        pows = self._code_powers(sum(entry_counts))
         seen = np.zeros(n_tuples, dtype=bool)
         classes = []
         for code in range(n_tuples):
@@ -412,23 +411,21 @@ class RepCategory:
         return mats
 
     def _register(self, rep: Rep, aut: int) -> IsoClass:
-        with self._lock:
-            if rep.key in self._by_key:
-                return self._by_key[rep.key]
-            cls = IsoClass(
-                rep=rep,
-                aut_order=aut,
-                kclass=self.quiver.class_of_dimvec(rep.dim),
-                key=rep.key,
-            )
-            self._by_key[rep.key] = cls
-            self._canon[rep.key] = rep.key
-            return cls
+        if rep.key in self._by_key:
+            return self._by_key[rep.key]
+        cls = IsoClass(
+            rep=rep,
+            aut_order=aut,
+            kclass=self.quiver.class_of_dimvec(rep.dim),
+            key=rep.key,
+        )
+        self._by_key[rep.key] = cls
+        self._canon[rep.key] = rep.key
+        return cls
 
     def class_by_key(self, key: str) -> IsoClass:
-        with self._lock:
-            if key in self._by_key:
-                return self._by_key[key]
+        if key in self._by_key:
+            return self._by_key[key]
         cls = self.class_of(self.rep_from_key(key))
         if cls.key != key:
             raise QuiverError(f"{key} is not a canonical class key (use {cls.key})")
@@ -436,19 +433,16 @@ class RepCategory:
 
     def class_of(self, rep: Rep) -> IsoClass:
         """Canonical class of an arbitrary representation."""
-        with self._lock:
-            if rep.key in self._canon:
-                return self._by_key[self._canon[rep.key]]
-        q, p = self.quiver, self.p
+        if rep.key in self._canon:
+            return self._by_key[self._canon[rep.key]]
+        q = self.quiver
         entry_counts = [rep.dim[t] * rep.dim[h] for t, h in q.arrows]
-        total_entries = sum(entry_counts)
         size, stacks, inv_stacks = self._group_stacks(rep.dim)
-        pows = p ** np.arange(total_entries, dtype=np.int64)
+        pows = self._code_powers(sum(entry_counts))
         orbit = self._orbit_codes(rep.mats, stacks, inv_stacks, pows, entry_counts)
         canon = self.rep(rep.dim, self._decode(int(orbit.min()), rep.dim, entry_counts))
         cls = self._register(canon, size // len(orbit))
-        with self._lock:
-            self._canon[rep.key] = cls.key
+        self._canon[rep.key] = cls.key
         return cls
 
     def zero_class(self) -> IsoClass:
@@ -477,9 +471,8 @@ class RepCategory:
         Maps (quotient class key, sub class key) -> number of
         subrepresentations of c with that sub and quotient type.
         """
-        with self._lock:
-            if c.key in self._subquot:
-                return self._subquot[c.key]
+        if c.key in self._subquot:
+            return self._subquot[c.key]
 
         def compute():
             table: dict[tuple, int] = {}
@@ -490,8 +483,7 @@ class RepCategory:
 
         rows = self._stored("subquot", (c.key,), compute)
         table = {(qk, sk): n for qk, sk, n in rows}
-        with self._lock:
-            self._subquot[c.key] = table
+        self._subquot[c.key] = table
         return table
 
     def _stable_subreps(self, rep: Rep):

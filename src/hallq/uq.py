@@ -25,8 +25,6 @@ from .dh import DHAlgebra, ReducedDHElement
 from .quiver import ChargeError
 from .repcat import EnumerationTooLarge, RepCategory
 
-ChargeTooLarge = ChargeError
-
 
 class GeneratorTable:
     """Simple-module choices and generator images for one quiver."""
@@ -42,7 +40,7 @@ class GeneratorTable:
             row = []
             scalars = sorted(product(range(cat.p), repeat=q.loops[i]))
             if q.charges[i] > len(scalars):
-                raise ChargeTooLarge(
+                raise ChargeError(
                     f"charge {q.charges[i]} at {q.vertices[i]} exceeds "
                     f"{len(scalars)} available simples"
                 )
@@ -65,17 +63,13 @@ class GeneratorTable:
         return self.dh.kd_elem(self.quiver.simple_class(i))
 
 
-def build_generators(cat: RepCategory, dh: DHAlgebra, f_prefactor=None) -> GeneratorTable:
-    return GeneratorTable(cat, dh, f_prefactor)
-
-
 class RelationVerifier:
     """Runs the defining relations inside the reduced algebra."""
 
     def __init__(self, cat: RepCategory, serre_cap: int = 4, f_prefactor=None):
         self.cat = cat
         self.dh = DHAlgebra(cat)
-        self.gen = build_generators(cat, self.dh, f_prefactor)
+        self.gen = GeneratorTable(cat, self.dh, f_prefactor)
         self.quiver = cat.quiver
         self.ring = self.dh.ring
         self.cartan = cat.quiver.borcherds_cartan()
@@ -258,7 +252,3 @@ class RelationVerifier:
         checks.extend(self.check_orthogonal_pairs())
         checks.extend(self.check_serre())
         return checks
-
-
-def verify_relations(cat: RepCategory, serre_cap: int = 4, f_prefactor=None) -> list:
-    return RelationVerifier(cat, serre_cap=serre_cap, f_prefactor=f_prefactor).verify_all()

@@ -195,16 +195,6 @@ def test_cache_env_var(capsys, tmp_path, monkeypatch):
     assert cache.exists()
 
 
-def test_verify_jobs_matches_serial(capsys):
-    args = (
-        "verify", "--quiver", DATA / "a1.quiver", "--suite", "all", "--max-dim", "1",
-        "--random", "2", "--json",
-    )
-    _, serial, _ = run(capsys, *args)
-    _, parallel, _ = run(capsys, *args, "--jobs", "3")
-    assert serial == parallel
-
-
 def test_max_total_dim_override(capsys):
     code, _, _ = run(
         capsys, "classify", "--quiver", DATA / "a1.quiver", "--dim", "3",

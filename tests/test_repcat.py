@@ -213,6 +213,39 @@ def test_enumeration_bounds():
         RepCategory(parse_quiver("field p=7\nvertex 1 loops=0\n"))
 
 
+def test_group_bound_checked_before_listing(monkeypatch):
+    # |GL_5(F_2)| = 9999360 exceeds the default bound: raise before listing
+    cat = RepCategory(parse_quiver("field p=2\nvertex 1 loops=0\n"))
+
+    def unlisted(n, p):
+        raise AssertionError(f"GL_{n}(F_{p}) listed before the bound check")
+
+    monkeypatch.setattr(fplin, "all_invertible", unlisted)
+    message = "^base-change group of size 9999360 too large$"
+    with pytest.raises(EnumerationTooLarge, match=message):
+        cat.class_of(cat.rep((5,), []))
+
+
+@pytest.mark.parametrize(
+    "loops,d,fits", [(27, 1, True), (28, 1, False), (6, 2, True), (7, 2, False)]
+)
+def test_orbit_code_overflow_guard(loops, d, fits):
+    # codes are int64: over F_5, 27 entries fit (5^27 - 1 < 2^63) and 28 do not
+    cat = RepCategory(parse_quiver(f"field p=5\nvertex 1 loops={loops}\n"))
+    rng = np.random.default_rng(loops)
+    mats = [np.full((d, d), 4)] + [rng.integers(0, 5, (d, d)) for _ in range(loops - 1)]
+    rep = cat.rep((d,), mats)
+    if not fits:
+        with pytest.raises(EnumerationTooLarge, match="overflow int64"):
+            cat.class_of(rep)
+        return
+    cls = cat.class_of(rep)
+    assert cat.class_of(cls.rep) is cls
+    assert cat.class_by_key(cls.key) is cls
+    if d == 1:  # GL_1 acts trivially on loops: every rep is canonical
+        assert cls.key == rep.key
+
+
 def test_aut_guard():
     q = parse_quiver("field p=2\nvertex 1 loops=2\n")
     cat = RepCategory(q, bounds=Bounds(max_aut_candidates=4))

@@ -1,8 +1,8 @@
 import pytest
 
-from hallq import ChargeTooLarge, RepCategory, parse_quiver
+from hallq import ChargeError, RepCategory, parse_quiver
 from hallq.dh import DHAlgebra
-from hallq.uq import RelationVerifier, build_generators
+from hallq.uq import GeneratorTable, RelationVerifier
 
 from .conftest import load
 
@@ -14,26 +14,26 @@ def all_pass(checks):
 
 
 def test_generator_table_a1(a1):
-    table = build_generators(a1, DHAlgebra(a1))
+    table = GeneratorTable(a1, DHAlgebra(a1))
     assert len(table.simples) == 1
     assert len(table.simples[0]) == 1
 
 
 def test_generator_table_l2_charge4(l2m4):
-    table = build_generators(l2m4, DHAlgebra(l2m4))
+    table = GeneratorTable(l2m4, DHAlgebra(l2m4))
     keys = [c.key for c in table.simples[0]]
     # scalars enumerated lexicographically over F_2^2
     assert keys == ["1|0;0", "1|0;1", "1|1;0", "1|1;1"]
 
 
 def test_charge_too_large():
-    with pytest.raises(ChargeTooLarge):
+    with pytest.raises(ChargeError):
         parse_quiver("field p=2\nvertex 1 loops=2 charge=5\n")
 
 
 def test_generator_grading(l2m4):
     # all simples at one vertex share the class in K(R)
-    table = build_generators(l2m4, DHAlgebra(l2m4))
+    table = GeneratorTable(l2m4, DHAlgebra(l2m4))
     classes = {tuple(c.kclass) for c in table.simples[0]}
     assert classes == {l2m4.quiver.simple_class(0)}
 
