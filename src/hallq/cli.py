@@ -258,14 +258,24 @@ def cmd_verify(args) -> int:
                 print(f"      residual: {row['residual']}")
             elif row["ok"] is None and row["residual"]:
                 print(f"      {row['residual']}")
-        n_pass = sum(1 for r in report["checks"] if r["ok"] is True)
-        n_fail = sum(1 for r in report["checks"] if r["ok"] is False)
-        n_skip = sum(1 for r in report["checks"] if r["ok"] is None)
-        print(f"{n_pass} passed, {n_fail} failed, {n_skip} skipped")
+        for name, _fn in suites:
+            n = _count_outcomes(results[name])
+            print(f"[{name}] {n[True]} passed, {n[False]} failed, {n[None]} skipped"
+                  f" of {len(results[name])}")
+        n = _count_outcomes(report["checks"])
+        print(f"{n[True]} passed, {n[False]} failed, {n[None]} skipped")
         if args.timing:
             for name, _fn in suites:
                 print(f"time[{name}] = {timings[name]:.3f}s")
     return EXIT_FAIL if any_fail else EXIT_OK
+
+
+def _count_outcomes(checks):
+    """Number of checks per outcome: True passed, False failed, None skipped."""
+    counts = {True: 0, False: 0, None: 0}
+    for check in checks:
+        counts[check["ok"]] += 1
+    return counts
 
 
 def _build_suites(args, cat):

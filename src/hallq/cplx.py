@@ -36,7 +36,7 @@ def mor_zero(src: Rep, dst: Rep):
 class Complex:
     """Z2-graded complex of projectives: m1 <-> m0 with d1 d0 = d0 d1 = 0."""
 
-    __slots__ = ("m1", "m0", "d1", "d0", "_key")
+    __slots__ = ("m1", "m0", "d1", "d0", "_key", "_homology", "_split")
 
     def __init__(self, m1: Rep, m0: Rep, d1, d0, p: int):
         self.m1 = m1
@@ -50,7 +50,11 @@ class Complex:
                 raise QuiverError("d0 component shape mismatch")
             if ((self.d1[i] @ self.d0[i]) % p).any() or ((self.d0[i] @ self.d1[i]) % p).any():
                 raise QuiverError("differentials do not square to zero")
+        # invariants filled on first use by ComplexCategory; the terms and
+        # differentials are never changed after construction
         self._key = None
+        self._homology = None
+        self._split = None
 
 
 class ComplexCategory:
@@ -223,10 +227,13 @@ class ComplexCategory:
         return [fplin.row_space(m.T, self.p) for m in mats]
 
     def homology(self, cx: Complex):
-        """(H0, H1) as explicit representations (ker d / im d)."""
-        h0 = self._homology_at(cx.m0, cx.d0, cx.d1)
-        h1 = self._homology_at(cx.m1, cx.d1, cx.d0)
-        return h0, h1
+        """(H0, H1) as explicit representations (ker d / im d), cached on cx."""
+        if cx._homology is None:
+            cx._homology = (
+                self._homology_at(cx.m0, cx.d0, cx.d1),
+                self._homology_at(cx.m1, cx.d1, cx.d0),
+            )
+        return cx._homology
 
     def _homology_at(self, term: Rep, d_out, d_in):
         kers = self._kernel_bases(d_out)
@@ -249,11 +256,14 @@ class ComplexCategory:
         Returns (plus, minus): plus = (source, target, f) gives the C_f
         summand (f the inclusion of im d1 into ker d0, coker f = H0);
         minus = (source, target, g) the shifted summand (g: im d0 into
-        ker d1, coker g = H1).
+        ker d1, coker g = H1).  Cached on cx.
         """
-        plus = self._half_split(cx.m1, cx.m0, cx.d1, cx.d0)
-        minus = self._half_split(cx.m0, cx.m1, cx.d0, cx.d1)
-        return plus, minus
+        if cx._split is None:
+            cx._split = (
+                self._half_split(cx.m1, cx.m0, cx.d1, cx.d0),
+                self._half_split(cx.m0, cx.m1, cx.d0, cx.d1),
+            )
+        return cx._split
 
     def split_summands(self, cx: Complex):
         """The summand complexes (C_f, C_g-dagger) themselves.

@@ -7,13 +7,17 @@ projectives).  The simple classes sit inside via the standard presentation
     S_i = P_i - sum over arrows a with tail i of P_head(a),
 
 a change of basis that is triangular for the path order with diagonal
-1 - c_i, hence invertible over Q.  The generalized Euler form is computed
-by expanding both arguments in simple classes.
+1 - c_i, hence invertible over Q.  The generalized Euler form is defined
+by expanding both arguments in simple classes; since its matrix on the
+simples is that same change of basis C, it is the bilinear form with
+matrix C^-T in projective coordinates, kept as an integer Gram matrix
+over one common denominator.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -63,6 +67,9 @@ class Quiver:
     index: dict = field(init=False, repr=False, compare=False)
     arrows: tuple = field(init=False, repr=False, compare=False)
     topo_order: tuple = field(init=False, repr=False, compare=False)
+    _sinv: list = field(init=False, repr=False, compare=False)
+    _gram: tuple = field(init=False, repr=False, compare=False)
+    _gram_den: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.p < 2 or any(self.p % k == 0 for k in range(2, self.p)):
@@ -88,6 +95,16 @@ class Quiver:
         object.__setattr__(self, "arrows", tuple(arrows))
         object.__setattr__(self, "topo_order", self._toposort())
         self._check_charges()
+        # <x, y> = sum x_i y_j C^-1[j][i] (see the module docstring), scaled
+        # by the common denominator of C^-1 so that it is an integer sum
+        inv = self._simple_matrix_inverse()
+        den = math.lcm(*(f.denominator for row in inv for f in row))
+        gram = tuple(
+            tuple(int(inv[j][i] * den) for j in range(self.n)) for i in range(self.n)
+        )
+        object.__setattr__(self, "_sinv", inv)
+        object.__setattr__(self, "_gram", gram)
+        object.__setattr__(self, "_gram_den", den)
 
     def _toposort(self):
         n = len(self.vertices)
@@ -182,9 +199,11 @@ class Quiver:
         return inv
 
     def simple_coords(self, x: KVector):
-        """Rational coordinates of x in the simple-class basis."""
-        if not hasattr(self, "_sinv"):
-            object.__setattr__(self, "_sinv", self._simple_matrix_inverse())
+        """Rational coordinates of x in the simple-class basis.
+
+        The reference that the Euler form's integer Gram matrix is tested
+        against.
+        """
         inv = self._sinv
         return tuple(
             sum(Fraction(x[i]) * inv[i][j] for i in range(self.n))
@@ -193,21 +212,11 @@ class Quiver:
 
     def euler_form(self, x: KVector, y: KVector) -> Fraction:
         """Generalized Euler form on K(R), rational-valued."""
-        r = self.simple_coords(x)
-        c = self.simple_coords(y)
-        out = Fraction(0)
-        for i in range(self.n):
-            if r[i] == 0:
-                continue
-            for j in range(self.n):
-                if c[j] == 0:
-                    continue
-                ss = Fraction(1 if i == j else 0)
-                for t, h in self.arrows:
-                    if t == i and h == j:
-                        ss -= 1
-                out += r[i] * c[j] * ss
-        return out
+        num = 0
+        for xi, row in zip(x, self._gram):
+            if xi:
+                num += xi * sum(yj * g for yj, g in zip(y, row))
+        return Fraction(num, self._gram_den)
 
     def sym_form(self, x: KVector, y: KVector) -> Fraction:
         return self.euler_form(x, y) + self.euler_form(y, x)

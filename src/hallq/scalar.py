@@ -28,6 +28,7 @@ class ScalarRing:
             raise ValueError("N must be positive")
         self.p = p
         self.n_denom = n_denom
+        self._v_pows: dict[Fraction, Scalar] = {}
 
     def __eq__(self, other):
         return (
@@ -70,8 +71,15 @@ class ScalarRing:
         return self.rational(1)
 
     def v_pow(self, r) -> "Scalar":
-        """The monomial v^r; r must have denominator dividing N."""
-        return self.from_terms({Fraction(r): Fraction(1)})
+        """The monomial v^r; r must have denominator dividing N.
+
+        Cached per ring: Scalars are never mutated, so callers may share one.
+        """
+        r = Fraction(r)
+        out = self._v_pows.get(r)
+        if out is None:
+            out = self._v_pows[r] = self.from_terms({r: Fraction(1)})
+        return out
 
     @property
     def q(self) -> "Scalar":

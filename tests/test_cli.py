@@ -132,6 +132,27 @@ def test_verify_json_round_trip(capsys):
     assert {"id", "status", "lhs", "rhs", "residual", "suite"} <= set(rep["checks"][0])
 
 
+def test_verify_reports_skips_per_suite(capsys):
+    # at total dimension 3, four of the ten random triples on A2 need a
+    # dimension-4 product and are skipped; every suite reports its own count
+    args = ("verify", "--quiver", DATA / "a2.quiver", "--suite", "all",
+            "--max-total-dim", "3")
+    code, out, _ = run(capsys, *args)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[-5:] == [
+        "[relations] 19 passed, 0 failed, 0 skipped of 19",
+        "[drinfeld] 49 passed, 0 failed, 0 skipped of 49",
+        "[assoc] 1006 passed, 0 failed, 4 skipped of 1010",
+        "[oracle] 0 passed, 0 failed, 1 skipped of 1",
+        "1074 passed, 0 failed, 5 skipped",
+    ]
+    code, out, _ = run(capsys, "verify", "--quiver", DATA / "a2.quiver", "--suite",
+                       "assoc", "--max-total-dim", "3", "--json")
+    statuses = [c["status"] for c in json.loads(out)["checks"]]
+    assert statuses.count("skipped") == 4 and len(statuses) == 1010
+
+
 def test_verify_serre_suite(capsys):
     code, out, _ = run(
         capsys, "verify", "--quiver", DATA / "kronecker.quiver", "--suite", "serre"
@@ -209,9 +230,14 @@ def test_cross_process_determinism(tmp_path):
     import subprocess
     import sys
 
+    import hallq
+
+    # the child imports the same hallq as this process, installed or not
+    src = str(pathlib.Path(hallq.__file__).parents[1])
     outs = []
     for seed in ("1", "2"):
         env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         env.pop("HALLQ_CACHE", None)
         proc = subprocess.run(
             [sys.executable, "-m", "hallq.cli", "verify", "--quiver",

@@ -1,10 +1,11 @@
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from hallq import EnumerationTooLarge, QuiverError
-from hallq.cplx import ComplexCategory
+from hallq.cplx import Complex, ComplexCategory
 from hallq.dh import DHAlgebra
 
 
@@ -102,6 +103,47 @@ def test_signature_matches_brute_force_iso(ca2, a2):
         for y in pool:
             same = ca2.complex_key(x) == ca2.complex_key(y)
             assert same == ca2.isomorphic(x, y)
+
+
+@pytest.mark.parametrize("name", ["a2", "kronecker"])
+def test_invariants_computed_once_per_complex(name, request, monkeypatch):
+    # once a complex has its key, homology and split are read back, never
+    # recomputed, and they agree with those of a fresh copy of the complex
+    cat = request.getfixturevalue(name)
+    cpx = ComplexCategory(cat)
+    calls = Counter()
+    for meth in ("_homology_at", "_half_split"):
+        def counting(self, *args, _orig=getattr(ComplexCategory, meth), _meth=meth):
+            calls[_meth] += 1
+            return _orig(self, *args)
+        monkeypatch.setattr(ComplexCategory, meth, counting)
+    classes = [c for c in cat.classes_up_to_total_dim(2) if c.total_dim]
+    pool = [cpx.k_complex((1,) + (0,) * (cat.quiver.n - 1))]
+    for a in classes:
+        res = cpx.resolution(a.rep)
+        pool += [res, cpx.dagger(res), cpx.direct_sum(res, pool[0])]
+        for b in classes[:2]:
+            pool.append(cpx.direct_sum(res, cpx.dagger(cpx.resolution(b.rep))))
+    for cx in pool:
+        key = cpx.complex_key(cx)
+        before = Counter(calls)
+        hom = cpx.homology(cx)
+        split = cpx.decompose(cx)
+        ranks = cpx.plus_minus_classes(cx)
+        cpx.normalize(cpx.loc(cx))
+        assert calls == before, key
+        assert cpx.homology(cx) is hom and cpx.decompose(cx) is split
+
+        fresh = Complex(cx.m1, cx.m0, cx.d1, cx.d0, cat.p)
+        fresh_hom = cpx.homology(fresh)
+        assert [cat.class_of(h).key for h in hom] == \
+            [cat.class_of(h).key for h in fresh_hom]
+        assert cpx.plus_minus_classes(fresh) == ranks
+        fresh_split = cpx.decompose(fresh)
+        for half, fresh_half in zip(split, fresh_split):
+            assert [cpx.proj_rank_vector(m) for m in half[:2]] == \
+                [cpx.proj_rank_vector(m) for m in fresh_half[:2]]
+        assert calls["_homology_at"] > before["_homology_at"]
 
 
 def test_hom_space_decomposition(ca2, a2):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -10,7 +11,7 @@ from hallq import (
     parse_quiver,
 )
 
-from .conftest import load
+from .conftest import DATA, load
 
 
 def test_parse_two_loop_vertex():
@@ -159,3 +160,29 @@ def test_euler_form_matches_dimension_vector_form(a2, l2, l3):
             for b in classes:
                 assert cat.quiver.euler_form(a.kclass, b.kclass) == \
                     cat.quiver.euler_dimvec(a.dim, b.dim)
+
+
+def _euler_form_via_simples(q, r, c):
+    """The generalized Euler form by its definition, on the simple-class
+    coordinates r, c of its arguments: pair them with delta_ij - #arrows i -> j."""
+    out = Fraction(0)
+    for i in range(q.n):
+        for j in range(q.n):
+            ss = (1 if i == j else 0) - sum(1 for a in q.arrows if a == (i, j))
+            out += r[i] * c[j] * ss
+    return out
+
+
+def test_euler_gram_matrix_matches_simple_expansion():
+    # the integer Gram matrix is exactly the form defined on simple classes,
+    # on every fixture quiver and every pair of vectors in [-2, 2]^n
+    paths = sorted(DATA.glob("*.quiver"))
+    assert len(paths) == 13
+    for path in paths:
+        q = load(path.stem)
+        coords = {x: q.simple_coords(x) for x in product(range(-2, 3), repeat=q.n)}
+        for x, r in coords.items():
+            for y, c in coords.items():
+                assert q.euler_form(x, y) == _euler_form_via_simples(q, r, c), (
+                    path.stem, x, y,
+                )

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hallq.scalar import ScalarDomainError, ScalarRing
 
@@ -144,3 +146,69 @@ def test_ring_mixing_rejected():
 def test_evaluate_guard():
     with pytest.raises(ValueError):
         ring(2).one.evaluate(1)
+
+
+# ----------------------------------------------------------------------
+# property tests; the rings are shared across examples, so their v_pow
+# caches are too
+
+RINGS = [ScalarRing(p, n) for p in (2, 3, 5) for n in (1, 2, 4)]
+
+
+def exponents(r):
+    """Exponents in (1/N)Z for the ring constant N."""
+    return st.integers(-9, 9).map(lambda k: Fraction(k, r.n_denom))
+
+
+def scalars(r):
+    coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+    return st.dictionaries(exponents(r), coeffs, max_size=4).map(r.from_terms)
+
+
+@st.composite
+def ring_with(draw, *parts):
+    """A ring and one drawn value per part: "s" a scalar, "e" an exponent."""
+    r = draw(st.sampled_from(RINGS))
+    kinds = {"s": scalars, "e": exponents}
+    return (r, *(draw(kinds[part](r)) for part in parts))
+
+
+@settings(deadline=None)
+@given(ring_with("s", "s", "s"))
+def test_ring_axioms_property(args):
+    r, a, b, c = args
+    assert (a + b) + c == a + (b + c)
+    assert a + b == b + a
+    assert (a * b) * c == a * (b * c)
+    assert a * b == b * a
+    assert a * (b + c) == a * b + a * c
+    assert a + r.zero == a and a * r.one == a
+    assert (a - a).is_zero() and not (a * r.zero)
+
+
+@settings(deadline=None)
+@given(ring_with("s"))
+def test_render_parse_round_trip_property(args):
+    r, x = args
+    assert r.parse(x.render()) == x
+
+
+@settings(deadline=None)
+@given(ring_with("e", "e"))
+def test_v_pow_is_multiplicative(args):
+    r, a, b = args
+    assert r.v_pow(a) * r.v_pow(b) == r.v_pow(a + b)
+    assert r.v_pow(a) == r.from_terms({a: 1})
+
+
+@settings(deadline=None)
+@given(ring_with("e", "s"))
+def test_arithmetic_leaves_cached_v_pow_unchanged(args):
+    r, e, x = args
+    cached = r.v_pow(e)
+    before = dict(cached.terms)
+    for _ in (-cached, x + cached, cached + x, x * cached, cached * x,
+              x - cached, cached - x, cached * 3, cached + Fraction(1, 2)):
+        assert cached.terms == before
+    assert r.v_pow(e) is cached
+    assert r.v_pow(e) == r.from_terms({e: 1})
