@@ -67,6 +67,8 @@ class Quiver:
     index: dict = field(init=False, repr=False, compare=False)
     arrows: tuple = field(init=False, repr=False, compare=False)
     topo_order: tuple = field(init=False, repr=False, compare=False)
+    _simples: tuple = field(init=False, repr=False, compare=False)
+    _hash: str = field(init=False, repr=False, compare=False)
     _sinv: list = field(init=False, repr=False, compare=False)
     _gram: tuple = field(init=False, repr=False, compare=False)
     _gram_den: int = field(init=False, repr=False, compare=False)
@@ -95,6 +97,10 @@ class Quiver:
         object.__setattr__(self, "arrows", tuple(arrows))
         object.__setattr__(self, "topo_order", self._toposort())
         self._check_charges()
+        object.__setattr__(self, "_simples", tuple(map(tuple, self._simple_matrix())))
+        object.__setattr__(
+            self, "_hash", hashlib.sha256(self.content_key().encode()).hexdigest()[:16]
+        )
         # <x, y> = sum x_i y_j C^-1[j][i] (see the module docstring), scaled
         # by the common denominator of C^-1 so that it is an integer sum
         inv = self._simple_matrix_inverse()
@@ -173,7 +179,7 @@ class Quiver:
         """Class of any representation with dimension vector d."""
         if len(d) != self.n or any(x < 0 for x in d):
             raise QuiverError("dimension vector must be nonnegative, one per vertex")
-        c = self._simple_matrix()
+        c = self._simples
         return tuple(sum(d[i] * c[i][j] for i in range(self.n)) for j in range(self.n))
 
     def simple_class(self, i: int) -> KVector:
@@ -182,7 +188,7 @@ class Quiver:
     def _simple_matrix_inverse(self):
         """Inverse of the simples-in-projectives matrix, exact over Q."""
         n = self.n
-        a = [[Fraction(x) for x in row] for row in self._simple_matrix()]
+        a = [[Fraction(x) for x in row] for row in self._simples]
         inv = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
         for col in range(n):
             sel = next(r for r in range(col, n) if a[r][col] != 0)
@@ -259,7 +265,7 @@ class Quiver:
         return "|".join(parts)
 
     def content_hash(self) -> str:
-        return hashlib.sha256(self.content_key().encode()).hexdigest()[:16]
+        return self._hash
 
     def render_kvector(self, x: KVector) -> str:
         return "(" + ",".join(str(a) for a in x) + ")"

@@ -27,6 +27,9 @@ class CacheCorruption(RuntimeError):
     """A persistent cache hit disagreed with recomputation (audit mode)."""
 
 
+_DIGITS = "0123456789"
+
+
 @dataclass(frozen=True)
 class Bounds:
     max_total_dim: int = 6
@@ -37,9 +40,13 @@ class Bounds:
 
 
 class Rep:
-    """A representation: dimension vector plus one matrix per arrow."""
+    """A representation: dimension vector plus one matrix per arrow.
 
-    __slots__ = ("quiver", "dim", "mats", "_key")
+    A Rep read from a class key (`Rep.from_key`) keeps the key as given and
+    decodes its matrices on first use of `mats`.
+    """
+
+    __slots__ = ("quiver", "dim", "_mats", "_key")
 
     def __init__(self, quiver: Quiver, dim, mats):
         self.quiver = quiver
@@ -54,8 +61,56 @@ class Rep:
                 raise QuiverError(
                     f"matrix shape {m.shape} does not match arrow {t}->{h}"
                 )
-        self.mats = mats
+        self._mats = mats
         self._key = None
+
+    @classmethod
+    def from_key(cls, quiver: Quiver, key: str) -> "Rep":
+        """The representation a class key `d_1,...,d_n|block;...;block` names.
+
+        Each block lists one arrow's matrix row by row, one digit per entry.
+        The key's shape is checked here; the matrices are decoded lazily.
+        """
+        dims, sep, blocks = key.partition("|")
+        try:
+            dim = tuple(map(int, dims.split(",")))
+        except ValueError:
+            dim = ()
+        if (
+            not sep
+            or len(dim) != quiver.n
+            or min(dim) < 0
+            or ",".join(map(str, dim)) != dims
+        ):
+            raise QuiverError(f"malformed class key {key!r}: bad dimension vector")
+        arrows = quiver.arrows
+        parts = blocks.split(";") if blocks or arrows else []
+        if (
+            blocks.strip(_DIGITS[: quiver.p] + ";")
+            or [len(part) for part in parts] != [dim[h] * dim[t] for t, h in arrows]
+        ):
+            raise QuiverError(
+                f"malformed class key {key!r}: expected one block of digits "
+                f"< {quiver.p} per arrow, each d_head*d_tail long"
+            )
+        rep = cls.__new__(cls)
+        rep.quiver = quiver
+        rep.dim = dim
+        rep._mats = None
+        rep._key = key
+        return rep
+
+    @property
+    def mats(self) -> tuple:
+        if self._mats is None:
+            blocks = self._key.partition("|")[2].split(";")
+            self._mats = tuple(
+                np.array([int(c) for c in part], dtype=np.int64).reshape(
+                    self.dim[h], self.dim[t]
+                )
+                for (t, h), part in zip(self.quiver.arrows, blocks)
+            )
+        return self._mats
 
     @property
     def total_dim(self) -> int:
@@ -65,7 +120,7 @@ class Rep:
     def key(self) -> str:
         if self._key is None:
             dims = ",".join(str(d) for d in self.dim)
-            blocks = ";".join("".join(str(int(x)) for x in m.flat) for m in self.mats)
+            blocks = ";".join("".join(str(int(x)) for x in m.flat) for m in self._mats)
             self._key = f"{dims}|{blocks}"
         return self._key
 
@@ -115,9 +170,14 @@ class RepCategory:
         self.bounds = bounds or Bounds()
         if self.p > self.bounds.max_p:
             raise EnumerationTooLarge(f"p={self.p} exceeds bound {self.bounds.max_p}")
+        if self.p > 10:
+            raise EnumerationTooLarge(
+                f"p={self.p} exceeds 10: class keys hold one decimal digit per matrix entry"
+            )
         self.store = store
         self._classify: dict[tuple, list[IsoClass]] = {}
         self._by_key: dict[str, IsoClass] = {}
+        self._kclass: dict[tuple, tuple] = {}
         self._canon: dict[str, str] = {}
         self._homdim: dict[tuple, int] = {}
         self._subquot: dict[str, dict] = {}
@@ -133,17 +193,7 @@ class RepCategory:
         return Rep(self.quiver, dim, mats)
 
     def rep_from_key(self, key: str) -> Rep:
-        dims, _, blocks = key.partition("|")
-        dim = tuple(int(x) for x in dims.split(","))
-        parts = blocks.split(";") if self.quiver.arrows else []
-        mats = []
-        for (t, h), digits in zip(self.quiver.arrows, parts):
-            mats.append(
-                np.array([int(c) for c in digits], dtype=np.int64).reshape(
-                    dim[h], dim[t]
-                )
-            )
-        return self.rep(dim, mats)
+        return Rep.from_key(self.quiver, key)
 
     def zero_rep(self) -> Rep:
         z = (0,) * self.quiver.n
@@ -413,12 +463,10 @@ class RepCategory:
     def _register(self, rep: Rep, aut: int) -> IsoClass:
         if rep.key in self._by_key:
             return self._by_key[rep.key]
-        cls = IsoClass(
-            rep=rep,
-            aut_order=aut,
-            kclass=self.quiver.class_of_dimvec(rep.dim),
-            key=rep.key,
-        )
+        kclass = self._kclass.get(rep.dim)
+        if kclass is None:
+            kclass = self._kclass[rep.dim] = self.quiver.class_of_dimvec(rep.dim)
+        cls = IsoClass(rep=rep, aut_order=aut, kclass=kclass, key=rep.key)
         self._by_key[rep.key] = cls
         self._canon[rep.key] = rep.key
         return cls

@@ -1,10 +1,20 @@
 import pathlib
+import tempfile
 
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from hallq import RepCategory, parse_quiver
 
 DATA = pathlib.Path(__file__).parent / "data"
+
+# The same property examples on every run, and no example database.
+settings.register_profile("hallq", derandomize=True, database=None)
+settings.load_profile("hallq")
+# hypothesis still caches the constants it reads from source files; keep
+# that cache out of the checkout (`.hypothesis/` by default)
+set_hypothesis_home_dir(pathlib.Path(tempfile.gettempdir()) / "hallq-hypothesis")
 
 
 def load(name: str):

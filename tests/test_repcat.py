@@ -3,8 +3,19 @@ import random
 import numpy as np
 import pytest
 
-from hallq import Bounds, EnumerationTooLarge, RepCategory, parse_quiver
-from hallq import fplin
+from hallq import (
+    Bounds,
+    CacheStore,
+    EnumerationTooLarge,
+    QuiverError,
+    Rep,
+    RepCategory,
+    fplin,
+    parse_quiver,
+)
+from hallq.repcat import _compositions
+
+from .conftest import DATA, load
 
 
 
@@ -194,11 +205,89 @@ def test_subobject_enumeration_finite(l2):
         assert table[(zero, c.key)] == 1
 
 
-def test_rep_key_round_trip(a2, l2):
-    for cat in (a2, l2):
-        for c in cat.classes_up_to_total_dim(3)[:30]:
-            back = cat.rep_from_key(c.key)
-            assert back.key == c.key
+def test_rep_key_round_trip():
+    # Rep.from_key decodes matrices on demand; on every fixture they equal
+    # those of the representative classification built, entry by entry
+    for path in sorted(DATA.glob("*.quiver")):
+        q = load(path.stem)
+        cat = RepCategory(q)
+        for total in range(4):
+            for d in _compositions(total, q.n):
+                try:
+                    classes = cat.classify(d)
+                except EnumerationTooLarge:
+                    continue
+                for c in classes:
+                    rep = Rep.from_key(q, c.key)
+                    assert rep._mats is None
+                    assert (rep.key, rep.dim) == (c.key, c.dim)
+                    # rendered again from the decoded matrices
+                    assert Rep(q, rep.dim, rep.mats).key == c.key
+                    assert len(rep.mats) == len(c.rep.mats) == len(q.arrows)
+                    for lazy, eager in zip(rep.mats, c.rep.mats):
+                        assert lazy.dtype == eager.dtype == np.int64
+                        assert lazy.shape == eager.shape
+                        assert (lazy == eager).all()
+                    assert cat.class_of(rep) is c
+
+
+@pytest.mark.parametrize(
+    "key",
+    [
+        "1,00;0;",  # no '|'
+        "1|0;0;",  # one dimension for two vertices
+        "-1,0|0;0;",  # negative dimension
+        "01,0|0;0;",  # dimension not written canonically
+        "1,0|0;0",  # two blocks for three arrows
+        "1,0|00;0;",  # a 1x1 block of two entries
+        "1,0|2;0;",  # digit 2 over F_2
+        "1,0|x;0;",  # not a digit
+    ],
+)
+def test_malformed_keys_refused(mixed, key):
+    with pytest.raises(QuiverError, match="malformed class key"):
+        Rep.from_key(mixed.quiver, key)
+    with pytest.raises(QuiverError, match="malformed class key"):
+        mixed.class_by_key(key)
+
+
+def test_warm_cache_reads_classes_without_matrices(tmp_path, l2m2):
+    path = tmp_path / "c.jsonl"
+    q = l2m2.quiver
+
+    def session(store):
+        cat = RepCategory(q, store=store)
+        classes = cat.classes_up_to_total_dim(3)
+        return classes, [cat.subquot_table(c) for c in classes]
+
+    session(CacheStore(path))
+    warm, warm_tables = session(CacheStore(path))
+    assert all(c.rep._mats is None for c in warm)
+    cold = l2m2.classes_up_to_total_dim(3)
+    assert [(c.key, c.aut_order, c.kclass) for c in warm] == [
+        (c.key, c.aut_order, c.kclass) for c in cold
+    ]
+    assert warm_tables == [l2m2.subquot_table(c) for c in cold]
+    audited, audited_tables = session(CacheStore(path, audit=True))
+    assert [c.key for c in audited] == [c.key for c in warm]
+    assert audited_tables == warm_tables
+
+
+def test_keys_need_one_digit_per_entry():
+    q11 = parse_quiver("field p=11\nvertex 1 loops=2\n")
+    with pytest.raises(EnumerationTooLarge, match="one decimal digit"):
+        RepCategory(q11, bounds=Bounds(max_p=11))
+    cat = RepCategory(parse_quiver("field p=7\nvertex 1 loops=2\n"), bounds=Bounds(max_p=7))
+    rep = cat.rep((1,), [[[6]], [[3]]])
+    assert rep.key == "1|6;3"
+    back = cat.rep_from_key(rep.key)
+    assert back.key == rep.key
+    assert [m.tolist() for m in back.mats] == [[[6]], [[3]]]
+    classes = cat.classify((1,))
+    assert len(classes) == 49
+    for c in classes:
+        assert cat.rep_from_key(c.key).key == c.key
+        assert cat.class_by_key(c.key) is c
 
 
 def test_enumeration_bounds():
