@@ -1,7 +1,8 @@
 """Append-only persistent cache for structure constants.
 
 One JSON record per line, {"k": [...], "v": ...}, keyed by quiver content
-hash, field size, operation tag and canonical argument keys.  Other
+hash, field size, operation tag and canonical argument keys, all strings:
+callers pass the key as a tuple of strings, the form it is loaded in.  Other
 processes may append to the same file: appends take an advisory file lock,
 and readers load once at open and tolerate a truncated final line from
 such a writer.  Audit mode recomputes on every hit and raises on
@@ -37,23 +38,18 @@ class CacheStore:
                     rec = json.loads(line)
                 except json.JSONDecodeError:
                     continue  # torn tail write from another process
-                self._mem[self._norm_key(rec["k"])] = rec["v"]
-
-    @staticmethod
-    def _norm_key(key) -> tuple:
-        return tuple(str(part) for part in key)
+                self._mem[tuple(rec["k"])] = rec["v"]
 
     def get(self, key):
-        return self._mem.get(self._norm_key(key))
+        return self._mem.get(key)
 
     def put(self, key, value):
-        norm = self._norm_key(key)
-        if norm in self._mem:
+        if key in self._mem:
             return
-        self._mem[norm] = value
+        self._mem[key] = value
         if not self.path:
             return
-        line = json.dumps({"k": list(norm), "v": value}, sort_keys=True)
+        line = json.dumps({"k": list(key), "v": value}, sort_keys=True)
         with open(self.path, "a", encoding="utf-8") as fh:
             if fcntl is not None:
                 fcntl.flock(fh.fileno(), fcntl.LOCK_EX)

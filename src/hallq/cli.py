@@ -111,7 +111,12 @@ def _load_context(args):
 
 def cmd_classify(args) -> int:
     cat = _load_context(args)
-    dim = tuple(int(x) for x in args.dim.split(","))
+    try:
+        dim = tuple(int(x) for x in args.dim.split(","))
+    except ValueError:
+        raise QuiverError(
+            f"--dim must be comma-separated integers, got {args.dim!r}"
+        ) from None
     classes = cat.classify(dim)
     if args.json:
         rows = [
@@ -187,9 +192,12 @@ def parse_expr(dh: DHAlgebra, text: str):
             else:
                 if m.group("vec") is None:
                     raise ExprError(f"{kind} needs a coordinate vector in parentheses")
-                coords = tuple(
-                    int(x) for x in m.group("vec").split(",") if x.strip() != ""
-                )
+                try:
+                    coords = tuple(
+                        int(x) for x in m.group("vec").split(",") if x.strip() != ""
+                    )
+                except ValueError:
+                    raise ExprError(f"{kind} coordinates must be integers") from None
                 if len(coords) != dh.quiver.n:
                     raise ExprError(
                         f"{kind} vector needs {dh.quiver.n} coordinates"

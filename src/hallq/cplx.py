@@ -163,8 +163,8 @@ class ComplexCategory:
                 unit = np.zeros((a.dim[i],), dtype=np.int64)
                 unit[copy] = 1
                 for j in range(q.n):
-                    for word in self._paths[i][j]:
-                        col = col_offsets[j] + self._paths_index(i, j, word)
+                    for idx, word in enumerate(self._paths[i][j]):
+                        col = col_offsets[j] + idx
                         vec = unit if not word else (self._path_matrix(word, a) @ unit) % self.p
                         aug[j][:, col] = vec
                 for j in range(q.n):
@@ -179,9 +179,6 @@ class ComplexCategory:
         assert h1.total_dim == 0 and self.cat.class_of(h0).key == self.cat.class_of(a).key
         self._resolutions[key] = cx
         return cx
-
-    def _paths_index(self, i, j, word):
-        return self._paths[i][j].index(word)
 
     # ------------------------------------------------------------------
     # basic complex constructions
@@ -220,35 +217,14 @@ class ComplexCategory:
     # ------------------------------------------------------------------
     # homology and decomposition
 
-    def _kernel_bases(self, mats):
-        return [fplin.nullspace(m, self.p) for m in mats]
-
-    def _image_bases(self, mats):
-        return [fplin.row_space(m.T, self.p) for m in mats]
-
     def homology(self, cx: Complex):
-        """(H0, H1) as explicit representations (ker d / im d), cached on cx."""
+        """(H0, H1) = (coker f, coker g) for the split maps of decompose, cached on cx."""
         if cx._homology is None:
-            cx._homology = (
-                self._homology_at(cx.m0, cx.d0, cx.d1),
-                self._homology_at(cx.m1, cx.d1, cx.d0),
+            cx._homology = tuple(
+                self.cat.sub_quotient(target, [fplin.row_space(m.T, self.p) for m in f])[1]
+                for _src, target, f in self.decompose(cx)
             )
         return cx._homology
-
-    def _homology_at(self, term: Rep, d_out, d_in):
-        kers = self._kernel_bases(d_out)
-        ims = self._image_bases(d_in)
-        ker_sub, _q, _i, _p = self.cat.sub_quotient(term, kers)
-        im_in_ker = []
-        for i in range(len(term.dim)):
-            if ims[i].shape[0] == 0:
-                im_in_ker.append(np.zeros((0, kers[i].shape[0]), dtype=np.int64))
-                continue
-            coords = fplin.solve(kers[i].T % self.p, ims[i].T % self.p, self.p)
-            assert coords is not None, "image not contained in kernel"
-            im_in_ker.append(fplin.row_space(coords.T, self.p))
-        _s, quot, _i2, _p2 = self.cat.sub_quotient(ker_sub, im_in_ker)
-        return quot
 
     def decompose(self, cx: Complex):
         """Split data of the two injective-differential summands.
@@ -260,8 +236,8 @@ class ComplexCategory:
         """
         if cx._split is None:
             cx._split = (
-                self._half_split(cx.m1, cx.m0, cx.d1, cx.d0),
-                self._half_split(cx.m0, cx.m1, cx.d0, cx.d1),
+                self._half_split(cx.m0, cx.d1, cx.d0),
+                self._half_split(cx.m1, cx.d0, cx.d1),
             )
         return cx._split
 
@@ -276,10 +252,10 @@ class ComplexCategory:
         c_g_dag = Complex(qg, pg, mor_zero(qg, pg), tuple((-m) % self.p for m in g), self.p)
         return c_f, c_g_dag
 
-    def _half_split(self, src: Rep, dst: Rep, d, d_back):
+    def _half_split(self, dst: Rep, d, d_back):
         """The (im d inside ker d_back) injective piece of one differential."""
-        ims = self._image_bases(d)
-        kers = self._kernel_bases(d_back)
+        ims = [fplin.row_space(m.T, self.p) for m in d]
+        kers = [fplin.nullspace(m, self.p) for m in d_back]
         im_sub, _q, im_incl, _p = self.cat.sub_quotient(dst, ims)
         ker_sub, _q2, ker_incl, _p2 = self.cat.sub_quotient(dst, kers)
         f = []
@@ -371,7 +347,7 @@ class ComplexCategory:
             basis.append((s1, s0))
         return basis
 
-    def _chain_map_vector(self, a, b, s1, s0):
+    def _chain_map_vector(self, s1, s0):
         bits = [m.reshape(-1) for m in s1] + [m.reshape(-1) for m in s0]
         if not bits:
             return np.zeros(0, dtype=np.int64)
@@ -390,10 +366,10 @@ class ComplexCategory:
             else:
                 t1 = [(gen[i] @ a.d1[i]) % self.p for i in range(q.n)]
                 t0 = [(b.d1[i] @ gen[i]) % self.p for i in range(q.n)]
-            rows.append(self._chain_map_vector(a, b, t1, t0))
+            rows.append(self._chain_map_vector(t1, t0))
         if not rows:
             size = self._chain_map_vector(
-                a, b, mor_zero(a.m1, b.m1), mor_zero(a.m0, b.m0)
+                mor_zero(a.m1, b.m1), mor_zero(a.m0, b.m0)
             ).shape[0]
         return np.stack(rows) if rows else np.zeros((0, size), dtype=np.int64)
 
@@ -403,28 +379,17 @@ class ComplexCategory:
         q = self.quiver
         if not basis:
             return [(mor_zero(a.m1, b.m1), mor_zero(a.m0, b.m0))]
-        hvecs = np.stack([self._chain_map_vector(a, b, s1, s0) for s1, s0 in basis])
+        hvecs = np.stack([self._chain_map_vector(s1, s0) for s1, s0 in basis])
         null_rows = self.homotopy_image(a, b)
-        null_rref, null_piv = fplin.rref(null_rows, self.p)
-        null_rref = null_rref[: len(null_piv)]
-        complement = []
-        for row_i, vec in enumerate(hvecs):
-            w = vec.copy()
-            for ri, pc in enumerate(null_piv):
-                if w[pc]:
-                    w = (w - w[pc] * null_rref[ri]) % self.p
-            for cb in complement:
-                piv = int(np.flatnonzero(cb[1])[0]) if cb[1].any() else None
-                if piv is not None and w[piv]:
-                    w = (w - w[piv] * cb[1] * fplin.inv_mod(cb[1][piv], self.p)) % self.p
-            if w.any():
-                complement.append((row_i, w))
+        # pivot columns past the null rows: basis maps independent modulo
+        # the homotopy image and the basis maps chosen before them
+        _r, pivots = fplin.rref(np.concatenate([null_rows, hvecs]).T, self.p)
+        complement = [pc - len(null_rows) for pc in pivots if pc >= len(null_rows)]
         reps = []
-        ncomp = len(complement)
-        for coeffs in product(range(self.p), repeat=ncomp):
+        for coeffs in product(range(self.p), repeat=len(complement)):
             s1 = mor_zero(a.m1, b.m1)
             s0 = mor_zero(a.m0, b.m0)
-            for c, (row_i, _w) in zip(coeffs, complement):
+            for c, row_i in zip(coeffs, complement):
                 if not c:
                     continue
                 b1, b0 = basis[row_i]
@@ -615,14 +580,10 @@ class ComplexCategory:
             factors.append(self.kd_elem(beta))
         return self.product_all(factors)
 
-    def eval_normal_monomial(self, mono) -> Combination:
-        """Evaluate a normal-ordered monomial (A, alpha, B, beta) here."""
-        return self.normalize(self.normal_monomial(mono))
-
     def eval_dh_element(self, x) -> Combination:
         out = Combination.zero(self.ring)
         for mono, c in x.terms.items():
-            contrib = self.eval_normal_monomial(mono)
+            contrib = self.normalize(self.normal_monomial(mono))
             for term, d in contrib.terms.items():
                 out.add_term(term, c * d)
         return out

@@ -13,23 +13,6 @@ from itertools import combinations, product
 import numpy as np
 
 
-def asmat(rows, cols, data=None, p=2):
-    """Build an (rows x cols) matrix mod p from nested data (or zeros)."""
-    if data is None:
-        return np.zeros((rows, cols), dtype=np.int64)
-    m = np.asarray(data, dtype=np.int64).reshape(rows, cols) % p
-    return m
-
-
-def matmul(a, b, p):
-    return (a @ b) % p
-
-
-def mat_key(a):
-    """Hashable canonical key for a matrix (shape plus entries)."""
-    return (a.shape, a.tobytes())
-
-
 def inv_mod(x, p):
     return pow(int(x), p - 2, p)
 

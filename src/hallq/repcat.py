@@ -402,6 +402,8 @@ class RepCategory:
     def classify(self, d) -> list:
         """All isomorphism classes with dimension vector d, sorted by key."""
         d = tuple(int(x) for x in d)
+        if len(d) != self.quiver.n or min(d, default=0) < 0:
+            raise QuiverError("dimension vector must be nonnegative, one per vertex")
         if d in self._classify:
             return self._classify[d]
         if sum(d) > self.bounds.max_total_dim:
@@ -609,7 +611,7 @@ class RepCategory:
     # persistent cache plumbing
 
     def _store_key(self, op: str, args):
-        return (self.quiver.content_hash(), self.p, op) + tuple(
+        return (self.quiver.content_hash(), str(self.p), op) + tuple(
             str(a) for a in (args if isinstance(args, tuple) else (args,))
         )
 

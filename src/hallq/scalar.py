@@ -81,10 +81,6 @@ class ScalarRing:
             out = self._v_pows[r] = self.from_terms({r: Fraction(1)})
         return out
 
-    @property
-    def q(self) -> "Scalar":
-        return self.v_pow(2)
-
     def quantum_integer(self, n: int) -> "Scalar":
         """[n] = (v^n - v^-n)/(v - v^-1) = v^(n-1) + v^(n-3) + ... + v^(1-n)."""
         sign = 1 if n >= 0 else -1

@@ -1,6 +1,8 @@
 import json
 import pathlib
 
+import pytest
+
 from hallq.cli import main
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -23,6 +25,20 @@ def test_classify_a2_and_zero(capsys):
     assert code == 0 and len(out.strip().splitlines()) == 2
     code, out, _ = run(capsys, "classify", "--quiver", DATA / "a2.quiver", "--dim", "0,0")
     assert code == 0 and len(out.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classify", "--dim", "1,x"),
+        ("classify", "--dim", "1"),
+        ("classify", "--dim", "1,-1"),
+        ("product", "--expr", "K(1,x)"),
+    ],
+)
+def test_malformed_vectors_are_usage_errors(capsys, argv):
+    code, _, err = run(capsys, *argv, "--quiver", DATA / "a2.quiver")
+    assert code == 2 and err.startswith("error: ")
 
 
 def test_classify_json(capsys):

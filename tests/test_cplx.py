@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from hallq import EnumerationTooLarge, QuiverError
+from hallq import EnumerationTooLarge, QuiverError, RepCategory, fplin
 from hallq.cplx import Complex, ComplexCategory
 from hallq.dh import DHAlgebra
 
@@ -112,11 +112,11 @@ def test_invariants_computed_once_per_complex(name, request, monkeypatch):
     cat = request.getfixturevalue(name)
     cpx = ComplexCategory(cat)
     calls = Counter()
-    for meth in ("_homology_at", "_half_split"):
-        def counting(self, *args, _orig=getattr(ComplexCategory, meth), _meth=meth):
+    for owner, meth in ((ComplexCategory, "_half_split"), (RepCategory, "sub_quotient")):
+        def counting(self, *args, _orig=getattr(owner, meth), _meth=meth):
             calls[_meth] += 1
             return _orig(self, *args)
-        monkeypatch.setattr(ComplexCategory, meth, counting)
+        monkeypatch.setattr(owner, meth, counting)
     classes = [c for c in cat.classes_up_to_total_dim(2) if c.total_dim]
     pool = [cpx.k_complex((1,) + (0,) * (cat.quiver.n - 1))]
     for a in classes:
@@ -143,7 +143,43 @@ def test_invariants_computed_once_per_complex(name, request, monkeypatch):
         for half, fresh_half in zip(split, fresh_split):
             assert [cpx.proj_rank_vector(m) for m in half[:2]] == \
                 [cpx.proj_rank_vector(m) for m in fresh_half[:2]]
-        assert calls["_homology_at"] > before["_homology_at"]
+        assert calls["_half_split"] > before["_half_split"]
+        assert calls["sub_quotient"] > before["sub_quotient"]
+
+
+@pytest.mark.parametrize("name", ["a2", "kronecker"])
+def test_homology_in_both_degrees(name, request):
+    # H(res A + res(B)-dagger) = (A, B), with or without an acyclic summand
+    cat = request.getfixturevalue(name)
+    cpx = ComplexCategory(cat)
+    classes = cat.classes_up_to_total_dim(2)
+    acyclic = cpx.k_complex((1,) + (0,) * (cat.quiver.n - 1))
+    for a in classes:
+        for b in classes:
+            cx = cpx.direct_sum(cpx.resolution(a.rep), cpx.dagger(cpx.resolution(b.rep)))
+            for c in (cx, cpx.direct_sum(cx, acyclic)):
+                assert [cat.class_of(h).key for h in cpx.homology(c)] == [a.key, b.key]
+
+
+@pytest.mark.parametrize("name", ["a2", "kronecker"])
+def test_homotopy_classes_one_per_class(name, request):
+    # the representatives are p^(dim chain maps - dim null-homotopic maps)
+    # chain maps, pairwise not homotopic
+    cat = request.getfixturevalue(name)
+    cpx = ComplexCategory(cat)
+    pool = [cpx.k_complex((1,) + (0,) * (cat.quiver.n - 1))]
+    for c in cat.classes_up_to_total_dim(2):
+        res = cpx.resolution(c.rep)
+        pool += [res, cpx.dagger(res)]
+    for a in pool:
+        for b in map(cpx.dagger, pool):
+            reps = cpx.homotopy_classes(a, b)
+            null, pivots = fplin.rref(cpx.homotopy_image(a, b), cat.p)
+            assert len(reps) == cat.p ** (len(cpx.hom_complex_basis(a, b)) - len(pivots))
+            vecs = [cpx._chain_map_vector(s1, s0) for s1, s0 in reps]
+            for i, u in enumerate(vecs):
+                for w in vecs[:i]:
+                    assert not fplin.in_row_space(u - w, null, pivots, cat.p)
 
 
 def test_hom_space_decomposition(ca2, a2):

@@ -1,3 +1,4 @@
+import json
 import random
 
 import numpy as np
@@ -271,6 +272,31 @@ def test_warm_cache_reads_classes_without_matrices(tmp_path, l2m2):
     audited, audited_tables = session(CacheStore(path, audit=True))
     assert [c.key for c in audited] == [c.key for c in warm]
     assert audited_tables == warm_tables
+
+
+def test_cache_keys_are_strings_and_warm_session_writes_nothing(tmp_path, l2m2, monkeypatch):
+    path = tmp_path / "c.jsonl"
+
+    def session():
+        cat = RepCategory(l2m2.quiver, store=CacheStore(path))
+        for c in cat.classes_up_to_total_dim(2):
+            cat.subquot_table(c)
+
+    session()
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    assert records and all(
+        isinstance(part, str) for rec in records for part in rec["k"]
+    )
+    puts = []
+    monkeypatch.setattr(CacheStore, "put", lambda self, key, value: puts.append(key))
+    session()
+    assert puts == []
+
+
+@pytest.mark.parametrize("d", [(1,), (1, 0, 0), (1, -1)])
+def test_classify_refuses_malformed_dimension_vectors(a2, d):
+    with pytest.raises(QuiverError, match="nonnegative, one per vertex"):
+        a2.classify(d)
 
 
 def test_keys_need_one_digit_per_entry():
