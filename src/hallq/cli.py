@@ -94,8 +94,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_context(args):
-    with open(args.quiver, "r", encoding="utf-8") as fh:
-        quiver = parse_quiver(fh.read())
+    try:
+        with open(args.quiver, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise QuiverError(f"cannot read quiver file: {exc}") from None
+    quiver = parse_quiver(text)
     cache_path = args.cache or os.environ.get("HALLQ_CACHE")
     store = CacheStore(cache_path, audit=args.audit_cache) if (
         cache_path or args.audit_cache
@@ -205,7 +209,14 @@ def parse_expr(dh: DHAlgebra, text: str):
                 factor = dh.k_elem(coords) if kind == "K" else dh.kd_elem(coords)
             term = dh.product(term, factor)
         else:
-            term = term.scale(parse_scalar(dh.ring, m.group("scal")))
+            lit = m.group("scal")
+            try:
+                scal = parse_scalar(dh.ring, lit)
+            except ZeroDivisionError:
+                raise ExprError(f"scalar {lit!r} divides by zero") from None
+            except ValueError as exc:
+                raise ExprError(f"bad scalar {lit!r}: {exc}") from None
+            term = term.scale(scal)
     if saw_factor:
         result = result + term.scale(sign)
     return result

@@ -313,14 +313,12 @@ class ComplexCategory:
 
     def hom_complex_basis(self, a: Complex, b: Complex):
         """Basis of chain maps a -> b, each a pair (s1, s0) of morphisms."""
-        h11 = self.cat.hom_basis(a.m1, b.m1)
-        h00 = self.cat.hom_basis(a.m0, b.m0)
-        n1, n0 = len(h11), len(h00)
+        gens = [(s1, mor_zero(a.m0, b.m0)) for s1 in self.cat.hom_basis(a.m1, b.m1)] + [
+            (mor_zero(a.m1, b.m1), s0) for s0 in self.cat.hom_basis(a.m0, b.m0)
+        ]
         rows = []
         q = self.quiver
-        for col in range(n1 + n0):
-            s1 = h11[col] if col < n1 else mor_zero(a.m1, b.m1)
-            s0 = h00[col - n1] if col >= n1 else mor_zero(a.m0, b.m0)
+        for s1, s0 in gens:
             c1 = [
                 (s0[i] @ a.d1[i] - b.d1[i] @ s1[i]) % self.p for i in range(q.n)
             ]
@@ -330,22 +328,16 @@ class ComplexCategory:
             rows.append(np.concatenate([m.reshape(-1) for m in c1 + c0] or [np.zeros(0, dtype=np.int64)]))
         system = np.stack(rows, axis=1) if rows else np.zeros((0, 0), dtype=np.int64)
         kernel = fplin.nullspace(system, self.p) if rows else np.zeros((0, 0), dtype=np.int64)
-        basis = []
-        for vec in kernel:
-            s1 = mor_zero(a.m1, b.m1)
-            s0 = mor_zero(a.m0, b.m0)
-            s1 = tuple(
-                sum((int(vec[j]) * h11[j][i] for j in range(n1)),
-                    np.zeros_like(s1[i])) % self.p
-                for i in range(q.n)
-            )
-            s0 = tuple(
-                sum((int(vec[n1 + j]) * h00[j][i] for j in range(n0)),
-                    np.zeros_like(s0[i])) % self.p
-                for i in range(q.n)
-            )
-            basis.append((s1, s0))
-        return basis
+        return [self._combine(vec, gens, a, b) for vec in kernel]
+
+    def _combine(self, coeffs, maps, a: Complex, b: Complex):
+        """The chain map sum_j coeffs[j] * maps[j] from a to b, reduced mod p."""
+        s1, s0 = mor_zero(a.m1, b.m1), mor_zero(a.m0, b.m0)
+        for c, (m1, m0) in zip(coeffs, maps):
+            if c:
+                s1 = tuple(x + int(c) * y for x, y in zip(s1, m1))
+                s0 = tuple(x + int(c) * y for x, y in zip(s0, m0))
+        return tuple(x % self.p for x in s1), tuple(x % self.p for x in s0)
 
     def _chain_map_vector(self, s1, s0):
         bits = [m.reshape(-1) for m in s1] + [m.reshape(-1) for m in s0]
@@ -376,7 +368,6 @@ class ComplexCategory:
     def homotopy_classes(self, a: Complex, b: Complex):
         """One representative chain map per homotopy class of maps a -> b."""
         basis = self.hom_complex_basis(a, b)
-        q = self.quiver
         if not basis:
             return [(mor_zero(a.m1, b.m1), mor_zero(a.m0, b.m0))]
         hvecs = np.stack([self._chain_map_vector(s1, s0) for s1, s0 in basis])
@@ -384,19 +375,11 @@ class ComplexCategory:
         # pivot columns past the null rows: basis maps independent modulo
         # the homotopy image and the basis maps chosen before them
         _r, pivots = fplin.rref(np.concatenate([null_rows, hvecs]).T, self.p)
-        complement = [pc - len(null_rows) for pc in pivots if pc >= len(null_rows)]
-        reps = []
-        for coeffs in product(range(self.p), repeat=len(complement)):
-            s1 = mor_zero(a.m1, b.m1)
-            s0 = mor_zero(a.m0, b.m0)
-            for c, row_i in zip(coeffs, complement):
-                if not c:
-                    continue
-                b1, b0 = basis[row_i]
-                s1 = tuple((s1[i] + c * b1[i]) % self.p for i in range(q.n))
-                s0 = tuple((s0[i] + c * b0[i]) % self.p for i in range(q.n))
-            reps.append((s1, s0))
-        return reps
+        complement = [basis[pc - len(null_rows)] for pc in pivots if pc >= len(null_rows)]
+        return [
+            self._combine(coeffs, complement, a, b)
+            for coeffs in product(range(self.p), repeat=len(complement))
+        ]
 
     # ------------------------------------------------------------------
     # cones
@@ -600,15 +583,8 @@ class ComplexCategory:
             return a.m1.total_dim == 0 and a.m0.total_dim == 0
         if self.p ** len(basis) > self.cat.bounds.max_aut_candidates:
             raise EnumerationTooLarge("chain-map space too large for brute force")
-        q = self.quiver
         for coeffs in product(range(self.p), repeat=len(basis)):
-            s1 = mor_zero(a.m1, b.m1)
-            s0 = mor_zero(a.m0, b.m0)
-            for c, (b1, b0) in zip(coeffs, basis):
-                if not c:
-                    continue
-                s1 = tuple((s1[i] + c * b1[i]) % self.p for i in range(q.n))
-                s0 = tuple((s0[i] + c * b0[i]) % self.p for i in range(q.n))
+            s1, s0 = self._combine(coeffs, basis, a, b)
             if all(fplin.is_invertible(m, self.p) for m in s1) and all(
                 fplin.is_invertible(m, self.p) for m in s0
             ):

@@ -11,7 +11,8 @@ rewritten into this basis by the rule system
     (R2) K_a past E_A costs v^((a,A)), Kd_b past E_A costs v^(-(b,A));
          mirrored signs on F;
     (R3) E_A o E_B = v^(<A,B>) sum_C |Ext(A,B)_C|/|Hom(A,B)| E_C,
-         and the dagger image of this for F o F;
+         the constants read from `RepCategory.middle_terms`, and the
+         dagger image of this for F o F;
     (R4) F_B o E_A = sum v^(<A2, B-A>) g^A_{A1,A2} g^B_{A2,B1} a_{A2}
                           K_{A2} o E(A1,B1);
     (R5) E(A,B) = E_A o F_B
@@ -28,8 +29,6 @@ end (the quotient map is an algebra homomorphism, so this is exact).
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .combo import Combination
 from .quiver import kv_add, kv_sub
@@ -159,15 +158,7 @@ class DHAlgebra:
         """E_A o E_B = sum coeff E_C; returns [(C key, Scalar coeff)]."""
         a, b = self._cls(akey), self._cls(bkey)
         tw = self.ring.v_pow(self.quiver.euler_dimvec(a.dim, b.dim))
-        out = []
-        dim_c = tuple(x + y for x, y in zip(a.dim, b.dim))
-        for c in self.cat.classify(dim_c):
-            g = self.cat.hall_number(a, b, c)
-            if g:
-                out.append(
-                    (c.key, tw * Fraction(g * a.aut_order * b.aut_order, c.aut_order))
-                )
-        return out
+        return [(c.key, tw * coeff) for c, coeff in self.cat.middle_terms(a, b)]
 
     def _fe_expand(self, bkey: str, akey: str) -> DHElement:
         """Normal form of F_B o E_A (rule R4, then the E(A1,B1) table)."""

@@ -6,15 +6,14 @@ Elements are linear combinations of terms (class key, alpha) standing for
     (<A> K_a) * (<B> K_b)
       = v^(<A,B> + (a,B)) sum_C  |Ext(A,B)_C| / |Hom(A,B)|  <C> K_{a+b},
 
-the coproduct is the Green/Xiao one, and the Hopf pairing is diagonal on
+whose untwisted constants come from `RepCategory.middle_terms`; the
+coproduct is the Green/Xiao one, and the Hopf pairing is diagonal on
 the class basis.  The double-compatibility check at the bottom expands
 both sides of the reduced Drinfeld identity through the normal-ordered
 straightening engine.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .combo import Combination
 from .quiver import kv_add
@@ -69,14 +68,7 @@ class HallAlgebra:
                 )
                 c0 = ca * cb * twist
                 gamma = kv_add(alpha, beta)
-                dim_c = tuple(p + q for p, q in zip(a.dim, b.dim))
-                for c in self.cat.classify(dim_c):
-                    g = self.cat.hall_number(a, b, c)
-                    if not g:
-                        continue
-                    coeff = Fraction(
-                        g * a.aut_order * b.aut_order, c.aut_order
-                    )
+                for c, coeff in self.cat.middle_terms(a, b):
                     out.add_term((c.key, gamma), c0 * coeff)
         return out
 

@@ -181,6 +181,7 @@ class RepCategory:
         self._canon: dict[str, str] = {}
         self._homdim: dict[tuple, int] = {}
         self._subquot: dict[str, dict] = {}
+        self._middle: dict[tuple, list] = {}
         self._aut_brute: dict[str, int] = {}
         self._gl: dict[int, list] = {}
         self._glinv: dict[int, list] = {}
@@ -596,6 +597,25 @@ class RepCategory:
         if tuple(x + y for x, y in zip(a.dim, b.dim)) != c.dim:
             return 0
         return self.subquot_table(c).get((a.key, b.key), 0)
+
+    def middle_terms(self, a: IsoClass, b: IsoClass) -> list:
+        """The E_A E_B structure constants, without the v-twist: [(C, coeff)].
+
+        coeff = g^C_{A,B} a_A a_B / a_C = |Ext^1(A,B)_C| / |Hom(A,B)|
+        (Riedtmann), a Fraction, for each C of `classify(dim A + dim B)`
+        with g^C_{A,B} != 0, in that order.  Memoized per (A, B); the
+        algebras that call this apply their own twists.
+        """
+        memo = (a.key, b.key)
+        if memo not in self._middle:
+            dim_c = tuple(x + y for x, y in zip(a.dim, b.dim))
+            out = []
+            for c in self.classify(dim_c):
+                g = self.hall_number(a, b, c)
+                if g:
+                    out.append((c, Fraction(g * a.aut_order * b.aut_order, c.aut_order)))
+            self._middle[memo] = out
+        return self._middle[memo]
 
     def ext_count_with_middle(self, a: IsoClass, b: IsoClass, c: IsoClass) -> int:
         """|Ext^1(a,b)_c| recovered from the Hall number identity."""

@@ -182,12 +182,6 @@ class Scalar:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def evaluate(self, q) -> float:
-        """Numeric value sum c * q^(e/2); cross-check channel only."""
-        if q < 2:
-            raise ValueError("q must be at least 2")
-        return float(sum(c * float(q) ** (e / 2) for e, c in self.terms.items()))
-
     def render(self) -> str:
         if not self.terms:
             return "0"

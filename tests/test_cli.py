@@ -34,10 +34,19 @@ def test_classify_a2_and_zero(capsys):
         ("classify", "--dim", "1"),
         ("classify", "--dim", "1,-1"),
         ("product", "--expr", "K(1,x)"),
+        ("product", "--expr", "2/0"),
+        ("product", "--expr", "v^(1/3)"),
     ],
 )
 def test_malformed_vectors_are_usage_errors(capsys, argv):
     code, _, err = run(capsys, *argv, "--quiver", DATA / "a2.quiver")
+    assert code == 2 and err.startswith("error: ")
+
+
+def test_missing_quiver_file_is_usage_error(capsys):
+    code, _, err = run(
+        capsys, "classify", "--quiver", DATA / "nonexist.quiver", "--dim", "1"
+    )
     assert code == 2 and err.startswith("error: ")
 
 

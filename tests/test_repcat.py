@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -179,21 +180,46 @@ def test_ext_count_with_middle(a1, a2):
 def test_total_count_identity(a2, l2):
     # sum over middles of |Ext(A,B)_C| recovers |Ext(A,B)| = q^(hom - euler);
     # nonzero pairs up to total dimension 3 (the zero-class cases are a
-    # one-term tautology and get a spot check)
+    # one-term tautology and get a spot check).  middle_terms lists exactly
+    # the middles with a nonzero count, each as |Ext(A,B)_C| / |Hom(A,B)|.
     for cat in (a2, l2):
         for da in range(1, 3):
             for db in range(1, 4 - da):
                 for a in cat.classes_with_total_dim(da):
                     for b in cat.classes_with_total_dim(db):
                         dim_c = tuple(x + y for x, y in zip(a.dim, b.dim))
-                        acc = sum(
-                            cat.ext_count_with_middle(a, b, c)
+                        counts = {
+                            c.key: cat.ext_count_with_middle(a, b, c)
                             for c in cat.classify(dim_c)
-                        )
-                        assert acc == cat.ext_total(a.rep, b.rep)
+                        }
+                        assert sum(counts.values()) == cat.ext_total(a.rep, b.rep)
+                        middles = cat.middle_terms(a, b)
+                        assert [c.key for c, _ in middles] == [
+                            k for k, n in counts.items() if n
+                        ]
+                        hom = cat.hom_count(a.rep, b.rep)
+                        for c, coeff in middles:
+                            assert coeff * hom == counts[c.key]
         zero = cat.zero_class()
         b = cat.classes_with_total_dim(2)[0]
         assert cat.ext_count_with_middle(zero, b, b) == 1 == cat.ext_total(zero.rep, b.rep)
+
+
+def test_middle_terms_memoized(l2, monkeypatch):
+    # a second middle_terms call for the same pair classifies nothing and
+    # counts no Hall numbers
+    pairs = [(a, b) for a in l2.classes_up_to_total_dim(1)
+             for b in l2.classes_up_to_total_dim(2)]
+    first = [l2.middle_terms(a, b) for a, b in pairs]
+    calls = Counter()
+    for meth in ("classify", "hall_number"):
+        def counting(self, *args, _orig=getattr(RepCategory, meth), _meth=meth):
+            calls[_meth] += 1
+            return _orig(self, *args)
+        monkeypatch.setattr(RepCategory, meth, counting)
+    assert [l2.middle_terms(a, b) for a, b in pairs] == first
+    assert not calls
+    assert any(len(m) > 1 for m in first)
 
 
 def test_subobject_enumeration_finite(l2):
