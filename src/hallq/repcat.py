@@ -603,8 +603,9 @@ class RepCategory:
 
         coeff = g^C_{A,B} a_A a_B / a_C = |Ext^1(A,B)_C| / |Hom(A,B)|
         (Riedtmann), a Fraction, for each C of `classify(dim A + dim B)`
-        with g^C_{A,B} != 0, in that order.  Memoized per (A, B); the
-        algebras that call this apply their own twists.
+        with g^C_{A,B} != 0, in that order.  Memoized per (A, B), so the
+        list is shared and callers only read it; the algebras that call
+        this apply their own twists.
         """
         memo = (a.key, b.key)
         if memo not in self._middle:
