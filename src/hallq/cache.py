@@ -4,15 +4,14 @@ One JSON record per line, {"k": [...], "v": ...}, keyed by quiver content
 hash, field size, operation tag and canonical argument keys, all strings:
 callers pass the key as a tuple of strings, the form it is loaded in.  Other
 processes may append to the same file: appends take an advisory file lock,
-and readers load once at open and tolerate a truncated final line from
-such a writer.  Audit mode recomputes on every hit and raises on
-disagreement.
+and readers load once at open and skip every line that is not a record,
+such as a truncated final line from such a writer.  Audit mode recomputes
+on every hit and raises on disagreement.
 """
 
 from __future__ import annotations
 
 import json
-import os
 
 try:
     import fcntl
@@ -25,7 +24,9 @@ class CacheStore:
         self.path = path
         self.audit = audit
         self._mem: dict[tuple, object] = {}
-        if path and os.path.exists(path):
+        if path:
+            # an unusable path raises OSError here, before any work is done
+            open(path, "a", encoding="utf-8").close()
             self._load()
 
     def _load(self):
@@ -38,7 +39,13 @@ class CacheStore:
                     rec = json.loads(line)
                 except json.JSONDecodeError:
                     continue  # torn tail write from another process
-                self._mem[tuple(rec["k"])] = rec["v"]
+                if not (isinstance(rec, dict) and isinstance(rec.get("k"), list)
+                        and "v" in rec):
+                    continue  # valid JSON, but not a record
+                try:
+                    self._mem[tuple(rec["k"])] = rec["v"]
+                except TypeError:  # a key part that cannot be hashed
+                    continue
 
     def get(self, key):
         return self._mem.get(key)

@@ -22,6 +22,7 @@ import sys
 import time
 
 from .cache import CacheStore
+from .combo import check, skipped
 from .cplx import ComplexCategory
 from .dh import DHAlgebra
 from .hall import HallAlgebra
@@ -101,9 +102,12 @@ def _load_context(args):
         raise QuiverError(f"cannot read quiver file: {exc}") from None
     quiver = parse_quiver(text)
     cache_path = args.cache or os.environ.get("HALLQ_CACHE")
-    store = CacheStore(cache_path, audit=args.audit_cache) if (
-        cache_path or args.audit_cache
-    ) else None
+    try:
+        store = CacheStore(cache_path, audit=args.audit_cache) if (
+            cache_path or args.audit_cache
+        ) else None
+    except OSError as exc:
+        raise QuiverError(f"cannot use cache file: {exc}") from None
     bounds = Bounds()
     if args.max_total_dim is not None:
         bounds = Bounds(max_total_dim=args.max_total_dim)
@@ -249,8 +253,7 @@ def cmd_verify(args) -> int:
         try:
             results[name] = fn()
         except EnumerationTooLarge as exc:
-            results[name] = [{"id": name, "ok": None, "lhs": "", "rhs": "",
-                              "residual": f"skipped: {exc}"}]
+            results[name] = [skipped(name, exc)]
         timings[name] = time.monotonic() - t0
 
     any_fail = False
@@ -260,10 +263,10 @@ def cmd_verify(args) -> int:
     }, "checks": []}
     status_names = {True: "pass", False: "fail", None: "skipped"}
     for name, _fn in suites:
-        for check in results[name]:
-            row = {"suite": name, "status": status_names[check["ok"]], **check}
+        for result in results[name]:
+            row = {"suite": name, "status": status_names[result["ok"]], **result}
             report["checks"].append(row)
-            if check["ok"] is False:
+            if result["ok"] is False:
                 any_fail = True
     if args.json:
         print(json.dumps(report, sort_keys=True))
@@ -292,8 +295,8 @@ def cmd_verify(args) -> int:
 def _count_outcomes(checks):
     """Number of checks per outcome: True passed, False failed, None skipped."""
     counts = {True: 0, False: 0, None: 0}
-    for check in checks:
-        counts[check["ok"]] += 1
+    for row in checks:
+        counts[row["ok"]] += 1
     return counts
 
 
@@ -347,45 +350,33 @@ def _generator_elements(cat, dh, max_dim):
 
 
 def _assoc_suite(cat, max_dim, seed, n_random):
+    """(xy)z = x(yz) on fixed, then seeded random, triples of generators."""
     dh = DHAlgebra(cat)
     gens = _generator_elements(cat, dh, min(max_dim, 1))
-    checks = []
-    for na, xa in gens:
-        for nb, xb in gens:
-            for nc, xc in gens:
-                lhs = dh.product(dh.product(xa, xb), xc)
-                rhs = dh.product(xa, dh.product(xb, xc))
-                checks.append({
-                    "id": f"assoc {na} {nb} {nc}",
-                    "ok": (lhs - rhs).is_zero(),
-                    "lhs": dh.render(lhs), "rhs": dh.render(rhs),
-                    "residual": dh.render(lhs - rhs),
-                })
+    triples = [
+        (f"assoc {na} {nb} {nc}", xa, xb, xc)
+        for na, xa in gens for nb, xb in gens for nc, xc in gens
+    ]
     rng = random.Random(seed)
     pool = _generator_elements(cat, dh, max_dim)
     for t in range(n_random):
         (na, xa), (nb, xb), (nc, xc) = (rng.choice(pool) for _ in range(3))
-        cid = f"assoc random#{t} {na} {nb} {nc}"
+        triples.append((f"assoc random#{t} {na} {nb} {nc}", xa, xb, xc))
+    checks = []
+    for cid, xa, xb, xc in triples:
         try:
             lhs = dh.product(dh.product(xa, xb), xc)
             rhs = dh.product(xa, dh.product(xb, xc))
         except EnumerationTooLarge as exc:
-            checks.append({"id": cid, "ok": None, "lhs": "", "rhs": "",
-                           "residual": f"skipped: {exc}"})
+            checks.append(skipped(cid, exc))
             continue
-        checks.append({
-            "id": cid,
-            "ok": (lhs - rhs).is_zero(),
-            "lhs": dh.render(lhs), "rhs": dh.render(rhs),
-            "residual": dh.render(lhs - rhs),
-        })
+        checks.append(check(cid, lhs, rhs, dh.render))
     return checks
 
 
 def _oracle_suite(cat, max_dim):
     if any(cat.quiver.loops):
-        return [{"id": "oracle", "ok": None, "lhs": "", "rhs": "",
-                 "residual": "skipped: quiver has loops, no finite projectives"}]
+        return [skipped("oracle", "quiver has loops, no finite projectives")]
     cpx = ComplexCategory(cat)
     dh = DHAlgebra(cat)
     gens = _generator_elements(cat, dh, max_dim)
@@ -397,14 +388,7 @@ def _oracle_suite(cat, max_dim):
                 cpx.product(_loc_of(cpx, dh, xa), _loc_of(cpx, dh, xb))
             )
             via_dh = cpx.eval_dh_element(product_dh)
-            ok = (direct - via_dh).is_zero()
-            checks.append({
-                "id": f"oracle {na} o {nb}",
-                "ok": ok,
-                "lhs": cpx.render(direct),
-                "rhs": cpx.render(via_dh),
-                "residual": cpx.render(direct - via_dh),
-            })
+            checks.append(check(f"oracle {na} o {nb}", direct, via_dh, cpx.render))
     return checks
 
 

@@ -1,7 +1,9 @@
 """Finite linear combinations with Scalar coefficients.
 
 Shared container for Hall elements, tensor elements, and normal-ordered
-monomial sums: a map from hashable terms to nonzero Scalars.
+monomial sums: a map from hashable terms to nonzero Scalars.  Also the one
+builder of the rows `hallq verify` reports: {id, ok, lhs, rhs, residual},
+with ok None for a skipped check.
 """
 
 from __future__ import annotations
@@ -83,3 +85,16 @@ class Combination:
 
     def __len__(self):
         return len(self.terms)
+
+
+def check(cid: str, lhs, rhs, render) -> dict:
+    """The row of the equality check lhs = rhs; it holds when lhs - rhs is 0."""
+    residual = lhs - rhs
+    return {"id": cid, "ok": residual.is_zero(), "lhs": render(lhs),
+            "rhs": render(rhs), "residual": render(residual)}
+
+
+def skipped(cid: str, reason) -> dict:
+    """The row of a check that was not run, with the reason why."""
+    return {"id": cid, "ok": None, "lhs": "", "rhs": "",
+            "residual": f"skipped: {reason}"}

@@ -500,17 +500,6 @@ class ComplexCategory:
         coeff = self.ring.v_pow(self.quiver.euler_form(m_hat, kv_sub(q_hat, p_hat)))
         return self.loc(cx, gamma=kv_neg(p_hat), delta=kv_neg(q_hat), coeff=coeff)
 
-    def localize_and_normalize(self, cx: Complex, dh=None):
-        """E of the complex on the two-sided generator coordinates.
-
-        With a straightening context supplied, the result is converted
-        into its normal-ordered expansion there.
-        """
-        coords = self.normalize(self.e_of_complex(cx))
-        if dh is None:
-            return coords
-        return dh.from_eab_coords(coords)
-
     def e_elem(self, a: Rep) -> LocElement:
         return self.e_of_complex(self.resolution(a))
 

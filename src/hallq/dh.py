@@ -23,9 +23,9 @@ where E(A,B) is the two-sided generator attached to the pair; the R5
 recursion strictly decreases both total dimensions, so the E(A,B) table
 closes after finitely many steps and is cached.
 
-Everything lives over one RepCategory; products of reduced elements are
-computed by lifting to the full algebra and folding Kd_b to K_{-b} at the
-end (the quotient map is an algebra homomorphism, so this is exact).
+Everything lives over one RepCategory; products in the reduced algebra are
+taken in the full algebra and reduced by folding Kd_b to K_{-b} at the end
+(the quotient map is an algebra homomorphism, so this is exact).
 """
 
 from __future__ import annotations
@@ -173,10 +173,10 @@ class DHAlgebra:
             a, b = self._cls(akey), self._cls(bkey)
             ka, kb = tuple(a.kclass), tuple(b.kclass)
             out = self.zero()
+            tb = self.cat.subquot_table(b)
             for (a1k, a2k), ga in self.cat.subquot_table(a).items():
                 a2 = self._cls(a2k)
-                gb_row = self.cat.subquot_table(b)
-                for (q2k, b1k), gb in gb_row.items():
+                for (q2k, b1k), gb in tb.items():
                     if q2k != a2k:
                         continue
                     tw = self.ring.v_pow(
@@ -307,16 +307,6 @@ class DHAlgebra:
         for (a, al, b, be), c in x.terms.items():
             tw = self.ring.v_pow(-self.quiver.sym_form(be, self._kcls(b)))
             out.add_term((a, kv_sub(al, be), b), c * tw)
-        return out
-
-    def reduced_product(self, x: ReducedDHElement, y: ReducedDHElement) -> ReducedDHElement:
-        return self.reduce(self.product(self.lift(x), self.lift(y)))
-
-    def lift(self, x: ReducedDHElement) -> DHElement:
-        z = self.quiver.zero_kvector()
-        out = self.zero()
-        for (a, al, b), c in x.terms.items():
-            out.add_term((a, al, b, z), c)
         return out
 
     # ------------------------------------------------------------------

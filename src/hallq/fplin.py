@@ -161,15 +161,3 @@ def subspaces(n, k, p):
             for (i, j), val in zip(free_cells, vals):
                 m[i, j] = val
             yield m
-
-
-def gaussian_binomial(n, k, p):
-    """Number of k-dimensional subspaces of F_p^n."""
-    if k < 0 or k > n:
-        return 0
-    num = den = 1
-    for i in range(k):
-        num *= p ** (n - i) - 1
-        den *= p ** (i + 1) - 1
-    assert num % den == 0
-    return num // den

@@ -15,7 +15,7 @@ straightening engine.
 
 from __future__ import annotations
 
-from .combo import Combination
+from .combo import Combination, check
 from .quiver import kv_add
 from .repcat import IsoClass, RepCategory
 
@@ -91,14 +91,6 @@ class HallAlgebra:
                 out.add_term((left, right), c * tw * g)
         return out
 
-    def counit(self, x: HallElement):
-        zero_key = self.cat.zero_class().key
-        out = self.ring.zero
-        for (k, _alpha), c in x.terms.items():
-            if k == zero_key:
-                out = out + c
-        return out
-
     def coproduct_square(self, x: HallElement, left_first: bool):
         """(Delta x id) Delta or (id x Delta) Delta, as triple tensors."""
         out = Combination.zero(self.ring)
@@ -133,17 +125,6 @@ class HallAlgebra:
             out = out + c * p1 * p2
         return out
 
-    def check_hopf_compat(self, x: HallElement, y: HallElement, z: HallElement) -> dict:
-        lhs = self.hopf_pair(self.product(x, y), z)
-        rhs = self.pair_with_tensor(x, y, self.coproduct(z))
-        return {
-            "id": "hopf-compat",
-            "ok": lhs == rhs,
-            "lhs": lhs.render(),
-            "rhs": rhs.render(),
-            "residual": (lhs - rhs).render(),
-        }
-
     # ------------------------------------------------------------------
     # Drinfeld double compatibility
 
@@ -177,14 +158,7 @@ class HallAlgebra:
                         dh.f_elem(b2k), dh.product(dh.kd_elem(b1.kclass), dh.e_elem(a2k))
                     )
                     rhs = rhs + word.scale(base * a1.aut_order)
-        residual = lhs - rhs
-        return {
-            "id": f"drinfeld[{a.key};{b.key}]",
-            "ok": residual.is_zero(),
-            "lhs": dh.render(lhs),
-            "rhs": dh.render(rhs),
-            "residual": dh.render(residual),
-        }
+        return check(f"drinfeld[{a.key};{b.key}]", lhs, rhs, dh.render)
 
     # ------------------------------------------------------------------
     # rendering

@@ -74,7 +74,7 @@ class Quiver:
     _gram_den: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.p < 2 or any(self.p % k == 0 for k in range(2, self.p)):
+        if self.p < 2 or any(self.p % k == 0 for k in range(2, math.isqrt(self.p) + 1)):
             raise QuiverError(f"field size {self.p} is not prime")
         if len(set(self.vertices)) != len(self.vertices):
             raise QuiverError("duplicate vertex ids")

@@ -291,10 +291,6 @@ class RepCategory:
             raise AssertionError("negative ext dimension: hereditary identity broken")
         return val
 
-    def ext_total(self, a: Rep, b: Rep) -> int:
-        """|Ext^1(a,b)| = q^(hom - euler form)."""
-        return self.p ** self.ext_dim(a, b)
-
     def aut_order(self, a: Rep) -> int:
         """|Aut(a)| by brute force over the endomorphism space."""
         if a.key in self._aut_brute:

@@ -21,6 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 
+from .combo import check, skipped
 from .dh import DHAlgebra, ReducedDHElement
 from .quiver import ChargeError
 from .repcat import EnumerationTooLarge, RepCategory
@@ -88,16 +89,8 @@ class RelationVerifier:
         try:
             lhs, rhs = compute()
         except EnumerationTooLarge as exc:
-            return {"id": cid, "ok": None, "lhs": "", "rhs": "",
-                    "residual": f"skipped: {exc}"}
-        residual = lhs - rhs
-        return {
-            "id": cid,
-            "ok": residual.is_zero(),
-            "lhs": self.dh.render(lhs),
-            "rhs": self.dh.render(rhs),
-            "residual": self.dh.render(residual),
-        }
+            return skipped(cid, exc)
+        return check(cid, lhs, rhs, self.dh.render)
 
     def _gens_at(self, i):
         return range(len(self.gen.simples[i]))
@@ -210,11 +203,10 @@ class RelationVerifier:
                     continue
                 n_max = 1 - self.cartan[i][j]
                 if n_max + 1 > self.serre_cap:
-                    out.append({
-                        "id": f"serre[{i}->{j}] deg {n_max}",
-                        "ok": None, "lhs": "", "rhs": "",
-                        "residual": f"skipped: degree {n_max + 1} above cap {self.serre_cap}",
-                    })
+                    out.append(skipped(
+                        f"serre[{i}->{j}] deg {n_max}",
+                        f"degree {n_max + 1} above cap {self.serre_cap}",
+                    ))
                     continue
                 for l in self._gens_at(j):
                     for name, pick in (("E", self.gen.xi_e), ("F", self.gen.xi_f)):

@@ -1,5 +1,7 @@
 import json
 import pathlib
+import re
+import time
 
 import pytest
 
@@ -158,24 +160,39 @@ def test_verify_json_round_trip(capsys):
 
 
 def test_verify_reports_skips_per_suite(capsys):
-    # at total dimension 3, four of the ten random triples on A2 need a
-    # dimension-4 product and are skipped; every suite reports its own count
-    args = ("verify", "--quiver", DATA / "a2.quiver", "--suite", "all",
-            "--max-total-dim", "3")
-    code, out, _ = run(capsys, *args)
-    assert code == 0
-    lines = out.splitlines()
-    assert lines[-5:] == [
-        "[relations] 19 passed, 0 failed, 0 skipped of 19",
-        "[drinfeld] 49 passed, 0 failed, 0 skipped of 49",
-        "[assoc] 1006 passed, 0 failed, 4 skipped of 1010",
-        "[oracle] 0 passed, 0 failed, 1 skipped of 1",
-        "1074 passed, 0 failed, 5 skipped",
+    # every suite reports its own count, and a check over the bound is
+    # skipped on its own.  At total dimension 3, four of the ten random
+    # triples on A2 need a dimension-4 product; at 2, so do the 22 triples
+    # (fixed or random) whose product has dimension 3, and the rest still run
+    cases = [
+        ("3", 4, [
+            "[relations] 19 passed, 0 failed, 0 skipped of 19",
+            "[drinfeld] 49 passed, 0 failed, 0 skipped of 49",
+            "[assoc] 1006 passed, 0 failed, 4 skipped of 1010",
+            "[oracle] 0 passed, 0 failed, 1 skipped of 1",
+            "1074 passed, 0 failed, 5 skipped",
+        ]),
+        ("2", 22, [
+            "[relations] 15 passed, 0 failed, 4 skipped of 19",
+            "[drinfeld] 49 passed, 0 failed, 0 skipped of 49",
+            "[assoc] 988 passed, 0 failed, 22 skipped of 1010",
+            "[oracle] 0 passed, 0 failed, 1 skipped of 1",
+            "1052 passed, 0 failed, 27 skipped",
+        ]),
     ]
-    code, out, _ = run(capsys, "verify", "--quiver", DATA / "a2.quiver", "--suite",
-                       "assoc", "--max-total-dim", "3", "--json")
-    statuses = [c["status"] for c in json.loads(out)["checks"]]
-    assert statuses.count("skipped") == 4 and len(statuses) == 1010
+    for bound, assoc_skips, summary in cases:
+        args = ("verify", "--quiver", DATA / "a2.quiver", "--max-total-dim", bound)
+        code, out, _ = run(capsys, *args, "--suite", "all")
+        assert code == 0
+        assert out.splitlines()[-5:] == summary
+        code, out, _ = run(capsys, *args, "--suite", "assoc", "--json")
+        checks = json.loads(out)["checks"]
+        skips = [c for c in checks if c["status"] == "skipped"]
+        assert len(skips) == assoc_skips and len(checks) == 1010
+        for c in skips:
+            m = re.fullmatch(r"skipped: total dimension (\d+) exceeds bound (\d+)",
+                             c["residual"])
+            assert m and m[2] == bound and int(m[1]) > int(bound), c
 
 
 def test_verify_serre_suite(capsys):
@@ -205,6 +222,34 @@ def test_usage_exit_code(capsys, tmp_path):
     bad.write_text("field p=2\nvertex 1 loops=1\n")
     code, _, err = run(capsys, "classify", "--quiver", bad, "--dim", "1")
     assert code == 2
+
+
+@pytest.mark.parametrize("name", ["missing/cache.jsonl", ""], ids=["no-parent", "a-dir"])
+def test_unusable_cache_path_is_usage_error(capsys, tmp_path, name):
+    # a path under a missing directory, and a directory, fail before any work
+    cache = tmp_path / name
+    code, out, err = run(
+        capsys, "classify", "--quiver", DATA / "a2.quiver", "--dim", "1,0",
+        "--cache", cache,
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot use cache file:")
+
+
+def test_cache_lines_that_are_not_records_are_skipped(capsys, tmp_path):
+    args = ("classify", "--quiver", DATA / "a2.quiver", "--dim", "1,1", "--json")
+    _, plain, _ = run(capsys, *args)
+    cache = tmp_path / "cache.jsonl"
+    cache.write_text(
+        '[1,2]\n3\n"k"\n{"v": 1}\n{"k": "ab", "v": 1}\n{"k": ["a"]}\n'
+        '{"k": [["a"]], "v": 1}\n'
+    )
+    code, out, _ = run(capsys, *args, "--cache", cache)
+    assert code == 0 and out == plain
+    # the skipped lines stay, and the new records follow them
+    assert cache.read_text().startswith("[1,2]\n")
+    _, warm, _ = run(capsys, *args, "--cache", cache)
+    assert warm == plain
 
 
 def test_cache_warm_cold_identical(capsys, tmp_path):
@@ -239,6 +284,16 @@ def test_cache_env_var(capsys, tmp_path, monkeypatch):
     code, _, _ = run(capsys, "classify", "--quiver", DATA / "a1.quiver", "--dim", "1")
     assert code == 0
     assert cache.exists()
+
+
+def test_large_prime_field_is_refused_promptly(capsys, tmp_path):
+    # primality is checked up to sqrt(p); the field bound then refuses p
+    quiver = tmp_path / "big.quiver"
+    quiver.write_text("field p=1000000007\nvertex 1 loops=0\n")
+    t0 = time.monotonic()
+    code, _, err = run(capsys, "classify", "--quiver", quiver, "--dim", "1")
+    assert code == 3 and "exceeds bound" in err
+    assert time.monotonic() - t0 < 10
 
 
 def test_max_total_dim_override(capsys):

@@ -195,18 +195,6 @@ def test_reduce(a1):
     assert isinstance(red, ReducedDHElement)
 
 
-def test_reduced_product_is_homomorphic(a2):
-    rng = random.Random(23)
-    dh = DHAlgebra(a2)
-    classes = a2.classes_up_to_total_dim(1)
-    for _ in range(15):
-        a, b = rng.choice(classes), rng.choice(classes)
-        alpha = tuple(rng.randint(-1, 1) for _ in range(2))
-        x = dh.element((a.key, alpha, b.key, (0, 0)))
-        y = dh.e_elem(rng.choice(classes).key)
-        assert dh.reduce(dh.product(x, y)) == dh.reduced_product(dh.reduce(x), dh.reduce(y))
-
-
 def test_render(a2):
     dh = DHAlgebra(a2)
     s = a2.classes_with_total_dim(1)[0]

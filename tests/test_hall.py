@@ -137,7 +137,8 @@ def test_hopf_pairing_against_counit(a2):
     hall = HallAlgebra(a2)
     for c in a2.classes_up_to_total_dim(2):
         z = hall.element(c, alpha=(1, 0))
-        assert hall.hopf_pair(hall.one(), z) == hall.counit(z)
+        expected = hall.ring.one if c.total_dim == 0 else hall.ring.zero
+        assert hall.hopf_pair(hall.one(), z) == expected
 
 
 def test_hopf_compatibility_exhaustive(a2):
@@ -147,8 +148,8 @@ def test_hopf_compatibility_exhaustive(a2):
     for x in elems:
         for y in elems:
             for z in elems:
-                rep = hall.check_hopf_compat(x, y, z)
-                assert rep["ok"], rep
+                lhs = hall.hopf_pair(hall.product(x, y), z)
+                assert lhs == hall.pair_with_tensor(x, y, hall.coproduct(z))
 
 
 def test_hopf_compatibility_random_with_k(a2):
@@ -160,8 +161,9 @@ def test_hopf_compatibility_random_with_k(a2):
             c = rng.choice(classes)
             alpha = (rng.randint(-1, 1), rng.randint(-1, 1))
             return hall.element(c, alpha=alpha, coeff=hall.ring.rational(rng.randint(1, 3)))
-        rep = hall.check_hopf_compat(rand_elem(), rand_elem(), rand_elem())
-        assert rep["ok"], rep
+        x, y, z = rand_elem(), rand_elem(), rand_elem()
+        lhs = hall.hopf_pair(hall.product(x, y), z)
+        assert lhs == hall.pair_with_tensor(x, y, hall.coproduct(z))
 
 
 def test_dd_identity_simples(a1, a2, l2):
@@ -203,7 +205,6 @@ def test_hopf_compat_spec_triple(a1):
     hall = HallAlgebra(a1)
     s = hall.element(a1.classify((1,))[0])
     ss = hall.element(a1.classify((2,))[0])
-    assert hall.check_hopf_compat(s, s, ss)["ok"]
     z = hall.product(s, s)
     assert hall.hopf_pair(z, ss) == hall.pair_with_tensor(s, s, hall.coproduct(ss))
 

@@ -38,8 +38,10 @@ def test_malformed_lines():
         parse_quiver("vertex 1 loops=0\n")  # missing field line
     with pytest.raises(QuiverError):
         parse_quiver("field p=2\nfrob 1\n")
-    with pytest.raises(QuiverError):
-        parse_quiver("field p=4\nvertex 1 loops=0\n")  # not prime
+    # not prime; 9 and 25 are squares of the largest divisor tried
+    for p in (4, 9, 25, 3 * 1000000007):
+        with pytest.raises(QuiverError, match="not prime"):
+            parse_quiver(f"field p={p}\nvertex 1 loops=0\n")
 
 
 def test_charge_validation():

@@ -161,7 +161,7 @@ def test_gaussian_hall_numbers():
         cat = RepCategory(parse_quiver(f"field p={p}\nvertex 1 loops=0\n"))
         s = cat.classify((1,))[0]
         ss = cat.classify((2,))[0]
-        assert cat.hall_number(s, s, ss) == expected == fplin.gaussian_binomial(2, 1, p)
+        assert cat.hall_number(s, s, ss) == expected
 
 
 def test_ext_count_with_middle(a1, a2):
@@ -174,7 +174,7 @@ def test_ext_count_with_middle(a1, a2):
     split = a2.class_by_key("1,1|0")
     assert a2.ext_count_with_middle(s1, s2, m) == 1
     assert a2.ext_count_with_middle(s1, s2, split) == 1
-    assert a2.ext_total(s1.rep, s2.rep) == 2
+    assert a2.p ** a2.ext_dim(s1.rep, s2.rep) == 2
 
 
 def test_total_count_identity(a2, l2):
@@ -192,7 +192,7 @@ def test_total_count_identity(a2, l2):
                             c.key: cat.ext_count_with_middle(a, b, c)
                             for c in cat.classify(dim_c)
                         }
-                        assert sum(counts.values()) == cat.ext_total(a.rep, b.rep)
+                        assert sum(counts.values()) == cat.p ** cat.ext_dim(a.rep, b.rep)
                         middles = cat.middle_terms(a, b)
                         assert [c.key for c, _ in middles] == [
                             k for k, n in counts.items() if n
@@ -202,7 +202,8 @@ def test_total_count_identity(a2, l2):
                             assert coeff * hom == counts[c.key]
         zero = cat.zero_class()
         b = cat.classes_with_total_dim(2)[0]
-        assert cat.ext_count_with_middle(zero, b, b) == 1 == cat.ext_total(zero.rep, b.rep)
+        assert cat.ext_count_with_middle(zero, b, b) == 1
+        assert cat.ext_dim(zero.rep, b.rep) == 0
 
 
 def test_middle_terms_memoized(l2, monkeypatch):
