@@ -20,14 +20,13 @@ except ImportError:  # non-posix; advisory locking degrades to nothing
 
 
 class CacheStore:
-    def __init__(self, path=None, audit: bool = False):
+    def __init__(self, path, audit: bool = False):
         self.path = path
         self.audit = audit
         self._mem: dict[tuple, object] = {}
-        if path:
-            # an unusable path raises OSError here, before any work is done
-            open(path, "a", encoding="utf-8").close()
-            self._load()
+        # an unusable path raises OSError here, before any work is done
+        open(path, "a", encoding="utf-8").close()
+        self._load()
 
     def _load(self):
         with open(self.path, "r", encoding="utf-8") as fh:
@@ -54,8 +53,6 @@ class CacheStore:
         if key in self._mem:
             return
         self._mem[key] = value
-        if not self.path:
-            return
         line = json.dumps({"k": list(key), "v": value}, sort_keys=True)
         with open(self.path, "a", encoding="utf-8") as fh:
             if fcntl is not None:

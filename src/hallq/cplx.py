@@ -36,7 +36,7 @@ def mor_zero(src: Rep, dst: Rep):
 class Complex:
     """Z2-graded complex of projectives: m1 <-> m0 with d1 d0 = d0 d1 = 0."""
 
-    __slots__ = ("m1", "m0", "d1", "d0", "_key", "_homology", "_split")
+    __slots__ = ("m1", "m0", "d1", "d0", "_key", "_split")
 
     def __init__(self, m1: Rep, m0: Rep, d1, d0, p: int):
         self.m1 = m1
@@ -53,7 +53,6 @@ class Complex:
         # invariants filled on first use by ComplexCategory; the terms and
         # differentials are never changed after construction
         self._key = None
-        self._homology = None
         self._split = None
 
 
@@ -218,21 +217,16 @@ class ComplexCategory:
     # homology and decomposition
 
     def homology(self, cx: Complex):
-        """(H0, H1) = (coker f, coker g) for the split maps of decompose, cached on cx."""
-        if cx._homology is None:
-            cx._homology = tuple(
-                self.cat.sub_quotient(target, [fplin.row_space(m.T, self.p) for m in f])[1]
-                for _src, target, f in self.decompose(cx)
-            )
-        return cx._homology
+        """(H0, H1) = (coker f, coker g), read off the split of decompose."""
+        return tuple(half[3] for half in self.decompose(cx))
 
     def decompose(self, cx: Complex):
         """Split data of the two injective-differential summands.
 
-        Returns (plus, minus): plus = (source, target, f) gives the C_f
-        summand (f the inclusion of im d1 into ker d0, coker f = H0);
-        minus = (source, target, g) the shifted summand (g: im d0 into
-        ker d1, coker g = H1).  Cached on cx.
+        Returns (plus, minus): plus = (source, target, f, H0) gives the C_f
+        summand (f the inclusion of im d1 into ker d0, H0 = coker f);
+        minus = (source, target, g, H1) the shifted summand (g: im d0 into
+        ker d1, H1 = coker g).  Cached on cx.
         """
         if cx._split is None:
             cx._split = (
@@ -247,23 +241,28 @@ class ComplexCategory:
         Their direct sum is isomorphic to cx; the test suite verifies this
         with the brute-force chain isomorphism search.
         """
-        (pf, qf, f), (pg, qg, g) = self.decompose(cx)
-        c_f = Complex(pf, qf, f, mor_zero(qf, pf), self.p)
-        c_g_dag = Complex(qg, pg, mor_zero(qg, pg), tuple((-m) % self.p for m in g), self.p)
-        return c_f, c_g_dag
+        c_f, c_g = (
+            Complex(src, tgt, f, mor_zero(tgt, src), self.p)
+            for src, tgt, f, _h in self.decompose(cx)
+        )
+        return c_f, self.dagger(c_g)
 
     def _half_split(self, dst: Rep, d, d_back):
-        """The (im d inside ker d_back) injective piece of one differential."""
-        ims = [fplin.row_space(m.T, self.p) for m in d]
+        """(im d, ker d_back, the inclusion, ker d_back / im d) for one differential.
+
+        im d is taken inside the subrepresentation ker d_back, in its
+        coordinates, so one subquotient gives the source, the inclusion and
+        the homology together.
+        """
         kers = [fplin.nullspace(m, self.p) for m in d_back]
-        im_sub, _q, im_incl, _p = self.cat.sub_quotient(dst, ims)
-        ker_sub, _q2, ker_incl, _p2 = self.cat.sub_quotient(dst, kers)
-        f = []
+        ker_sub, _q, ker_incl, _p = self.cat.sub_quotient(dst, kers)
+        coords = []
         for i in range(len(dst.dim)):
-            sol = fplin.solve(ker_incl[i], im_incl[i], self.p)
+            sol = fplin.solve(ker_incl[i], fplin.row_space(d[i].T, self.p).T, self.p)
             assert sol is not None, "im(d) not inside ker(d_back)"
-            f.append(sol)
-        return im_sub, ker_sub, tuple(f)
+            coords.append(sol.T)
+        im_sub, hom, f, _proj = self.cat.sub_quotient(ker_sub, coords)
+        return im_sub, ker_sub, f, hom
 
     def plus_minus_classes(self, cx: Complex):
         """K(R)-classes of (M1+, M0+, M1-, M0-) from the decomposition."""
@@ -325,7 +324,7 @@ class ComplexCategory:
             c0 = [
                 (s1[i] @ a.d0[i] - b.d0[i] @ s0[i]) % self.p for i in range(q.n)
             ]
-            rows.append(np.concatenate([m.reshape(-1) for m in c1 + c0] or [np.zeros(0, dtype=np.int64)]))
+            rows.append(self._chain_map_vector(c1, c0))
         system = np.stack(rows, axis=1) if rows else np.zeros((0, 0), dtype=np.int64)
         kernel = fplin.nullspace(system, self.p) if rows else np.zeros((0, 0), dtype=np.int64)
         return [self._combine(vec, gens, a, b) for vec in kernel]

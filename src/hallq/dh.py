@@ -170,23 +170,9 @@ class DHAlgebra:
         elif akey == self._zero_key:
             out = self.eab(self._zero_key, bkey)
         else:
-            a, b = self._cls(akey), self._cls(bkey)
-            ka, kb = tuple(a.kclass), tuple(b.kclass)
             out = self.zero()
-            tb = self.cat.subquot_table(b)
-            for (a1k, a2k), ga in self.cat.subquot_table(a).items():
-                a2 = self._cls(a2k)
-                for (q2k, b1k), gb in tb.items():
-                    if q2k != a2k:
-                        continue
-                    tw = self.ring.v_pow(
-                        self.quiver.euler_form(
-                            tuple(a2.kclass), kv_sub(kb, ka)
-                        )
-                    )
-                    coeff = tw * (ga * gb * a2.aut_order)
-                    term = self._k_left(tuple(a2.kclass), self.eab(a1k, b1k))
-                    out = out + term.scale(coeff)
+            for m, a1k, b1k, coeff in self._join(akey, bkey):
+                out = out + self._k_left(tuple(m.kclass), self.eab(a1k, b1k)).scale(coeff)
         self._fe[memo] = out
         return out
 
@@ -198,27 +184,30 @@ class DHAlgebra:
         z = self.quiver.zero_kvector()
         out = self.element((akey, z, bkey, z))
         if bkey != self._zero_key and akey != self._zero_key:
-            a, b = self._cls(akey), self._cls(bkey)
-            ka, kb = tuple(a.kclass), tuple(b.kclass)
-            ta = self.cat.subquot_table(a)
-            for (b1k, b2k), gb in self.cat.subquot_table(b).items():
-                if b2k == self._zero_key:
-                    continue
-                b2 = self._cls(b2k)
-                for (q2k, a1k), ga in ta.items():
-                    if q2k != b2k:
-                        continue
-                    a1 = self._cls(a1k)
-                    b1 = self._cls(b1k)
-                    assert a1.total_dim < a.total_dim and b1.total_dim < b.total_dim
-                    tw = self.ring.v_pow(
-                        self.quiver.euler_form(tuple(b2.kclass), kv_sub(ka, kb))
-                    )
-                    coeff = tw * (gb * ga * b2.aut_order)
-                    term = self._kd_left(tuple(b2.kclass), self.eab(a1k, b1k))
-                    out = out - term.scale(coeff)
+            a_dim, b_dim = self._cls(akey).total_dim, self._cls(bkey).total_dim
+            for m, b1k, a1k, coeff in self._join(bkey, akey):
+                if m.total_dim:
+                    assert self._cls(a1k).total_dim < a_dim and self._cls(b1k).total_dim < b_dim
+                    out = out - self._kd_left(tuple(m.kclass), self.eab(a1k, b1k)).scale(coeff)
         self._eab[memo] = out
         return out
+
+    def _join(self, xkey: str, ykey: str):
+        """The subobject-table join of rules R4 (X = A, Y = B) and R5 (X = B, Y = A).
+
+        Yields (M, X1 key, Y1 key, coeff) for every M that is a sub of X with
+        quotient X1 and a quotient of Y with sub Y1, where
+        coeff = v^(<M, Y-X>) g^X_{X1,M} g^Y_{M,Y1} a_M.
+        """
+        x, y = self._cls(xkey), self._cls(ykey)
+        y_minus_x = kv_sub(tuple(y.kclass), tuple(x.kclass))
+        ty = self.cat.subquot_table(y)
+        for (x1k, mk), gx in self.cat.subquot_table(x).items():
+            m = self._cls(mk)
+            for (qk, y1k), gy in ty.items():
+                if qk == mk:
+                    tw = self.ring.v_pow(self.quiver.euler_form(tuple(m.kclass), y_minus_x))
+                    yield m, x1k, y1k, tw * (gx * gy * m.aut_order)
 
     def from_eab_coords(self, coords) -> DHElement:
         """Expand two-sided generator coordinates (A, B, gamma, delta)."""

@@ -238,41 +238,23 @@ class RepCategory:
         if a.quiver is not self.quiver or b.quiver is not self.quiver:
             raise QuiverError("representations from a different context")
         q, p = self.quiver, self.p
-        sizes = [b.dim[i] * a.dim[i] for i in range(q.n)]
-        offs = np.cumsum([0] + sizes)
-        total = int(offs[-1])
-        rows = []
-        for k, (t, h) in enumerate(q.arrows):
-            n_eq = b.dim[h] * a.dim[t]
-            if n_eq == 0:
-                continue
-            block = np.zeros((n_eq, total), dtype=np.int64)
-            for col in range(total):
-                vi = int(np.searchsorted(offs, col, side="right") - 1)
-                local = col - offs[vi]
-                f = np.zeros((b.dim[vi], a.dim[vi]), dtype=np.int64)
-                f[local // a.dim[vi], local % a.dim[vi]] = 1
-                resid = np.zeros((b.dim[h], a.dim[t]), dtype=np.int64)
-                if vi == h:
-                    resid = (resid + f @ a.mats[k]) % p
-                if vi == t:
-                    resid = (resid - b.mats[k] @ f) % p
-                block[:, col] = resid.reshape(-1)
-            rows.append(block % p)
-        if rows:
-            system = np.concatenate(rows, axis=0)
-            kernel = fplin.nullspace(system, p)
-        else:
-            kernel = np.eye(total, dtype=np.int64)
-        basis = []
-        for vec in kernel:
-            basis.append(
-                tuple(
-                    vec[offs[i] : offs[i + 1]].reshape(b.dim[i], a.dim[i]).copy()
-                    for i in range(q.n)
-                )
+        # unknowns: each f_i flattened row by row; equations: the entries of
+        # f_h x - y f_t, row by row, one block of rows per arrow
+        offs = np.cumsum([0] + [b.dim[i] * a.dim[i] for i in range(q.n)])
+        blocks = [np.zeros((0, offs[-1]), dtype=np.int64)]
+        for (t, h), x, y in zip(q.arrows, a.mats, b.mats):
+            block = np.zeros((b.dim[h] * a.dim[t], offs[-1]), dtype=np.int64)
+            block[:, offs[h] : offs[h + 1]] += np.kron(np.eye(b.dim[h], dtype=np.int64), x.T)
+            block[:, offs[t] : offs[t + 1]] -= np.kron(y, np.eye(a.dim[t], dtype=np.int64))
+            blocks.append(block % p)
+        kernel = fplin.nullspace(np.concatenate(blocks), p)
+        return [
+            tuple(
+                vec[offs[i] : offs[i + 1]].reshape(b.dim[i], a.dim[i]).copy()
+                for i in range(q.n)
             )
-        return basis
+            for vec in kernel
+        ]
 
     def hom_dim(self, a: Rep, b: Rep) -> int:
         memo_key = (a.key, b.key)
@@ -337,6 +319,13 @@ class RepCategory:
             self._glinv[n] = [fplin.inverse(g, self.p) for g in self._gl_list(n)]
         return self._glinv[n]
 
+    def _group_order(self, dim) -> int:
+        """|prod GL(d_i)|, from the order formula; no element is listed."""
+        size = 1
+        for d in dim:
+            size *= fplin.gl_order(d, self.p)
+        return size
+
     def _group_stacks(self, dim):
         """Stacked base-change data for the full group prod GL(d_i).
 
@@ -348,9 +337,7 @@ class RepCategory:
         dim = tuple(dim)
         if dim in self._stacks:
             return self._stacks[dim]
-        size = 1
-        for d in dim:
-            size *= fplin.gl_order(d, self.p)
+        size = self._group_order(dim)
         if size > self.bounds.max_group:
             raise EnumerationTooLarge(f"base-change group of size {size} too large")
         per_vertex = [self._gl_list(d) for d in dim]
@@ -416,13 +403,8 @@ class RepCategory:
 
         def compute():
             if n_tuples == 1:
-                # no matrix freedom: a single class whose automorphisms are
-                # the whole base-change group
-                rep = self.rep(d, self._decode(0, d, entry_counts))
-                aut = 1
-                for x in d:
-                    aut *= fplin.gl_order(x, p)
-                return [[rep.key, aut]]
+                c = self.class_of(self.rep(d, self._decode(0, d, entry_counts)))
+                return [[c.key, c.aut_order]]
             scanned = self._classify_scan(d, entry_counts, n_tuples)
             return [[c.key, c.aut_order] for c in scanned]
 
@@ -482,13 +464,17 @@ class RepCategory:
         """Canonical class of an arbitrary representation."""
         if rep.key in self._canon:
             return self._by_key[self._canon[rep.key]]
-        q = self.quiver
-        entry_counts = [rep.dim[t] * rep.dim[h] for t, h in q.arrows]
-        size, stacks, inv_stacks = self._group_stacks(rep.dim)
-        pows = self._code_powers(sum(entry_counts))
-        orbit = self._orbit_codes(rep.mats, stacks, inv_stacks, pows, entry_counts)
-        canon = self.rep(rep.dim, self._decode(int(orbit.min()), rep.dim, entry_counts))
-        cls = self._register(canon, size // len(orbit))
+        entry_counts = [rep.dim[t] * rep.dim[h] for t, h in self.quiver.arrows]
+        if not any(entry_counts):
+            # no matrix entries: rep is its own canonical form, and the whole
+            # base-change group fixes it
+            cls = self._register(rep, self._group_order(rep.dim))
+        else:
+            size, stacks, inv_stacks = self._group_stacks(rep.dim)
+            pows = self._code_powers(sum(entry_counts))
+            orbit = self._orbit_codes(rep.mats, stacks, inv_stacks, pows, entry_counts)
+            canon = self.rep(rep.dim, self._decode(int(orbit.min()), rep.dim, entry_counts))
+            cls = self._register(canon, size // len(orbit))
         self._canon[rep.key] = cls.key
         return cls
 

@@ -162,37 +162,40 @@ def test_verify_json_round_trip(capsys):
 def test_verify_reports_skips_per_suite(capsys):
     # every suite reports its own count, and a check over the bound is
     # skipped on its own.  At total dimension 3, four of the ten random
-    # triples on A2 need a dimension-4 product; at 2, so do the 22 triples
-    # (fixed or random) whose product has dimension 3, and the rest still run
+    # triples on A2 need a dimension-4 product, and so do 32 of the 324
+    # oracle pairs; at 2, so do the 22 triples (fixed or random) and the 64
+    # oracle pairs whose product has dimension 3 or 4, and the rest still run
     cases = [
-        ("3", 4, [
+        ("3", {"assoc": 4, "oracle": 32}, [
             "[relations] 19 passed, 0 failed, 0 skipped of 19",
             "[drinfeld] 49 passed, 0 failed, 0 skipped of 49",
             "[assoc] 1006 passed, 0 failed, 4 skipped of 1010",
-            "[oracle] 0 passed, 0 failed, 1 skipped of 1",
-            "1074 passed, 0 failed, 5 skipped",
+            "[oracle] 292 passed, 0 failed, 32 skipped of 324",
+            "1366 passed, 0 failed, 36 skipped",
         ]),
-        ("2", 22, [
+        ("2", {"assoc": 22, "oracle": 64}, [
             "[relations] 15 passed, 0 failed, 4 skipped of 19",
             "[drinfeld] 49 passed, 0 failed, 0 skipped of 49",
             "[assoc] 988 passed, 0 failed, 22 skipped of 1010",
-            "[oracle] 0 passed, 0 failed, 1 skipped of 1",
-            "1052 passed, 0 failed, 27 skipped",
+            "[oracle] 260 passed, 0 failed, 64 skipped of 324",
+            "1312 passed, 0 failed, 90 skipped",
         ]),
     ]
-    for bound, assoc_skips, summary in cases:
+    sizes = {"assoc": 1010, "oracle": 324}
+    for bound, n_skips, summary in cases:
         args = ("verify", "--quiver", DATA / "a2.quiver", "--max-total-dim", bound)
         code, out, _ = run(capsys, *args, "--suite", "all")
         assert code == 0
         assert out.splitlines()[-5:] == summary
-        code, out, _ = run(capsys, *args, "--suite", "assoc", "--json")
-        checks = json.loads(out)["checks"]
-        skips = [c for c in checks if c["status"] == "skipped"]
-        assert len(skips) == assoc_skips and len(checks) == 1010
-        for c in skips:
-            m = re.fullmatch(r"skipped: total dimension (\d+) exceeds bound (\d+)",
-                             c["residual"])
-            assert m and m[2] == bound and int(m[1]) > int(bound), c
+        for suite, size in sizes.items():
+            code, out, _ = run(capsys, *args, "--suite", suite, "--json")
+            checks = json.loads(out)["checks"]
+            skips = [c for c in checks if c["status"] == "skipped"]
+            assert len(skips) == n_skips[suite] and len(checks) == size
+            for c in skips:
+                m = re.fullmatch(r"skipped: total dimension (\d+) exceeds bound (\d+)",
+                                 c["residual"])
+                assert m and m[2] == bound and int(m[1]) > int(bound), c
 
 
 def test_verify_serre_suite(capsys):
@@ -208,6 +211,15 @@ def test_verify_deterministic(capsys):
     code1, out1, _ = run(capsys, *args)
     code2, out2, _ = run(capsys, *args)
     assert (code1, out1) == (code2, out2)
+
+
+def test_class_with_no_matrix_entries_is_usable(capsys):
+    # no arrow joins the support of dimension (0,5) on A2: the group of order
+    # |GL_5(F_2)| is over the bound, but the class needs no group listing
+    code, out, _ = run(capsys, "classify", "--quiver", DATA / "a2.quiver", "--dim", "0,5")
+    assert code == 0 and out.split() == ["0,5|", "dim=0,5", "aut=9999360", "class=(0,5)"]
+    code, out, _ = run(capsys, "product", "--quiver", DATA / "a2.quiver", "--expr", "E[0,5|]")
+    assert code == 0 and out == "(1)*E[0,5|]\n"
 
 
 def test_enumeration_exit_code(capsys):
@@ -276,6 +288,17 @@ def test_cache_audit_detects_corruption(capsys, tmp_path):
     cache.write_text("\n".join(broken) + "\n")
     code, out, err = run(capsys, *args, "--audit-cache")
     assert code == 1
+
+
+def test_audit_cache_needs_a_cache_file(capsys, monkeypatch):
+    # with no file to audit, an audit would check nothing: refuse it
+    monkeypatch.delenv("HALLQ_CACHE", raising=False)
+    code, out, err = run(
+        capsys, "classify", "--quiver", DATA / "a2.quiver", "--dim", "1,0",
+        "--audit-cache",
+    )
+    assert code == 2 and out == ""
+    assert err == "error: --audit-cache needs a cache file (--cache or HALLQ_CACHE)\n"
 
 
 def test_cache_env_var(capsys, tmp_path, monkeypatch):

@@ -107,8 +107,9 @@ def test_signature_matches_brute_force_iso(ca2, a2):
 
 @pytest.mark.parametrize("name", ["a2", "kronecker"])
 def test_invariants_computed_once_per_complex(name, request, monkeypatch):
-    # once a complex has its key, homology and split are read back, never
-    # recomputed, and they agree with those of a fresh copy of the complex
+    # once a complex has its key, its split and the homology Reps in it are
+    # read back, never recomputed, and they agree with those of a fresh copy
+    # of the complex
     cat = request.getfixturevalue(name)
     cpx = ComplexCategory(cat)
     calls = Counter()
@@ -132,7 +133,8 @@ def test_invariants_computed_once_per_complex(name, request, monkeypatch):
         ranks = cpx.plus_minus_classes(cx)
         cpx.normalize(cpx.loc(cx))
         assert calls == before, key
-        assert cpx.homology(cx) is hom and cpx.decompose(cx) is split
+        assert all(h is h0 for h, h0 in zip(cpx.homology(cx), hom, strict=True))
+        assert cpx.decompose(cx) is split
 
         fresh = Complex(cx.m1, cx.m0, cx.d1, cx.d0, cat.p)
         fresh_hom = cpx.homology(fresh)
@@ -145,6 +147,43 @@ def test_invariants_computed_once_per_complex(name, request, monkeypatch):
                 [cpx.proj_rank_vector(m) for m in fresh_half[:2]]
         assert calls["_half_split"] > before["_half_split"]
         assert calls["sub_quotient"] > before["sub_quotient"]
+
+
+def cokernel_route(cat, dst, d, d_back):
+    """One half of the split by three subquotients: im d and ker d_back inside
+    dst, the inclusion f between them, and the cokernel of f."""
+    p = cat.p
+    im_sub, _q, im_incl, _p = cat.sub_quotient(dst, [fplin.row_space(m.T, p) for m in d])
+    ker_sub, _q, ker_incl, _p = cat.sub_quotient(dst, [fplin.nullspace(m, p) for m in d_back])
+    f = [fplin.solve(k, i, p) for k, i in zip(ker_incl, im_incl)]
+    coker = cat.sub_quotient(ker_sub, [fplin.row_space(m.T, p) for m in f])[1]
+    return im_sub, ker_sub, f, coker
+
+
+@pytest.mark.parametrize("name", ["a2", "kronecker"])
+def test_split_matches_cokernel_route(name, request):
+    # the split's one subquotient inside ker d_back gives, Rep key for Rep
+    # key, the source, target, inclusion and homology of the cokernel route
+    cat = request.getfixturevalue(name)
+    cpx = ComplexCategory(cat)
+    classes = [c for c in cat.classes_up_to_total_dim(2) if c.total_dim]
+    acyclic = cpx.k_complex((1,) + (0,) * (cat.quiver.n - 1))
+    pool = [acyclic, cpx.dagger(acyclic)]
+    for a in classes:
+        res = cpx.resolution(a.rep)
+        pool += [res, cpx.dagger(res), cpx.direct_sum(res, cpx.dagger(acyclic))]
+        for b in classes[:3]:
+            pool.append(cpx.direct_sum(res, cpx.dagger(cpx.resolution(b.rep))))
+            shifted = cpx.resolution(b.rep)
+            pool += [cpx.cone(s, res, shifted) for s in cpx.homotopy_classes(res, shifted)]
+    for cx in pool:
+        halves = cpx.decompose(cx)
+        routes = (cokernel_route(cat, cx.m0, cx.d1, cx.d0),
+                  cokernel_route(cat, cx.m1, cx.d0, cx.d1))
+        for half, h, (src, tgt, f, coker) in zip(halves, cpx.homology(cx), routes):
+            assert half[0].key == src.key and half[1].key == tgt.key
+            assert all(np.array_equal(x, y) for x, y in zip(half[2], f, strict=True))
+            assert half[3] is h and h.key == coker.key
 
 
 @pytest.mark.parametrize("name", ["a2", "kronecker"])

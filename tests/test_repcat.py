@@ -28,7 +28,8 @@ from .conftest import DATA, load
 #                                                   -> Ext(A,B) -> 0
 # so dim Ext = (target dim of Phi) - rank(Phi).
 
-def ext_dim_oracle(cat, a, b):
+def presentation_map(cat, a, b):
+    """Phi, one column per entry of the f_i, vertex by vertex and row by row."""
     q, p = cat.quiver, cat.p
     cols = []
     n_rows = sum(b.dim[h] * a.dim[t] for t, h in q.arrows)
@@ -41,12 +42,16 @@ def ext_dim_oracle(cat, a, b):
                 for k, (t, h) in enumerate(q.arrows):
                     bits.append(((f[h] @ a.mats[k] - b.mats[k] @ f[t]) % p).reshape(-1))
                 cols.append(np.concatenate(bits) if bits else np.zeros(0, dtype=np.int64))
-    phi = (
+    return (
         np.stack(cols, axis=1)
         if cols
         else np.zeros((n_rows, 0), dtype=np.int64)
     )
-    return n_rows - fplin.rank(phi, p)
+
+
+def ext_dim_oracle(cat, a, b):
+    phi = presentation_map(cat, a, b)
+    return phi.shape[0] - fplin.rank(phi, cat.p)
 
 
 def test_hom_basis_examples(a1, a2, l2):
@@ -88,6 +93,22 @@ def test_ext_dim_against_presentation_oracle(a2, l2, kronecker):
         for a in classes:
             for b in classes:
                 assert cat.ext_dim(a.rep, b.rep) == ext_dim_oracle(cat, a.rep, b.rep)
+
+
+@pytest.mark.parametrize("name", ["a2", "l2", "kronecker"])
+def test_hom_basis_is_kernel_of_presentation_map(name, request):
+    # the Kronecker-product system is Phi entry for entry, so the basis is
+    # its nullspace element for element, in the same order
+    cat = request.getfixturevalue(name)
+    classes = cat.classes_up_to_total_dim(2)
+    for a in classes:
+        for b in classes:
+            kernel = fplin.nullspace(presentation_map(cat, a.rep, b.rep), cat.p)
+            basis = cat.hom_basis(a.rep, b.rep)
+            assert len(basis) == len(kernel)
+            for f, vec in zip(basis, kernel):
+                assert [m.shape for m in f] == [(y, x) for x, y in zip(a.dim, b.dim)]
+                assert np.array_equal(np.concatenate([m.reshape(-1) for m in f]), vec)
 
 
 def test_aut_order_examples(a1, a1p3):
@@ -356,8 +377,12 @@ def test_enumeration_bounds():
 
 
 def test_group_bound_checked_before_listing(monkeypatch):
-    # |GL_5(F_2)| = 9999360 exceeds the default bound: raise before listing
-    cat = RepCategory(parse_quiver("field p=2\nvertex 1 loops=0\n"))
+    # |GL_5(F_2) x GL_1(F_2)| = 9999360 exceeds the default bound: raise
+    # before listing.  The arrow gives the representation matrix entries, so
+    # its canonical form needs the group
+    cat = RepCategory(
+        parse_quiver("field p=2\nvertex 1 loops=0\nvertex 2 loops=0\nedge 1 2\n")
+    )
 
     def unlisted(n, p):
         raise AssertionError(f"GL_{n}(F_{p}) listed before the bound check")
@@ -365,7 +390,31 @@ def test_group_bound_checked_before_listing(monkeypatch):
     monkeypatch.setattr(fplin, "all_invertible", unlisted)
     message = "^base-change group of size 9999360 too large$"
     with pytest.raises(EnumerationTooLarge, match=message):
-        cat.class_of(cat.rep((5,), []))
+        cat.class_of(cat.rep((5, 1), [np.zeros((1, 5))]))
+
+
+@pytest.mark.parametrize("first", ["classify", "class_of"])
+def test_class_without_matrix_entries_needs_no_group(first, monkeypatch):
+    # on A2 the class of dimension (0,5) has no matrix entries: it is its own
+    # canonical form, fixed by all of GL_5(F_2), which is over the group
+    # bound.  classify and class_of agree on it in either order, and neither
+    # lists the group
+    cat = RepCategory(load("a2"))
+
+    def unlisted(n, p):
+        raise AssertionError(f"GL_{n}(F_{p}) listed")
+
+    monkeypatch.setattr(fplin, "all_invertible", unlisted)
+    rep = cat.rep((0, 5), [np.zeros((5, 0))])
+    if first == "class_of":
+        cls = cat.class_of(rep)
+        (listed,) = cat.classify((0, 5))
+        assert listed is cls
+    else:
+        (cls,) = cat.classify((0, 5))
+        assert cat.class_of(rep) is cls
+    assert cls.key == "0,5|" and cls.aut_order == fplin.gl_order(5, 2) == 9999360
+    assert cat.class_by_key("0,5|") is cls
 
 
 @pytest.mark.parametrize(
