@@ -62,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cache", default=None, help="cache file (or $HALLQ_CACHE)")
         p.add_argument("--audit-cache", action="store_true",
                        help="recompute on every cache hit and compare")
-        p.add_argument("--max-total-dim", type=int, default=None,
+        p.add_argument("--max-total-dim", type=_count, default=None,
                        help="override the total-dimension enumeration bound")
 
     p = sub.add_parser("classify", help="list isomorphism classes of one dimension")
@@ -81,17 +81,28 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--suite", default="all",
                    choices=["relations", "serre", "drinfeld", "assoc", "oracle", "all"])
-    p.add_argument("--max-dim", type=int, default=2,
+    p.add_argument("--max-dim", type=_count, default=2,
                    help="dimension cap for drinfeld/assoc/oracle suites")
-    p.add_argument("--serre-cap", type=int, default=4,
+    p.add_argument("--serre-cap", type=_count, default=4,
                    help="total-degree cap for Serre relation checks")
     p.add_argument("--seed", type=int, default=20259,
                    help="seed for the randomized associativity triples")
-    p.add_argument("--random", type=int, default=10,
+    p.add_argument("--random", type=_count, default=10,
                    help="number of random associativity triples")
     p.add_argument("--timing", action="store_true", help="print elapsed times")
     p.set_defaults(func=cmd_verify)
     return parser
+
+
+def _count(text: str) -> int:
+    """argparse type of the count and bound options: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
 
 
 def _load_context(args):

@@ -70,6 +70,12 @@ class Combination:
     def items_sorted(self):
         return sorted(self.terms.items(), key=lambda kv: repr(kv[0]))
 
+    def render(self, term_text) -> str:
+        """Each term as (c)*term_text(term), in items_sorted order; "0" if empty."""
+        if not self.terms:
+            return "0"
+        return " + ".join(f"({c.render()})*{term_text(t)}" for t, c in self.items_sorted())
+
     def is_zero(self) -> bool:
         return not self.terms
 

@@ -70,7 +70,8 @@ class ComplexCategory:
         self.projectives = [self._build_projective(i) for i in range(self.quiver.n)]
         self._proj_dims = np.array([pr.dim for pr in self.projectives], dtype=np.int64)
         self._resolutions: dict[str, Complex] = {}
-        self._registry: dict[str, Complex] = {}
+        # key -> (first complex with the key, H0 class, H1 class, M1+, M0-)
+        self._registry: dict[str, tuple] = {}
         self._product_cache: dict[tuple, LocElement] = {}
         self._zero_rep = cat.zero_rep()
         self.zero_complex = Complex(self._zero_rep, self._zero_rep,
@@ -265,47 +266,42 @@ class ComplexCategory:
         return im_sub, ker_sub, f, hom
 
     def plus_minus_classes(self, cx: Complex):
-        """K(R)-classes of (M1+, M0+, M1-, M0-) from the decomposition."""
-        plus, minus = self.decompose(cx)
-        m1p = self.proj_rank_vector(plus[0])
-        m0p = self.proj_rank_vector(plus[1])
-        m1m = self.proj_rank_vector(minus[1])
-        m0m = self.proj_rank_vector(minus[0])
-        return m1p, m0p, m1m, m0m
+        """K(R)-classes of (M1+, M0+, M1-, M0-), read off the key's record.
+
+        The class is additive on 0 -> M1+ -> M0+ -> H0 -> 0 and on
+        0 -> M0- -> M1- -> H1 -> 0.
+        """
+        _cx, h0, h1, m1p, m0m = self._registry[self.complex_key(cx)]
+        return m1p, kv_add(m1p, h0.kclass), kv_add(m0m, h1.kclass), m0m
 
     def kclass(self, cx: Complex):
-        """Class of the complex: class(M0) - class(M1)."""
-        return kv_sub(
-            self.proj_rank_vector(cx.m0), self.proj_rank_vector(cx.m1)
-        )
+        """Class of the complex: class(M0) - class(M1) = [H0] - [H1]."""
+        _cx, h0, h1, _m1p, _m0m = self._registry[self.complex_key(cx)]
+        return kv_sub(h0.kclass, h1.kclass)
 
     def complex_key(self, cx: Complex) -> str:
-        """Canonical isomorphism-class key.
+        """Canonical isomorphism-class key; the one place a complex is split.
 
         Homology pair plus the rank vectors of the plus-part source and the
         minus-part degree-zero term.  The term ranks alone would conflate
         K_P with its shift (same terms, both acyclic, not isomorphic); the
         split ranks pin the acyclic summands of each half, which by unique
-        decomposition and Krull-Schmidt determines the class.
+        decomposition and Krull-Schmidt determines the class.  The first
+        complex with a key is registered with the record
+        (H0 class, H1 class, M1+, M0-) that every other invariant reads.
         """
-        if cx._key is not None:
-            if cx._key not in self._registry:
-                self._registry[cx._key] = cx
-            return cx._key
-        h0, h1 = self.homology(cx)
-        k0 = self.cat.class_of(h0).key
-        k1 = self.cat.class_of(h1).key
-        m1p, _m0p, _m1m, m0m = self.plus_minus_classes(cx)
-        key = " / ".join(
-            [k0, k1, ",".join(map(str, m1p)), ",".join(map(str, m0m))]
-        )
-        cx._key = key
-        if key not in self._registry:
-            self._registry[key] = cx
-        return key
+        if cx._key not in self._registry:
+            plus, minus = self.decompose(cx)
+            h0, h1 = self.cat.class_of(plus[3]), self.cat.class_of(minus[3])
+            m1p, m0m = self.proj_rank_vector(plus[0]), self.proj_rank_vector(minus[0])
+            cx._key = " / ".join(
+                [h0.key, h1.key, ",".join(map(str, m1p)), ",".join(map(str, m0m))]
+            )
+            self._registry.setdefault(cx._key, (cx, h0, h1, m1p, m0m))
+        return cx._key
 
     def by_key(self, key: str) -> Complex:
-        return self._registry[key]
+        return self._registry[key][0]
 
     # ------------------------------------------------------------------
     # morphism spaces
@@ -416,9 +412,9 @@ class ComplexCategory:
         """h(a,b) = q^mu |Hom(H a, H b)|, a positive rational."""
         mu = self.mu(a, b)
         assert mu.denominator == 1, "mu must be integral on loop-free quivers"
-        ha0, ha1 = self.homology(a)
-        hb0, hb1 = self.homology(b)
-        hom = self.cat.hom_dim(ha0, hb0) + self.cat.hom_dim(ha1, hb1)
+        ha0, ha1 = self._registry[self.complex_key(a)][1:3]
+        hb0, hb1 = self._registry[self.complex_key(b)][1:3]
+        hom = self.cat.hom_dim(ha0.rep, hb0.rep) + self.cat.hom_dim(ha1.rep, hb1.rep)
         return Fraction(self.p) ** (int(mu) + hom)
 
     def product(self, x: LocElement, y: LocElement) -> LocElement:
@@ -442,9 +438,11 @@ class ComplexCategory:
         if memo in self._product_cache:
             return self._product_cache[memo]
         a, b = self.by_key(ka), self.by_key(kb)
+        # the terms: M1 = M1+ + M1-, M0 = M0+ + M0-
+        (a1p, a0p, a1m, a0m), (b1p, b0p, b1m, b0m) = map(self.plus_minus_classes, (a, b))
         tw = self.ring.v_pow(
-            self.quiver.euler_form(self.proj_rank_vector(a.m0), self.proj_rank_vector(b.m0))
-            + self.quiver.euler_form(self.proj_rank_vector(a.m1), self.proj_rank_vector(b.m1))
+            self.quiver.euler_form(kv_add(a0p, a0m), kv_add(b0p, b0m))
+            + self.quiver.euler_form(kv_add(a1p, a1m), kv_add(b1p, b1m))
         )
         hval = self.h_value(a, b)
         out = LocElement.zero(self.ring)
@@ -518,21 +516,11 @@ class ComplexCategory:
         """
         out = Combination.zero(self.ring)
         for (key, gamma, delta), c in x.terms.items():
-            cx = self.by_key(key)
-            h0, h1 = self.homology(cx)
-            m1p, _m0p, _m1m, m0m = self.plus_minus_classes(cx)
+            _cx, h0, h1, m1p, m0m = self._registry[key]
             tw = self.ring.v_pow(
-                self.quiver.euler_form(self.kclass(cx), kv_sub(m1p, m0m))
+                self.quiver.euler_form(kv_sub(h0.kclass, h1.kclass), kv_sub(m1p, m0m))
             )
-            out.add_term(
-                (
-                    self.cat.class_of(h0).key,
-                    self.cat.class_of(h1).key,
-                    kv_add(m1p, gamma),
-                    kv_add(m0m, delta),
-                ),
-                c * tw,
-            )
+            out.add_term((h0.key, h1.key, kv_add(m1p, gamma), kv_add(m0m, delta)), c * tw)
         return out
 
     def normal_monomial(self, mono) -> LocElement:
@@ -580,9 +568,4 @@ class ComplexCategory:
         return False
 
     def render(self, x: Combination) -> str:
-        if x.is_zero():
-            return "0"
-        bits = []
-        for term, c in x.items_sorted():
-            bits.append(f"({c.render()})*{term}")
-        return " + ".join(bits)
+        return x.render(str)

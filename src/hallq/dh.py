@@ -96,23 +96,19 @@ class DHAlgebra:
     # ------------------------------------------------------------------
     # elementary right multiplications
 
-    def times_k(self, x: DHElement, gamma) -> DHElement:
-        gamma = tuple(gamma)
-        if not any(gamma):
-            return x
-        out = self.zero()
-        for (a, al, b, be), c in x.terms.items():
-            tw = self._v_sym(gamma, self._kcls(b))
-            out.add_term((a, kv_add(al, gamma), b, be), c * tw)
-        return out
+    def times_k(self, x: DHElement, gamma, delta) -> DHElement:
+        """x o K_gamma o Kd_delta for x in normal form.
 
-    def times_kd(self, x: DHElement, delta) -> DHElement:
-        delta = tuple(delta)
-        if not any(delta):
+        K_gamma moves left past F_B at the cost v^((gamma, B)) (rule R2);
+        Kd_delta is already in place.
+        """
+        if not any(gamma) and not any(delta):
             return x
         out = self.zero()
         for (a, al, b, be), c in x.terms.items():
-            out.add_term((a, al, b, kv_add(be, delta)), c)
+            if any(gamma):
+                c = c * self._v_sym(gamma, self._kcls(b))
+            out.add_term((a, kv_add(al, gamma), b, kv_add(be, delta)), c)
         return out
 
     def times_f(self, x: DHElement, fkey: str) -> DHElement:
@@ -170,9 +166,9 @@ class DHAlgebra:
         elif akey == self._zero_key:
             out = self.eab(self._zero_key, bkey)
         else:
-            out = self.zero()
+            out, z = self.zero(), self.quiver.zero_kvector()
             for m, a1k, b1k, coeff in self._join(akey, bkey):
-                out = out + self._k_left(tuple(m.kclass), self.eab(a1k, b1k)).scale(coeff)
+                out = out + self._k_left(tuple(m.kclass), z, self.eab(a1k, b1k)).scale(coeff)
         self._fe[memo] = out
         return out
 
@@ -188,7 +184,7 @@ class DHAlgebra:
             for m, b1k, a1k, coeff in self._join(bkey, akey):
                 if m.total_dim:
                     assert self._cls(a1k).total_dim < a_dim and self._cls(b1k).total_dim < b_dim
-                    out = out - self._kd_left(tuple(m.kclass), self.eab(a1k, b1k)).scale(coeff)
+                    out = out - self._k_left(z, tuple(m.kclass), self.eab(a1k, b1k)).scale(coeff)
         self._eab[memo] = out
         return out
 
@@ -213,48 +209,37 @@ class DHAlgebra:
         """Expand two-sided generator coordinates (A, B, gamma, delta)."""
         out = self.zero()
         for (akey, bkey, gamma, delta), c in coords.terms.items():
-            term = self.times_kd(self.times_k(self.eab(akey, bkey), gamma), delta)
+            term = self.times_k(self.eab(akey, bkey), gamma, delta)
             out = out + term.scale(c)
         return out
 
-    def _k_left(self, gamma, x: DHElement) -> DHElement:
-        """K_gamma o x for x in normal form."""
-        if not any(gamma):
-            return x
-        out = self.zero()
-        for (a, al, b, be), c in x.terms.items():
-            tw = self._v_sym(gamma, self._kcls(a))
-            out.add_term((a, kv_add(gamma, al), b, be), c * tw)
-        return out
+    def _k_left(self, gamma, delta, x: DHElement) -> DHElement:
+        """K_gamma o Kd_delta o x for x in normal form.
 
-    def _kd_left(self, delta, x: DHElement) -> DHElement:
-        """Kd_delta o x for x in normal form."""
-        if not any(delta):
+        Rule R2: K_gamma moves right past E_A at the cost v^((gamma, A)),
+        Kd_delta past E_A and F_B at the cost v^((delta, B) - (delta, A)).
+        """
+        if not any(gamma) and not any(delta):
             return x
         out = self.zero()
+        sym = self.quiver.sym_form
         for (a, al, b, be), c in x.terms.items():
-            tw = self.ring.v_pow(
-                self.quiver.sym_form(delta, self._kcls(b))
-                - self.quiver.sym_form(delta, self._kcls(a))
-            )
-            out.add_term((a, al, b, kv_add(delta, be)), c * tw)
+            e = 0
+            if any(gamma):
+                e += sym(gamma, self._kcls(a))
+            if any(delta):
+                e += sym(delta, self._kcls(b)) - sym(delta, self._kcls(a))
+            out.add_term((a, kv_add(gamma, al), b, kv_add(delta, be)), c * self.ring.v_pow(e))
         return out
 
     # ------------------------------------------------------------------
     # products
 
     def mono_product(self, m1, m2) -> DHElement:
-        out = self.element(m1)
         a2, al2, b2, be2 = m2
-        if a2 != self._zero_key:
-            out = self.times_e(out, a2)
-        if any(al2):
-            out = self.times_k(out, al2)
-        if b2 != self._zero_key:
-            out = self.times_f(out, b2)
-        if any(be2):
-            out = self.times_kd(out, be2)
-        return out
+        z = self.quiver.zero_kvector()
+        out = self.times_k(self.times_e(self.element(m1), a2), al2, z)
+        return self.times_k(self.times_f(out, b2), z, be2)
 
     def product(self, x: DHElement, y: DHElement) -> DHElement:
         out = self.zero()
@@ -278,12 +263,10 @@ class DHAlgebra:
     def dagger(self, x: DHElement) -> DHElement:
         """The shift involution: E <-> F, K <-> Kd, re-straightened."""
         out = self.zero()
+        z = self.quiver.zero_kvector()
         for (a, al, b, be), c in x.terms.items():
-            word = self.f_elem(a)
-            word = self.times_kd(word, al)
-            word = self.times_e(word, b)
-            word = self.times_k(word, be)
-            out = out + word.scale(c)
+            word = self.times_e(self.times_k(self.f_elem(a), z, al), b)
+            out = out + self.times_k(word, be, z).scale(c)
         return out
 
     def reduce(self, x: DHElement) -> ReducedDHElement:
@@ -302,7 +285,8 @@ class DHAlgebra:
     # rendering
 
     def render_mono(self, mono) -> str:
-        a, al, b, be = mono
+        """A normal monomial, or a reduced one (A, gamma, B) with no Kd."""
+        a, al, b, *be = mono
         bits = []
         if a != self._zero_key:
             bits.append(f"E[{a}]")
@@ -310,20 +294,12 @@ class DHAlgebra:
             bits.append(f"K{self.quiver.render_kvector(al)}")
         if b != self._zero_key:
             bits.append(f"F[{b}]")
-        if any(be):
-            bits.append(f"Kd{self.quiver.render_kvector(be)}")
+        if be and any(be[0]):
+            bits.append(f"Kd{self.quiver.render_kvector(be[0])}")
         return " ".join(bits) if bits else "1"
 
     def render(self, x) -> str:
-        if x.is_zero():
-            return "0"
-        bits = []
-        for mono, c in x.items_sorted():
-            if isinstance(x, ReducedDHElement):
-                a, al, b = mono
-                mono = (a, al, b, self.quiver.zero_kvector())
-            bits.append(f"({c.render()})*{self.render_mono(mono)}")
-        return " + ".join(bits)
+        return x.render(self.render_mono)
 
     def to_json(self, x) -> list:
         out = []

@@ -164,15 +164,11 @@ class HallAlgebra:
     # rendering
 
     def render(self, x: HallElement) -> str:
-        if x.is_zero():
-            return "0"
-        bits = []
-        for (k, alpha), c in x.items_sorted():
-            piece = f"[{k}]"
-            if any(alpha):
-                piece += f" K{self.quiver.render_kvector(alpha)}"
-            bits.append(f"({c.render()})*{piece}")
-        return " + ".join(bits)
+        def term_text(term):
+            k, alpha = term
+            return f"[{k}] K{self.quiver.render_kvector(alpha)}" if any(alpha) else f"[{k}]"
+
+        return x.render(term_text)
 
     def to_json(self, x: HallElement):
         return [

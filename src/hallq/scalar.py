@@ -29,6 +29,9 @@ class ScalarRing:
         self.p = p
         self.n_denom = n_denom
         self._v_pows: dict[Fraction, Scalar] = {}
+        # shared: Scalars are never mutated
+        self.zero = Scalar(self, {})
+        self.one = Scalar(self, {Fraction(0): Fraction(1)})
 
     def __eq__(self, other):
         return (
@@ -61,14 +64,6 @@ class ScalarRing:
 
     def rational(self, c) -> "Scalar":
         return self.from_terms({Fraction(0): Fraction(c)})
-
-    @property
-    def zero(self) -> "Scalar":
-        return Scalar(self, {})
-
-    @property
-    def one(self) -> "Scalar":
-        return self.rational(1)
 
     def v_pow(self, r) -> "Scalar":
         """The monomial v^r; r must have denominator dividing N.

@@ -19,11 +19,10 @@ suite asserts it does.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 
 from .combo import check, skipped
 from .dh import DHAlgebra, ReducedDHElement
-from .quiver import ChargeError
 from .repcat import EnumerationTooLarge, RepCategory
 
 
@@ -38,16 +37,10 @@ class GeneratorTable:
         q = self.quiver
         self.simples = []
         for i in range(q.n):
-            row = []
-            scalars = sorted(product(range(cat.p), repeat=q.loops[i]))
-            if q.charges[i] > len(scalars):
-                raise ChargeError(
-                    f"charge {q.charges[i]} at {q.vertices[i]} exceeds "
-                    f"{len(scalars)} available simples"
-                )
-            for lam in scalars[: q.charges[i]]:
-                row.append(cat.class_of(cat.simple(i, lam)))
-            self.simples.append(row)
+            # product yields the loop scalars in lexicographic order, and
+            # Quiver checks that the charge does not exceed their number
+            scalars = islice(product(range(cat.p), repeat=q.loops[i]), q.charges[i])
+            self.simples.append([cat.class_of(cat.simple(i, lam)) for lam in scalars])
         self.inv_qm1 = self.ring.rational(Fraction(1, cat.p - 1))
         self.f_pref = -self.ring.v_pow(1) if f_prefactor is None else f_prefactor
 

@@ -45,6 +45,14 @@ def test_malformed_vectors_are_usage_errors(capsys, argv):
     assert code == 2 and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("option", ["--random", "--serre-cap", "--max-total-dim", "--max-dim"])
+def test_negative_counts_are_usage_errors(capsys, option):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--quiver", str(DATA / "a2.quiver"), option, "-1"])
+    assert exc.value.code == 2
+    assert "non-negative integer" in capsys.readouterr().err
+
+
 def test_missing_quiver_file_is_usage_error(capsys):
     code, _, err = run(
         capsys, "classify", "--quiver", DATA / "nonexist.quiver", "--dim", "1"

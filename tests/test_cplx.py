@@ -7,6 +7,7 @@ import pytest
 from hallq import EnumerationTooLarge, QuiverError, RepCategory, fplin
 from hallq.cplx import Complex, ComplexCategory
 from hallq.dh import DHAlgebra
+from hallq.quiver import kv_sub
 
 
 @pytest.fixture(scope="module")
@@ -184,6 +185,33 @@ def test_split_matches_cokernel_route(name, request):
             assert half[0].key == src.key and half[1].key == tgt.key
             assert all(np.array_equal(x, y) for x, y in zip(half[2], f, strict=True))
             assert half[3] is h and h.key == coker.key
+
+
+@pytest.mark.parametrize("name", ["a2", "kronecker"])
+def test_classes_read_off_key_match_rank_vectors(name, request):
+    # plus_minus_classes and kclass, read off the key's record, equal the
+    # projective rank vectors of the split's terms and of the complex's terms
+    cat = request.getfixturevalue(name)
+    cpx = ComplexCategory(cat)
+    classes = [c for c in cat.classes_up_to_total_dim(2) if c.total_dim]
+    acyclic = cpx.k_complex((1,) + (0,) * (cat.quiver.n - 1))
+    pool = [cpx.zero_complex, acyclic, cpx.dagger(acyclic)]
+    for a in classes:
+        res = cpx.resolution(a.rep)
+        pool += [res, cpx.dagger(res), cpx.direct_sum(res, acyclic),
+                 cpx.direct_sum(cpx.dagger(acyclic), cpx.dagger(res))]
+        for b in classes[:3]:
+            pool.append(cpx.direct_sum(res, cpx.dagger(cpx.resolution(b.rep))))
+            shifted = cpx.resolution(b.rep)
+            pool += [cpx.cone(s, res, shifted) for s in cpx.homotopy_classes(res, shifted)]
+    seen = set()
+    for cx in pool:
+        seen.add(cpx.complex_key(cx))
+        plus, minus = cpx.decompose(cx)
+        ranks = tuple(map(cpx.proj_rank_vector, (plus[0], plus[1], minus[1], minus[0])))
+        assert cpx.plus_minus_classes(cx) == ranks
+        assert cpx.kclass(cx) == kv_sub(cpx.proj_rank_vector(cx.m0), cpx.proj_rank_vector(cx.m1))
+    assert len(seen) > len(classes)
 
 
 @pytest.mark.parametrize("name", ["a2", "kronecker"])

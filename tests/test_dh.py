@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from hallq.dh import DHAlgebra, ReducedDHElement
+from hallq.quiver import kv_neg
 
 
 def gens_for(cat, dh):
@@ -209,7 +212,7 @@ def hall_into_dh(hall, dh, x):
     """The positive-half embedding <A> K_a -> E_A o K_a, extended linearly."""
     out = dh.zero()
     for (key, alpha), c in x.terms.items():
-        out = out + dh.times_k(dh.e_elem(key), alpha).scale(c)
+        out = out + dh.times_k(dh.e_elem(key), alpha, dh.quiver.zero_kvector()).scale(c)
     return out
 
 
@@ -217,7 +220,7 @@ def hall_into_dh_neg(hall, dh, x):
     """The negative-half embedding <B> K_b -> F_B o Kd_b."""
     out = dh.zero()
     for (key, beta), c in x.terms.items():
-        out = out + dh.times_kd(dh.f_elem(key), beta).scale(c)
+        out = out + dh.times_k(dh.f_elem(key), dh.quiver.zero_kvector(), beta).scale(c)
     return out
 
 
@@ -239,3 +242,25 @@ def test_positive_half_embedding_is_algebra_map(a2, l2):
                     hall_into_dh_neg(hall, dh, x), hall_into_dh_neg(hall, dh, y)
                 )
                 assert lhs_n == rhs_n
+
+
+@pytest.mark.parametrize("name", ["a2", "l2"])
+def test_k_left_matches_straightened_product(name, request):
+    # K_gamma Kd_delta x by the one R2 twist equals the product through
+    # times_e and times_f, for gamma, delta in {0, +-S_i} and normal-form x
+    cat = request.getfixturevalue(name)
+    dh = DHAlgebra(cat)
+    q = cat.quiver
+    ks = [q.zero_kvector()]
+    for i in range(q.n):
+        ks += [q.simple_class(i), kv_neg(q.simple_class(i))]
+    ones = [c for c in cat.classes_up_to_total_dim(1) if c.total_dim]
+    xs = [dh.eab(a.key, b.key) for a in ones for b in ones]
+    xs += [dh.product(dh.e_elem(a.key), dh.f_elem(b.key)) for a in ones for b in ones[:2]]
+    xs += [dh.product(dh.element((a.key, ks[1], b.key, ks[-1])), x)
+           for a, b in zip(ones, ones[1:]) for x in xs[:2]]
+    for gamma in ks:
+        for delta in ks:
+            k = dh.product(dh.k_elem(gamma), dh.kd_elem(delta))
+            for x in xs:
+                assert dh._k_left(gamma, delta, x) == dh.product(k, x), (gamma, delta)
