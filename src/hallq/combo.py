@@ -8,8 +8,6 @@ with ok None for a skipped check.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .scalar import Scalar, ScalarRing
 
 
@@ -50,9 +48,8 @@ class Combination:
         return self + (-other)
 
     def scale(self, s):
-        if isinstance(s, (int, Fraction)):
-            s = self.ring.rational(s)
-        if s.is_zero():
+        """self * s, for s a Scalar, an int or a Fraction."""
+        if not s:
             return type(self)(self.ring, {})
         return type(self)(self.ring, {t: c * s for t, c in self.terms.items()})
 
@@ -63,6 +60,15 @@ class Combination:
             self.terms[term] = s
         else:
             self.terms.pop(term, None)
+
+    def add_scaled(self, other, s):
+        """In place: self += other * s.
+
+        Only for a sum under construction; a memoized or returned
+        element is shared and must never be the one accumulated into.
+        """
+        for t, c in other.terms.items():
+            self.add_term(t, c * s)
 
     def coeff(self, term) -> Scalar:
         return self.terms.get(term, self.ring.zero)

@@ -168,7 +168,7 @@ class DHAlgebra:
         else:
             out, z = self.zero(), self.quiver.zero_kvector()
             for m, a1k, b1k, coeff in self._join(akey, bkey):
-                out = out + self._k_left(tuple(m.kclass), z, self.eab(a1k, b1k)).scale(coeff)
+                out.add_scaled(self._k_left(tuple(m.kclass), z, self.eab(a1k, b1k)), coeff)
         self._fe[memo] = out
         return out
 
@@ -184,7 +184,7 @@ class DHAlgebra:
             for m, b1k, a1k, coeff in self._join(bkey, akey):
                 if m.total_dim:
                     assert self._cls(a1k).total_dim < a_dim and self._cls(b1k).total_dim < b_dim
-                    out = out - self._k_left(z, tuple(m.kclass), self.eab(a1k, b1k)).scale(coeff)
+                    out.add_scaled(self._k_left(z, tuple(m.kclass), self.eab(a1k, b1k)), -coeff)
         self._eab[memo] = out
         return out
 
@@ -193,7 +193,8 @@ class DHAlgebra:
 
         Yields (M, X1 key, Y1 key, coeff) for every M that is a sub of X with
         quotient X1 and a quotient of Y with sub Y1, where
-        coeff = v^(<M, Y-X>) g^X_{X1,M} g^Y_{M,Y1} a_M.
+        coeff = v^(<M, Y-X>) g^X_{X1,M} g^Y_{M,Y1} a_M.  The twist of M = 0
+        is 1, so rows that R5 drops cost no Euler form.
         """
         x, y = self._cls(xkey), self._cls(ykey)
         y_minus_x = kv_sub(tuple(y.kclass), tuple(x.kclass))
@@ -202,15 +203,16 @@ class DHAlgebra:
             m = self._cls(mk)
             for (qk, y1k), gy in ty.items():
                 if qk == mk:
-                    tw = self.ring.v_pow(self.quiver.euler_form(tuple(m.kclass), y_minus_x))
+                    tw = self.ring.one
+                    if m.total_dim:
+                        tw = self.ring.v_pow(self.quiver.euler_form(tuple(m.kclass), y_minus_x))
                     yield m, x1k, y1k, tw * (gx * gy * m.aut_order)
 
     def from_eab_coords(self, coords) -> DHElement:
         """Expand two-sided generator coordinates (A, B, gamma, delta)."""
         out = self.zero()
         for (akey, bkey, gamma, delta), c in coords.terms.items():
-            term = self.times_k(self.eab(akey, bkey), gamma, delta)
-            out = out + term.scale(c)
+            out.add_scaled(self.times_k(self.eab(akey, bkey), gamma, delta), c)
         return out
 
     def _k_left(self, gamma, delta, x: DHElement) -> DHElement:
@@ -245,7 +247,7 @@ class DHAlgebra:
         out = self.zero()
         for m1, c1 in x.terms.items():
             for m2, c2 in y.terms.items():
-                out = out + self.mono_product(m1, m2).scale(c1 * c2)
+                out.add_scaled(self.mono_product(m1, m2), c1 * c2)
         return out
 
     def product_all(self, factors) -> DHElement:
@@ -266,7 +268,7 @@ class DHAlgebra:
         z = self.quiver.zero_kvector()
         for (a, al, b, be), c in x.terms.items():
             word = self.times_e(self.times_k(self.f_elem(a), z, al), b)
-            out = out + self.times_k(word, be, z).scale(c)
+            out.add_scaled(self.times_k(word, be, z), c)
         return out
 
     def reduce(self, x: DHElement) -> ReducedDHElement:

@@ -152,12 +152,12 @@ class HallAlgebra:
                 base = tw * (ga * gb)
                 if a2k == b2k:
                     mono = (a1k, tuple(a2.kclass), b1k, self.quiver.zero_kvector())
-                    lhs = lhs + dh.element(mono).scale(base * a2.aut_order)
+                    lhs.add_term(mono, base * a2.aut_order)
                 if a1k == b1k:
                     word = dh.product(
                         dh.f_elem(b2k), dh.product(dh.kd_elem(b1.kclass), dh.e_elem(a2k))
                     )
-                    rhs = rhs + word.scale(base * a1.aut_order)
+                    rhs.add_scaled(word, base * a1.aut_order)
         return check(f"drinfeld[{a.key};{b.key}]", lhs, rhs, dh.render)
 
     # ------------------------------------------------------------------

@@ -1,11 +1,18 @@
 """Exact coefficients: the ring Q[v^(1/N), v^(-1/N)] with v^2 = q.
 
 q is the cardinality of the ground field and v its positive square root,
-so v^2 and q denote the same scalar.  Elements are kept in the canonical
-form  sum c_e * v^e  with exponents e in [0, 2) and denominator dividing
-the ring constant N; any excess v^(2k) is folded into the rational
-coefficient as q^k.  Since x^(2N) - q is irreducible over Q for prime q,
-this canonical form is unique and the arithmetic is exact.
+so v^2 and q denote the same scalar.  A Scalar is kept in the canonical
+form  sum c_k * v^(k/N)  over integers 0 <= k < 2N, stored as {k: c}; any
+excess v^(2N) = q is folded into the rational coefficient.  A coefficient
+is an int while it is integral and a Fraction only when it is not.  Since
+x^(2N) - q is irreducible over Q for prime q, this canonical form is
+unique and the arithmetic is exact.
+
+Arithmetic works on the integer form directly: a product folds q into the
+coefficient as it goes.  Exponents from outside, e in (1/N)Z, enter only
+through `ScalarRing.from_terms`, `v_pow` and `parse_scalar`, which raise
+ScalarDomainError when N*e is not an integer; `render` writes k as the
+exponent k/N again.
 """
 
 from __future__ import annotations
@@ -16,6 +23,13 @@ from fractions import Fraction
 
 class ScalarDomainError(ValueError):
     """Exponent denominator does not divide the ring constant N."""
+
+
+def _canon(c):
+    """A coefficient in stored form: an integral Fraction becomes its int."""
+    if type(c) is Fraction and c.denominator == 1:
+        return c.numerator
+    return c
 
 
 class ScalarRing:
@@ -31,7 +45,7 @@ class ScalarRing:
         self._v_pows: dict[Fraction, Scalar] = {}
         # shared: Scalars are never mutated
         self.zero = Scalar(self, {})
-        self.one = Scalar(self, {Fraction(0): Fraction(1)})
+        self.one = Scalar(self, {0: 1})
 
     def __eq__(self, other):
         return (
@@ -44,36 +58,38 @@ class ScalarRing:
         return f"ScalarRing(q={self.p}, N={self.n_denom})"
 
     def from_terms(self, terms) -> "Scalar":
-        out: dict[Fraction, Fraction] = {}
+        """The Scalar sum c * v^e over the items e: c of `terms`."""
+        two_n = 2 * self.n_denom
+        out: dict = {}
         for e, c in terms.items():
-            e = Fraction(e)
             c = Fraction(c)
             if c == 0:
                 continue
-            if self.n_denom % e.denominator:
+            k = Fraction(e) * self.n_denom
+            if k.denominator != 1:
                 raise ScalarDomainError(
-                    f"exponent {e} not representable with N={self.n_denom}"
+                    f"exponent {Fraction(e)} not representable with N={self.n_denom}"
                 )
-            k = e // 2
-            e -= 2 * k
-            c *= Fraction(self.p) ** int(k)
-            out[e] = out.get(e, Fraction(0)) + c
-            if out[e] == 0:
-                del out[e]
+            fold, k = divmod(k.numerator, two_n)
+            s = out.get(k, 0) + c * Fraction(self.p) ** fold
+            if s:
+                out[k] = _canon(s)
+            else:
+                del out[k]
         return Scalar(self, out)
 
     def rational(self, c) -> "Scalar":
-        return self.from_terms({Fraction(0): Fraction(c)})
+        c = _canon(Fraction(c))
+        return Scalar(self, {0: c} if c else {})
 
     def v_pow(self, r) -> "Scalar":
         """The monomial v^r; r must have denominator dividing N.
 
         Cached per ring: Scalars are never mutated, so callers may share one.
         """
-        r = Fraction(r)
         out = self._v_pows.get(r)
         if out is None:
-            out = self._v_pows[r] = self.from_terms({r: Fraction(1)})
+            out = self._v_pows[r] = self.from_terms({r: 1})
         return out
 
     def quantum_integer(self, n: int) -> "Scalar":
@@ -101,7 +117,11 @@ class ScalarRing:
 
 
 class Scalar:
-    """Immutable ring element; construct through a ScalarRing."""
+    """Immutable ring element; construct through a ScalarRing.
+
+    `terms` maps k to the coefficient of v^(k/N), 0 <= k < 2N, with no
+    zero coefficients.
+    """
 
     __slots__ = ("ring", "terms")
 
@@ -111,7 +131,7 @@ class Scalar:
 
     def _coerce(self, other):
         if isinstance(other, Scalar):
-            if other.ring != self.ring:
+            if other.ring is not self.ring and other.ring != self.ring:
                 raise ValueError("mixing scalars from different rings")
             return other
         if isinstance(other, (int, Fraction)):
@@ -122,17 +142,23 @@ class Scalar:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
-            if out[e] == 0:
-                del out[e]
+        for k, c in other.terms.items():
+            s = out.get(k, 0) + c
+            if s:
+                out[k] = _canon(s)
+            else:
+                del out[k]
         return Scalar(self.ring, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar(self.ring, {e: -c for e, c in self.terms.items()})
+        return Scalar(self.ring, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -144,14 +170,28 @@ class Scalar:
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            if not other:
+                return self.ring.zero
+            return Scalar(self.ring, {k: _canon(c * other) for k, c in self.terms.items()})
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        acc: dict[Fraction, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                acc[e1 + e2] = acc.get(e1 + e2, Fraction(0)) + c1 * c2
-        return self.ring.from_terms(acc)
+        a, b = self.terms, other.terms
+        if b == _ONE:
+            return self
+        if a == _ONE:
+            return other
+        ring = self.ring
+        p, two_n = ring.p, 2 * ring.n_denom
+        acc: dict = {}
+        for k1, c1 in a.items():
+            for k2, c2 in b.items():
+                k, c = k1 + k2, c1 * c2
+                if k >= two_n:
+                    k, c = k - two_n, c * p
+                acc[k] = acc.get(k, 0) + c
+        return Scalar(ring, {k: _canon(c) for k, c in acc.items() if c})
 
     __rmul__ = __mul__
 
@@ -181,16 +221,18 @@ class Scalar:
         if not self.terms:
             return "0"
         parts = []
-        for e in sorted(self.terms):
-            c = self.terms[e]
-            if e == 0:
+        for k in sorted(self.terms):
+            c = self.terms[k]
+            if k == 0:
                 parts.append(str(c))
             else:
-                parts.append(f"{c}*v^({e})")
+                parts.append(f"{c}*v^({Fraction(k, self.ring.n_denom)})")
         return " + ".join(parts)
 
     __repr__ = render
 
+
+_ONE = {0: 1}  # the terms of the unit
 
 _TERM = re.compile(
     r"^(?P<coef>[+-]?\d+(?:/\d+)?|[+-])?"

@@ -224,7 +224,7 @@ class RelationVerifier:
             coeff = self.ring.quantum_binomial(n_max, n)
             if n % 2:
                 coeff = -coeff
-            total = total + term.scale(coeff)
+            total.add_scaled(term, coeff)
         return self._red(total)
 
     # -- entry point -----------------------------------------------------

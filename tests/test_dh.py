@@ -264,3 +264,25 @@ def test_k_left_matches_straightened_product(name, request):
             k = dh.product(dh.k_elem(gamma), dh.kd_elem(delta))
             for x in xs:
                 assert dh._k_left(gamma, delta, x) == dh.product(k, x), (gamma, delta)
+
+
+def test_products_leave_memoized_elements_unchanged(kronecker):
+    # product, dagger and the R4/R5 tables accumulate their sums in place;
+    # the memoized E(A,B) and F_B o E_A they read must never be the sum.
+    # E(A,B) is filled first, so the products below read it, not build it
+    dh = DHAlgebra(kronecker)
+    classes = kronecker.classes_up_to_total_dim(2)
+    for a in classes:
+        for b in classes:
+            dh.eab(a.key, b.key)
+    ones = [dh.e_elem(c.key) for c in kronecker.classes_with_total_dim(1)]
+    ones += [dh.f_elem(c.key) for c in kronecker.classes_with_total_dim(1)]
+    twos = [dh.product(x, y) for x in ones for y in ones]
+    memos = (dh._fe, dh._eab)
+    before = [{k: dh.render(v) for k, v in memo.items()} for memo in memos]
+    assert all(before)
+    for x in twos:
+        for y in twos:
+            dh.dagger(dh.product(x, y))
+    assert len(dh._fe) > len(before[0])
+    assert [{k: dh.render(memo[k]) for k in seen} for memo, seen in zip(memos, before)] == before

@@ -35,8 +35,10 @@ def test_v_squared_is_q():
 def test_half_exponent():
     r = ScalarRing(4, 2)
     s = r.v_pow(Fraction(1, 2))
-    # v^(1/2) = q^(1/4) = sqrt(2): a single coordinate, squaring to v
-    assert s.terms == {Fraction(1, 2): 1}
+    # v^(1/2) = q^(1/4) = sqrt(2): a single coordinate, v^(k/N) at k = 1,
+    # squaring to v
+    assert s.terms == {1: 1}
+    assert [type(x) for x in (*s.terms, *s.terms.values())] == [int, int]
     assert s * s == r.v_pow(1) and s**4 == 4
 
 
@@ -49,22 +51,27 @@ def test_denominator_must_divide_n():
 
 
 def test_exact_values():
-    # a Scalar's terms are its coordinates in Q(q^(1/2N)), so equal values
-    # have equal terms: v - v^-1 = (1 - 1/q) v, and q - 1 = 2 over F_3
+    # a Scalar's terms are its coordinates in Q(q^(1/2N)), keyed by k for
+    # v^(k/N), so equal values have equal terms: v - v^-1 = (1 - 1/q) v,
+    # and q - 1 = 2 over F_3
     assert ring(2).one == 1 and ring(2).one.terms == {0: 1}
     r = ScalarRing(4, 2)
     s = r.v_pow(1) - r.v_pow(-1)
-    assert s.terms == {Fraction(1): Fraction(3, 4)}
+    assert s.terms == {2: Fraction(3, 4)}
     r3 = ring(3)
     assert r3.v_pow(2) - 1 == 2
+    assert (r3.v_pow(2) - 1).terms == {0: 2}
+    # a coefficient is an int exactly when it is integral
+    assert type(s.terms[2]) is Fraction and type((s * 4).terms[2]) is int
 
 
 def test_canonical_form():
-    r = ring(2)
+    r = ring(2)  # N = 2, so v = v^(2/N)
     s = r.v_pow(5)  # folds to q^2 * v
-    assert list(s.terms) == [Fraction(1)]
-    assert s.terms[Fraction(1)] == 4
-    assert all(0 <= e < 2 for e in s.terms)
+    assert list(s.terms) == [2]
+    assert s.terms[2] == 4
+    assert all(type(k) is int and 0 <= k < 2 * r.n_denom for k in s.terms)
+    assert (r.v_pow(-1) * 2).terms == {2: 1}  # (1/q) v times q
     assert (s - s).is_zero()
     assert not (s - s).terms
 
@@ -198,11 +205,105 @@ def test_v_pow_is_multiplicative(args):
 @settings(deadline=None)
 @given(ring_with("e", "s"))
 def test_arithmetic_leaves_cached_v_pow_unchanged(args):
+    # also the shared ring.one and ring.zero, which `*` and `+` may return
+    # as they are
     r, e, x = args
     cached = r.v_pow(e)
-    before = dict(cached.terms)
-    for _ in (-cached, x + cached, cached + x, x * cached, cached * x,
-              x - cached, cached - x, cached * 3, cached + Fraction(1, 2)):
-        assert cached.terms == before
+    shared = (cached, r.one, r.zero)
+    before = [dict(s.terms) for s in shared]
+    for s in shared:
+        for _ in (-s, x + s, s + x, x * s, s * x, x - s, s - x, s * 3,
+                  s * Fraction(1, 2), s + Fraction(1, 2), s**2, x + s + s, x * s * s):
+            assert [dict(t.terms) for t in shared] == before
     assert r.v_pow(e) is cached
     assert r.v_pow(e) == r.from_terms({e: 1})
+    assert r.one.terms == {0: 1} and r.zero.terms == {}
+
+
+# ----------------------------------------------------------------------
+# the Scalar arithmetic against a reference that keeps Fraction exponents
+# in [0, 2), as sums of c * v^e: {e: c}, and folds through one `from_terms`
+
+
+def ref_from_terms(r, terms):
+    out = {}
+    for e, c in terms.items():
+        e, c = Fraction(e), Fraction(c)
+        if c == 0:
+            continue
+        if r.n_denom % e.denominator:
+            raise ScalarDomainError(e)
+        k = e // 2
+        e -= 2 * k
+        out[e] = out.get(e, Fraction(0)) + c * Fraction(r.p) ** int(k)
+        if out[e] == 0:
+            del out[e]
+    return out
+
+
+def ref_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, Fraction(0)) + c
+        if out[e] == 0:
+            del out[e]
+    return out
+
+
+def ref_mul(r, a, b):
+    acc = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            acc[e1 + e2] = acc.get(e1 + e2, Fraction(0)) + c1 * c2
+    return ref_from_terms(r, acc)
+
+
+def ref_render(a):
+    if not a:
+        return "0"
+    return " + ".join(str(a[e]) if e == 0 else f"{a[e]}*v^({e})" for e in sorted(a))
+
+
+CROSS_RINGS = [ScalarRing(p, n) for p in (2, 3, 5) for n in (2, 4, 6)]
+
+
+@st.composite
+def scalar_pair(draw):
+    """A ring and two term maps whose exponents reach past 2 both ways."""
+    r = draw(st.sampled_from(CROSS_RINGS))
+    exps = st.integers(-3 * r.n_denom, 3 * r.n_denom).map(lambda k: Fraction(k, r.n_denom))
+    coeffs = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+    terms = st.dictionaries(exps, coeffs, max_size=5)
+    return r, draw(terms), draw(terms)
+
+
+def as_ref(x):
+    """A Scalar's terms with k written as the exponent k/N again."""
+    return {Fraction(k, x.ring.n_denom): c for k, c in x.terms.items()}
+
+
+def assert_matches(x, ref):
+    assert as_ref(x) == ref
+    assert all(type(c) is int or c.denominator != 1 for c in x.terms.values())
+    assert x.render() == ref_render(ref)
+
+
+@settings(deadline=None, max_examples=300)
+@given(scalar_pair())
+def test_matches_fraction_exponent_reference(args):
+    r, ta, tb = args
+    a, b = r.from_terms(ta), r.from_terms(tb)
+    ra, rb = ref_from_terms(r, ta), ref_from_terms(r, tb)
+    assert_matches(a, ra)
+    assert_matches(b, rb)
+    assert_matches(a + b, ref_add(ra, rb))
+    assert_matches(a - b, ref_add(ra, {e: -c for e, c in rb.items()}))
+    assert_matches(a * b, ref_mul(r, ra, rb))
+    power = {Fraction(0): Fraction(1)}
+    for n in range(4):
+        assert_matches(a**n, power)
+        power = ref_mul(r, power, ra)
+    assert (a == b) == (ra == rb)
+    # equal values reached by different routes hash alike
+    for x, y in ((a, r.from_terms(ra)), (a + b - b, a), (a * b, b * a), (a * b + a, a * (b + 1))):
+        assert x == y and hash(x) == hash(y)
