@@ -72,6 +72,8 @@ class ComplexCategory:
         self._resolutions: dict[str, Complex] = {}
         # key -> (first complex with the key, H0 class, H1 class, M1+, M0-)
         self._registry: dict[str, tuple] = {}
+        # (dst key, ker and im bases) -> one half of a split; see _half_split
+        self._halves: dict[tuple, tuple] = {}
         self._product_cache: dict[tuple, LocElement] = {}
         self._zero_rep = cat.zero_rep()
         self.zero_complex = Complex(self._zero_rep, self._zero_rep,
@@ -227,7 +229,8 @@ class ComplexCategory:
         Returns (plus, minus): plus = (source, target, f, H0) gives the C_f
         summand (f the inclusion of im d1 into ker d0, H0 = coker f);
         minus = (source, target, g, H1) the shifted summand (g: im d0 into
-        ker d1, H1 = coker g).  Cached on cx.
+        ker d1, H1 = coker g).  Kept on cx; each half comes from the
+        _half_split memo, so it is shared and callers only read it.
         """
         if cx._split is None:
             cx._split = (
@@ -253,17 +256,26 @@ class ComplexCategory:
 
         im d is taken inside the subrepresentation ker d_back, in its
         coordinates, so one subquotient gives the source, the inclusion and
-        the homology together.
+        the homology together.  Memoized on dst and the echelon bases of
+        ker d_back and im d, so content-equal complexes, and a complex and
+        its dagger, share their halves: the result is shared and callers
+        only read it (the inclusion's arrays are read-only).
         """
         kers = [fplin.nullspace(m, self.p) for m in d_back]
-        ker_sub, _q, ker_incl, _p = self.cat.sub_quotient(dst, kers)
-        coords = []
-        for i in range(len(dst.dim)):
-            sol = fplin.solve(ker_incl[i], fplin.row_space(d[i].T, self.p).T, self.p)
-            assert sol is not None, "im(d) not inside ker(d_back)"
-            coords.append(sol.T)
-        im_sub, hom, f, _proj = self.cat.sub_quotient(ker_sub, coords)
-        return im_sub, ker_sub, f, hom
+        ims = [fplin.row_space(m.T, self.p) for m in d]
+        memo = (dst.key,) + tuple((b.shape, b.tobytes()) for b in kers + ims)
+        if memo not in self._halves:
+            ker_sub, _q, ker_incl, _p = self.cat.sub_quotient(dst, kers)
+            coords = []
+            for incl, im in zip(ker_incl, ims):
+                sol = fplin.solve(incl, im.T, self.p)
+                assert sol is not None, "im(d) not inside ker(d_back)"
+                coords.append(sol.T)
+            im_sub, hom, f, _proj = self.cat.sub_quotient(ker_sub, coords)
+            for m in f:
+                m.setflags(write=False)
+            self._halves[memo] = (im_sub, ker_sub, f, hom)
+        return self._halves[memo]
 
     def plus_minus_classes(self, cx: Complex):
         """K(R)-classes of (M1+, M0+, M1-, M0-), read off the key's record.

@@ -141,15 +141,17 @@ class HallAlgebra:
         rhs = dh.zero()
         ta = self.cat.subquot_table(a)
         tb = self.cat.subquot_table(b)
+        # the twist <A1, A2> + <B2, B1>: one Euler form per row of each table
+        euler = self.quiver.euler_dimvec
+        rows_b = []
+        for (b2k, b1k), gb in tb.items():
+            b2, b1 = self._cls(b2k), self._cls(b1k)
+            rows_b.append((b2k, b1k, b1, gb, euler(b2.dim, b1.dim)))
         for (a1k, a2k), ga in ta.items():
             a1, a2 = self._cls(a1k), self._cls(a2k)
-            for (b2k, b1k), gb in tb.items():
-                b2, b1 = self._cls(b2k), self._cls(b1k)
-                tw = self.ring.v_pow(
-                    self.quiver.euler_dimvec(a1.dim, a2.dim)
-                    + self.quiver.euler_dimvec(b2.dim, b1.dim)
-                )
-                base = tw * (ga * gb)
+            ea = euler(a1.dim, a2.dim)
+            for b2k, b1k, b1, gb, eb in rows_b:
+                base = self.ring.v_pow(ea + eb) * (ga * gb)
                 if a2k == b2k:
                     mono = (a1k, tuple(a2.kclass), b1k, self.quiver.zero_kvector())
                     lhs.add_term(mono, base * a2.aut_order)

@@ -179,6 +179,7 @@ class RepCategory:
         self._by_key: dict[str, IsoClass] = {}
         self._kclass: dict[tuple, tuple] = {}
         self._canon: dict[str, str] = {}
+        self._homs: dict[tuple, list] = {}
         self._homdim: dict[tuple, int] = {}
         self._subquot: dict[str, dict] = {}
         self._middle: dict[tuple, list] = {}
@@ -233,10 +234,15 @@ class RepCategory:
         """Basis of the intertwiner space Hom(a, b).
 
         Each basis element is a tuple of per-vertex matrices f_i with
-        f_h x_e = y_e f_t for every arrow e = (t, h).
+        f_h x_e = y_e f_t for every arrow e = (t, h).  Memoized per
+        (A, B), so the list is shared and callers only read it; its
+        matrices are read-only.
         """
         if a.quiver is not self.quiver or b.quiver is not self.quiver:
             raise QuiverError("representations from a different context")
+        memo = (a.key, b.key)
+        if memo in self._homs:
+            return self._homs[memo]
         q, p = self.quiver, self.p
         # unknowns: each f_i flattened row by row; equations: the entries of
         # f_h x - y f_t, row by row, one block of rows per arrow
@@ -248,13 +254,12 @@ class RepCategory:
             block[:, offs[t] : offs[t + 1]] -= np.kron(y, np.eye(a.dim[t], dtype=np.int64))
             blocks.append(block % p)
         kernel = fplin.nullspace(np.concatenate(blocks), p)
-        return [
-            tuple(
-                vec[offs[i] : offs[i + 1]].reshape(b.dim[i], a.dim[i]).copy()
-                for i in range(q.n)
-            )
+        kernel.setflags(write=False)
+        self._homs[memo] = [
+            tuple(vec[offs[i] : offs[i + 1]].reshape(b.dim[i], a.dim[i]) for i in range(q.n))
             for vec in kernel
         ]
+        return self._homs[memo]
 
     def hom_dim(self, a: Rep, b: Rep) -> int:
         memo_key = (a.key, b.key)

@@ -109,8 +109,9 @@ def test_signature_matches_brute_force_iso(ca2, a2):
 @pytest.mark.parametrize("name", ["a2", "kronecker"])
 def test_invariants_computed_once_per_complex(name, request, monkeypatch):
     # once a complex has its key, its split and the homology Reps in it are
-    # read back, never recomputed, and they agree with those of a fresh copy
-    # of the complex
+    # read back, never recomputed; a fresh, content-equal copy of the
+    # complex gets the same halves from the half-split memo, with no new
+    # subquotient, and so agrees with it
     cat = request.getfixturevalue(name)
     cpx = ComplexCategory(cat)
     calls = Counter()
@@ -146,8 +147,138 @@ def test_invariants_computed_once_per_complex(name, request, monkeypatch):
         for half, fresh_half in zip(split, fresh_split):
             assert [cpx.proj_rank_vector(m) for m in half[:2]] == \
                 [cpx.proj_rank_vector(m) for m in fresh_half[:2]]
-        assert calls["_half_split"] > before["_half_split"]
-        assert calls["sub_quotient"] > before["sub_quotient"]
+        assert all(h is h0 for h, h0 in zip(fresh_split, split, strict=True))
+        assert calls["sub_quotient"] == before["sub_quotient"]
+
+
+def run_oracle_suite(name, max_dim, monkeypatch, wrap):
+    """Run the `hallq verify --suite oracle` checks on a fresh category and
+    return (category, the suite's ComplexCategory); for each (owner, method)
+    key of wrap, the method is replaced by wrap[owner, method](original)
+    for the run.  Every check must pass.
+    """
+    from hallq.cli import _oracle_suite
+
+    from .conftest import load
+
+    cat = RepCategory(load(name))
+    made = []
+    init = ComplexCategory.__init__
+
+    def recording_init(self, *args):
+        init(self, *args)
+        made.append(self)
+
+    monkeypatch.setattr(ComplexCategory, "__init__", recording_init)
+    for owner, meth in wrap:
+        monkeypatch.setattr(owner, meth, wrap[owner, meth](getattr(owner, meth)))
+    rows = _oracle_suite(cat, max_dim)
+    monkeypatch.undo()
+    assert rows and all(r["ok"] is True for r in rows)
+    (cpx,) = made
+    return cat, cpx
+
+
+def test_half_split_and_hom_basis_run_once_per_content(monkeypatch):
+    # kronecker oracle at max dim 1: every half-split memo entry costs
+    # exactly two subquotients and a hit costs none; the hom_basis
+    # nullspace runs once per distinct (A key, B key)
+    inside = []
+    sub_quotients, nullspaces = Counter(), Counter()
+    halves, homs = [], []
+
+    def half_split(orig):
+        def wrapped(self, *args):
+            before, n_memo = sub_quotients["half"], len(self._halves)
+            inside.append("half")
+            try:
+                return orig(self, *args)
+            finally:
+                inside.pop()
+                halves.append((len(self._halves) - n_memo, sub_quotients["half"] - before))
+        return wrapped
+
+    def hom_basis(orig):
+        def wrapped(self, a, b):
+            before = nullspaces["hom"]
+            inside.append("hom")
+            try:
+                return orig(self, a, b)
+            finally:
+                inside.pop()
+                homs.append(((a.key, b.key), nullspaces["hom"] - before))
+        return wrapped
+
+    def counted(counter):
+        def wrap(orig):
+            def wrapped(*args):
+                if inside:
+                    counter[inside[-1]] += 1
+                return orig(*args)
+            return wrapped
+        return wrap
+
+    _cat, cpx = run_oracle_suite("kronecker", 1, monkeypatch, {
+        (ComplexCategory, "_half_split"): half_split,
+        (RepCategory, "hom_basis"): hom_basis,
+        (RepCategory, "sub_quotient"): counted(sub_quotients),
+        (fplin, "nullspace"): counted(nullspaces),
+    })
+    assert set(halves) == {(1, 2), (0, 0)}
+    assert sub_quotients["half"] == 2 * len(cpx._halves)
+    seen = set()
+    for pair, runs in homs:
+        assert runs == (pair not in seen), pair
+        seen.add(pair)
+    assert nullspaces["hom"] == len(seen) < len(homs)
+
+
+@pytest.mark.parametrize("name", ["a2", "kronecker"])
+def test_memoized_split_and_hom_basis_match_cold(name, monkeypatch):
+    # every complex the oracle suite's products split (resolutions,
+    # daggers, cones), and every Hom basis they read, equals its
+    # recomputation with an empty memo; the shared arrays are read-only
+    built, pairs = {}, {}
+
+    def decompose(orig):
+        def wrapped(self, cx):
+            built.setdefault(id(cx), cx)
+            return orig(self, cx)
+        return wrapped
+
+    def hom_basis(orig):
+        def wrapped(self, a, b):
+            pairs.setdefault((a.key, b.key), (a, b))
+            return orig(self, a, b)
+        return wrapped
+
+    cat, cpx = run_oracle_suite(name, 2, monkeypatch, {
+        (ComplexCategory, "decompose"): decompose,
+        (RepCategory, "hom_basis"): hom_basis,
+    })
+    assert len(cpx._halves) < 2 * len(built)
+    cold = ComplexCategory(cat)
+    for cx in built.values():
+        cold._halves.clear()
+        warm = cpx.decompose(cx)
+        fresh = cold.decompose(Complex(cx.m1, cx.m0, cx.d1, cx.d0, cat.p))
+        for (src, tgt, f, h), (src0, tgt0, f0, h0) in zip(warm, fresh, strict=True):
+            # Rep keys: equal matrices, so equal class keys too (class_of
+            # refuses the larger projective terms at the default bounds)
+            assert [r.key for r in (src, tgt, h)] == [r.key for r in (src0, tgt0, h0)]
+            assert cat.class_of(h).key == cat.class_of(h0).key
+            assert [(m.shape, m.tobytes()) for m in f] == \
+                [(m.shape, m.tobytes()) for m in f0]
+            assert [cpx.proj_rank_vector(r) for r in (src, tgt)] == \
+                [cold.proj_rank_vector(r) for r in (src0, tgt0)]
+            assert not any(m.flags.writeable for m in f)
+    cold_cat = RepCategory(cat.quiver)
+    for a, b in pairs.values():
+        warm, fresh = cat.hom_basis(a, b), cold_cat.hom_basis(a, b)
+        assert len(warm) == len(fresh)
+        for x, y in zip(warm, fresh):
+            assert all(m.shape == n.shape and np.array_equal(m, n) for m, n in zip(x, y))
+            assert not any(m.flags.writeable for m in x)
 
 
 def cokernel_route(cat, dst, d, d_back):
