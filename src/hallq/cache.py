@@ -1,12 +1,22 @@
 """Append-only persistent cache for structure constants.
 
-One JSON record per line, {"k": [...], "v": ...}, keyed by quiver content
-hash, field size, operation tag and canonical argument keys, all strings:
-callers pass the key as a tuple of strings, the form it is loaded in.  Other
-processes may append to the same file: appends take an advisory file lock,
-and readers load once at open and skip every line that is not a record,
-such as a truncated final line from such a writer.  Audit mode recomputes
-on every hit and raises on disagreement.
+One record per line, `<key>\\t<value>`: the key is the canonical JSON text
+(`json.dumps`) of a list of strings, the value is JSON.  `RepCategory`
+builds the key; its leading parts are the record-format tag `FORMAT` and the
+id of the canonical-form algorithm, then the quiver content hash, the field
+size, the operation and its arguments.  A record written under another
+format or algorithm therefore has another key and is never returned.
+
+Opening a store only splits each line at its first tab: values stay text
+until a `get` reads them, and each `get` decodes the text it returns, so a
+session decodes only what it reads.  A line without a tab (a line of the
+older `{"k": [...], "v": ...}` format, or any other line that is not a
+record) is skipped and counted in `rejected`; old files are ignored, never
+migrated.  A value that is not JSON (such as a torn write) is dropped on
+its first `get` and reads as a miss, so the recomputed value is appended
+again.  Other processes may append to the same file: appends take an
+advisory file lock.  Audit mode recomputes on every hit and raises on
+disagreement.
 """
 
 from __future__ import annotations
@@ -18,12 +28,15 @@ try:
 except ImportError:  # non-posix; advisory locking degrades to nothing
     fcntl = None
 
+FORMAT = "hallq-cache/2"
+
 
 class CacheStore:
     def __init__(self, path, audit: bool = False):
         self.path = path
         self.audit = audit
-        self._mem: dict[tuple, object] = {}
+        self.rejected = 0
+        self._mem: dict[str, str] = {}
         # an unusable path raises OSError here, before any work is done
         open(path, "a", encoding="utf-8").close()
         self._load()
@@ -31,34 +44,31 @@ class CacheStore:
     def _load(self):
         with open(self.path, "r", encoding="utf-8") as fh:
             for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    rec = json.loads(line)
-                except json.JSONDecodeError:
-                    continue  # torn tail write from another process
-                if not (isinstance(rec, dict) and isinstance(rec.get("k"), list)
-                        and "v" in rec):
-                    continue  # valid JSON, but not a record
-                try:
-                    self._mem[tuple(rec["k"])] = rec["v"]
-                except TypeError:  # a key part that cannot be hashed
-                    continue
+                key, tab, text = line.partition("\t")
+                if tab:
+                    self._mem[key] = text
+                else:
+                    self.rejected += 1
 
-    def get(self, key):
-        return self._mem.get(key)
+    def get(self, key: str):
+        text = self._mem.get(key)
+        if text is None:
+            return None
+        try:
+            return json.loads(text)
+        except json.JSONDecodeError:
+            del self._mem[key]  # torn or corrupt: a miss, recomputed and appended
+            return None
 
-    def put(self, key, value):
+    def put(self, key: str, value):
         if key in self._mem:
             return
-        self._mem[key] = value
-        line = json.dumps({"k": list(key), "v": value}, sort_keys=True)
+        text = self._mem[key] = json.dumps(value, sort_keys=True)
         with open(self.path, "a", encoding="utf-8") as fh:
             if fcntl is not None:
                 fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
             try:
-                fh.write(line + "\n")
+                fh.write(f"{key}\t{text}\n")
                 fh.flush()
             finally:
                 if fcntl is not None:

@@ -7,8 +7,12 @@
 Exit codes: 0 success, 1 a verification check failed, 2 validation or
 parse errors, 3 an enumeration bound was exceeded.  Output is
 deterministic for identical invocations (modulo --timing).  The
-structure-constant cache is an append-only JSONL file selected with
---cache or the HALLQ_CACHE environment variable.
+structure-constant cache is an append-only file selected with --cache or
+the HALLQ_CACHE environment variable, one `<key>\\t<value>` record per
+line: the key is canonical JSON led by the record-format tag and the
+canonical-form algorithm id, and a value is decoded from JSON only when a
+lookup reads it.  Lines without a tab, such as the older {"k", "v"} records,
+are skipped: old files are ignored, not migrated.
 """
 
 from __future__ import annotations

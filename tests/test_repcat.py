@@ -15,7 +15,8 @@ from hallq import (
     fplin,
     parse_quiver,
 )
-from hallq.repcat import _compositions
+from hallq.cache import FORMAT
+from hallq.repcat import CANONICAL_FORM, _compositions
 
 from .conftest import DATA, load
 
@@ -331,13 +332,71 @@ def test_cache_keys_are_strings_and_warm_session_writes_nothing(tmp_path, l2m2, 
             cat.subquot_table(c)
 
     session()
-    records = [json.loads(line) for line in path.read_text().splitlines()]
-    assert records and all(
-        isinstance(part, str) for rec in records for part in rec["k"]
-    )
+    lines = [line.split("\t") for line in path.read_text().splitlines()]
+    assert lines and all(len(parts) == 2 for parts in lines)
+    keys = [json.loads(key) for key, _ in lines]
+    assert all(isinstance(part, str) for key in keys for part in key)
+    # canonical JSON text, led by the record format and the canonical-form id
+    assert [key for key, _ in lines] == [json.dumps(key) for key in keys]
+    assert {tuple(key[:2]) for key in keys} == {(FORMAT, CANONICAL_FORM)}
+    for _, value in lines:
+        json.loads(value)
     puts = []
     monkeypatch.setattr(CacheStore, "put", lambda self, key, value: puts.append(key))
     session()
+    assert puts == []
+
+
+def cache_session(quiver, store):
+    """Classes of total dimension <= 2 with aut orders and subquot tables."""
+    cat = RepCategory(quiver, store=store)
+    return [(c.key, c.aut_order, cat.subquot_table(c)) for c in cat.classes_up_to_total_dim(2)]
+
+
+def test_old_and_foreign_cache_records_are_ignored(tmp_path, l2m2):
+    cold_path = tmp_path / "cold.jsonl"
+    cold = cache_session(l2m2.quiver, CacheStore(cold_path))
+    records = cold_path.read_text().splitlines()
+    keys = [json.loads(line.split("\t")[0]) for line in records]
+    values = [json.loads(line.split("\t")[1]) for line in records]
+    # the same records as the previous format wrote them: no tab, and keys
+    # [hash, p, op, *args] without the format and canonical-form parts
+    old = [json.dumps({"k": k[2:], "v": v}, sort_keys=True) for k, v in zip(keys, values)]
+    # and every key again under another format tag, with a wrong value
+    foreign = [json.dumps(["hallq-cache/0"] + k[1:]) + "\t0" for k in keys]
+    path = tmp_path / "c.jsonl"
+    path.write_text("".join(line + "\n" for line in old + foreign))
+    store = CacheStore(path)
+    assert store.rejected == len(old)
+    assert cache_session(l2m2.quiver, store) == cold
+    # every lookup missed: the session appended all of the cold run's records
+    # after the old lines, which stay as they were
+    assert path.read_text().splitlines() == old + foreign + records
+    warm = CacheStore(path)
+    assert warm.rejected == len(old)
+    assert cache_session(l2m2.quiver, warm) == cold
+
+
+def test_torn_or_corrupt_cache_values_are_misses(tmp_path, l2m2, monkeypatch):
+    path = tmp_path / "c.jsonl"
+    cold = cache_session(l2m2.quiver, CacheStore(path))
+    records = path.read_text().splitlines()
+    ops = [json.loads(line.split("\t")[0])[4] for line in records]
+    torn, bad = ops.index("subquot"), ops.index("classify")
+    broken = list(records)
+    key, value = records[torn].split("\t")
+    broken[torn] = f"{key}\t{value[: len(value) // 2]}"
+    broken[bad] = records[bad].split("\t")[0] + "\tnot json"
+    path.write_text("".join(line + "\n" for line in broken))
+    assert cache_session(l2m2.quiver, CacheStore(path)) == cold
+    # both values were recomputed and appended, after the untouched lines
+    lines = path.read_text().splitlines()
+    assert lines[: len(broken)] == broken
+    assert sorted(lines[len(broken):]) == sorted([records[torn], records[bad]])
+    # the next session reads the fresh records and recomputes nothing
+    puts = []
+    monkeypatch.setattr(CacheStore, "put", lambda self, key, value: puts.append(key))
+    assert cache_session(l2m2.quiver, CacheStore(path)) == cold
     assert puts == []
 
 
