@@ -1,22 +1,25 @@
 """Append-only persistent cache for structure constants.
 
-One record per line, `<key>\\t<value>`: the key is the canonical JSON text
-(`json.dumps`) of a list of strings, the value is JSON.  `RepCategory`
-builds the key; its leading parts are the record-format tag `FORMAT` and the
-id of the canonical-form algorithm, then the quiver content hash, the field
-size, the operation and its arguments.  A record written under another
-format or algorithm therefore has another key and is never returned.
+One record per line, `<key>\\t<value>\\n`: the key is the canonical JSON
+text (`json.dumps`) of a list of strings, the value is JSON.  `key_head`
+and `key` lead every key with the record-format tag `FORMAT`; the caller's
+parts follow (for `RepCategory`: the id of the canonical-form algorithm,
+the quiver content hash, the field size, the operation and its arguments).
+A record written under another format or algorithm therefore has another
+key and is never returned.
 
 Opening a store only splits each line at its first tab: values stay text
 until a `get` reads them, and each `get` decodes the text it returns, so a
 session decodes only what it reads.  A line without a tab (a line of the
 older `{"k": [...], "v": ...}` format, or any other line that is not a
-record) is skipped and counted in `rejected`; old files are ignored, never
-migrated.  A value that is not JSON (such as a torn write) is dropped on
-its first `get` and reads as a miss, so the recomputed value is appended
-again.  Other processes may append to the same file: appends take an
-advisory file lock.  Audit mode recomputes on every hit and raises on
-disagreement.
+record) or without its closing newline (a torn last write) is skipped and
+counted in `rejected`; old files are ignored, never migrated.  Before an
+append, a last line that lacks its newline is closed with a NUL, which no
+JSON text holds, so that line too reads as a miss.  A value that is not
+JSON is dropped on its first `get` and reads as a miss, so the recomputed
+value is appended again.  Other processes may append to the same file:
+appends take an advisory file lock.  Audit mode recomputes on every hit and
+raises on disagreement.
 """
 
 from __future__ import annotations
@@ -41,11 +44,21 @@ class CacheStore:
         open(path, "a", encoding="utf-8").close()
         self._load()
 
+    @staticmethod
+    def key_head(*parts: str) -> str:
+        """Key text up to the next part, `[FORMAT, *parts, `, in json.dumps's layout."""
+        return json.dumps([FORMAT, *parts])[:-1] + ", "
+
+    @staticmethod
+    def key(head: str, parts: tuple) -> str:
+        """`json.dumps([FORMAT, *head's parts, *map(str, parts)])`, reusing `head`."""
+        return head + ", ".join([json.dumps(str(x)) for x in parts]) + "]"
+
     def _load(self):
         with open(self.path, "r", encoding="utf-8") as fh:
             for line in fh:
                 key, tab, text = line.partition("\t")
-                if tab:
+                if tab and text.endswith("\n"):
                     self._mem[key] = text
                 else:
                     self.rejected += 1
@@ -64,11 +77,15 @@ class CacheStore:
         if key in self._mem:
             return
         text = self._mem[key] = json.dumps(value, sort_keys=True)
-        with open(self.path, "a", encoding="utf-8") as fh:
+        with open(self.path, "a+b") as fh:
             if fcntl is not None:
                 fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
             try:
-                fh.write(f"{key}\t{text}\n")
+                end = fh.seek(0, 2)
+                fh.seek(max(end - 1, 0))
+                # close a torn last line with a NUL, which no JSON text holds
+                head = b"" if fh.read(1) in (b"", b"\n") else b"\x00\n"
+                fh.write(head + f"{key}\t{text}\n".encode())
                 fh.flush()
             finally:
                 if fcntl is not None:

@@ -12,7 +12,8 @@ the HALLQ_CACHE environment variable, one `<key>\\t<value>` record per
 line: the key is canonical JSON led by the record-format tag and the
 canonical-form algorithm id, and a value is decoded from JSON only when a
 lookup reads it.  Lines without a tab, such as the older {"k", "v"} records,
-are skipped: old files are ignored, not migrated.
+are skipped: old files are ignored, not migrated.  A torn write reads as a
+miss and is recomputed.
 """
 
 from __future__ import annotations

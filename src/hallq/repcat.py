@@ -9,7 +9,6 @@ bounds below keep runs at desk scale.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -17,11 +16,11 @@ from itertools import product
 import numpy as np
 
 from . import fplin
-from .cache import FORMAT
+from .cache import CacheStore
 from .quiver import Quiver, QuiverError
 
 # id of the canonical-form algorithm (the least orbit code under the
-# base-change group); it leads every persistent cache key with FORMAT
+# base-change group); it leads every persistent cache key after the format tag
 CANONICAL_FORM = "orbit-lexmin/1"
 
 
@@ -181,10 +180,7 @@ class RepCategory:
                 f"p={self.p} exceeds 10: class keys hold one decimal digit per matrix entry"
             )
         self.store = store
-        # "[FORMAT, CANONICAL_FORM, hash, p, " : _store_key appends op and args
-        self._key_head = json.dumps(
-            [FORMAT, CANONICAL_FORM, quiver.content_hash(), str(self.p)]
-        )[:-1] + ", "
+        self._key_head = CacheStore.key_head(CANONICAL_FORM, quiver.content_hash(), str(self.p))
         self._classify: dict[tuple, list[IsoClass]] = {}
         self._by_key: dict[str, IsoClass] = {}
         self._kclass: dict[tuple, tuple] = {}
@@ -629,9 +625,9 @@ class RepCategory:
     # persistent cache plumbing
 
     def _store_key(self, op: str, args) -> str:
-        """json.dumps([FORMAT, CANONICAL_FORM, hash, str(p), op, *map(str, args)])."""
+        """Store key of CANONICAL_FORM, content hash, str(p), op and the args."""
         parts = (op, *args) if isinstance(args, tuple) else (op, args)
-        return self._key_head + ", ".join([json.dumps(str(x)) for x in parts]) + "]"
+        return CacheStore.key(self._key_head, parts)
 
     def _stored(self, op, args, compute):
         if self.store is None:

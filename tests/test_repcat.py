@@ -400,6 +400,35 @@ def test_torn_or_corrupt_cache_values_are_misses(tmp_path, l2m2, monkeypatch):
     assert puts == []
 
 
+def test_torn_last_cache_line_is_a_miss(tmp_path, l2m2, monkeypatch):
+    path = tmp_path / "c.jsonl"
+
+    def session(store):
+        cat = RepCategory(l2m2.quiver, store=store)
+        return [(c.key, cat.aut_order(c.rep)) for c in cat.classes_up_to_total_dim(3)]
+
+    cold = session(CacheStore(path))
+    records = path.read_text().splitlines()
+    # a multi-digit aut order, cut to a shorter number that is still JSON
+    auts = [r for r in records if json.loads(r.split("\t")[0])[4] == "aut"]
+    last = max(auts, key=lambda r: int(r.split("\t")[1]))
+    assert int(last.split("\t")[1]) >= 10
+    rest = [r for r in records if r != last]
+    path.write_text("".join(line + "\n" for line in rest) + last[:-1])
+    store = CacheStore(path)
+    assert store.rejected == 1
+    assert session(store) == cold
+    # the torn line was closed so that it stays unreadable, and the
+    # recomputed record follows it on a line of its own
+    assert path.read_text().splitlines() == rest + [last[:-1] + "\x00", last]
+    puts = []
+    monkeypatch.setattr(CacheStore, "put", lambda self, key, value: puts.append(key))
+    warm = CacheStore(path)
+    assert warm.rejected == 0
+    assert session(warm) == cold
+    assert puts == []
+
+
 @pytest.mark.parametrize("d", [(1,), (1, 0, 0), (1, -1)])
 def test_classify_refuses_malformed_dimension_vectors(a2, d):
     with pytest.raises(QuiverError, match="nonnegative, one per vertex"):
