@@ -6,7 +6,8 @@ and `key` lead every key with the record-format tag `FORMAT`; the caller's
 parts follow (for `RepCategory`: the id of the canonical-form algorithm,
 the quiver content hash, the field size, the operation and its arguments).
 A record written under another format or algorithm therefore has another
-key and is never returned.
+key and is never returned.  `key` encodes parts with `json.dumps`'s own
+string encoder, after a `key_head` encoded once, so keys are its text.
 
 Opening a store only splits each line at its first tab: values stay text
 until a `get` reads them, and each `get` decodes the text it returns, so a
@@ -15,16 +16,18 @@ older `{"k": [...], "v": ...}` format, or any other line that is not a
 record) or without its closing newline (a torn last write) is skipped and
 counted in `rejected`; old files are ignored, never migrated.  Before an
 append, a last line that lacks its newline is closed with a NUL, which no
-JSON text holds, so that line too reads as a miss.  A value that is not
-JSON is dropped on its first `get` and reads as a miss, so the recomputed
-value is appended again.  Other processes may append to the same file:
-appends take an advisory file lock.  Audit mode recomputes on every hit and
-raises on disagreement.
+JSON text holds, so that line too reads as a miss.  A value is one JSON
+text that ends just before the line's newline; anything else (cut short,
+or followed by stray text) is dropped on its first `get` and reads as a
+miss, so the recomputed value is appended again.  Other processes may
+append to the same file: appends take an advisory file lock.  Audit mode
+recomputes on every hit and raises on disagreement.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 
 try:
     import fcntl
@@ -32,6 +35,8 @@ except ImportError:  # non-posix; advisory locking degrades to nothing
     fcntl = None
 
 FORMAT = "hallq-cache/2"
+
+_decode = json.JSONDecoder().raw_decode  # json.loads's parse, without its checks
 
 
 class CacheStore:
@@ -46,13 +51,13 @@ class CacheStore:
 
     @staticmethod
     def key_head(*parts: str) -> str:
-        """Key text up to the next part, `[FORMAT, *parts, `, in json.dumps's layout."""
-        return json.dumps([FORMAT, *parts])[:-1] + ", "
+        """`json.dumps([FORMAT, *parts])` without its closing `]`."""
+        return json.dumps([FORMAT, *parts])[:-1]
 
     @staticmethod
     def key(head: str, parts: tuple) -> str:
         """`json.dumps([FORMAT, *head's parts, *map(str, parts)])`, reusing `head`."""
-        return head + ", ".join([json.dumps(str(x)) for x in parts]) + "]"
+        return ", ".join([head, *map(encode_basestring_ascii, map(str, parts))]) + "]"
 
     def _load(self):
         with open(self.path, "r", encoding="utf-8") as fh:
@@ -68,10 +73,13 @@ class CacheStore:
         if text is None:
             return None
         try:
-            return json.loads(text)
+            value, end = _decode(text)
         except json.JSONDecodeError:
+            end = None
+        if end != len(text) - 1:
             del self._mem[key]  # torn or corrupt: a miss, recomputed and appended
             return None
+        return value
 
     def put(self, key: str, value):
         if key in self._mem:

@@ -9,6 +9,7 @@ bounds below keep runs at desk scale.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -33,6 +34,29 @@ class CacheCorruption(RuntimeError):
 
 
 _DIGITS = "0123456789"
+
+_KEY_SHAPES: dict[tuple, tuple] = {}  # by content hash: no Quiver is hashed
+
+
+def _key_shape(quiver: Quiver, dims: str):
+    """(d, pattern of every class key of d) if dims is d written canonically.
+
+    A key of d is `dims|` and one `;`-separated block per arrow t->h of
+    d_h*d_t digits below p.
+    """
+    memo = (quiver.content_hash(), dims)
+    shape = _KEY_SHAPES.get(memo)
+    if shape is None:
+        try:
+            dim = tuple(map(int, dims.split(",")))
+        except ValueError:
+            return None
+        if len(dim) != quiver.n or min(dim) < 0 or ",".join(map(str, dim)) != dims:
+            return None
+        digit = "[" + _DIGITS[: quiver.p] + "]"
+        blocks = ";".join(f"{digit}{{{dim[h] * dim[t]}}}" for t, h in quiver.arrows)
+        shape = _KEY_SHAPES[memo] = (dim, re.compile(re.escape(dims) + r"\|" + blocks))
+    return shape
 
 
 @dataclass(frozen=True)
@@ -76,28 +100,21 @@ class Rep:
         Each block lists one arrow's matrix row by row, one digit per entry.
         The key's shape is checked here; the matrices are decoded lazily.
         """
-        dims, sep, blocks = key.partition("|")
-        try:
-            dim = tuple(map(int, dims.split(",")))
-        except ValueError:
-            dim = ()
-        if (
-            not sep
-            or len(dim) != quiver.n
-            or min(dim) < 0
-            or ",".join(map(str, dim)) != dims
-        ):
+        dims, sep, _ = key.partition("|")
+        shape = _key_shape(quiver, dims)
+        if shape is None or not sep:
             raise QuiverError(f"malformed class key {key!r}: bad dimension vector")
-        arrows = quiver.arrows
-        parts = blocks.split(";") if blocks or arrows else []
-        if (
-            blocks.strip(_DIGITS[: quiver.p] + ";")
-            or [len(part) for part in parts] != [dim[h] * dim[t] for t, h in arrows]
-        ):
+        dim, pattern = shape
+        if pattern.fullmatch(key) is None:
             raise QuiverError(
                 f"malformed class key {key!r}: expected one block of digits "
                 f"< {quiver.p} per arrow, each d_head*d_tail long"
             )
+        return cls._keyed(quiver, dim, key)
+
+    @classmethod
+    def _keyed(cls, quiver: Quiver, dim: tuple, key: str) -> "Rep":
+        """The Rep of a key of dimension vector `dim` already checked."""
         rep = cls.__new__(cls)
         rep.quiver = quiver
         rep.dim = dim
@@ -180,7 +197,10 @@ class RepCategory:
                 f"p={self.p} exceeds 10: class keys hold one decimal digit per matrix entry"
             )
         self.store = store
-        self._key_head = CacheStore.key_head(CANONICAL_FORM, quiver.content_hash(), str(self.p))
+        head = (CANONICAL_FORM, quiver.content_hash(), str(self.p))
+        self._key_heads = {
+            op: CacheStore.key_head(*head, op) for op in ("classify", "aut", "subquot", "homdim")
+        }
         self._classify: dict[tuple, list[IsoClass]] = {}
         self._by_key: dict[str, IsoClass] = {}
         self._kclass: dict[tuple, tuple] = {}
@@ -420,7 +440,16 @@ class RepCategory:
             return [[c.key, c.aut_order] for c in scanned]
 
         rows = self._stored("classify", d, compute)
-        classes = [self._register(self.rep_from_key(k), int(aut)) for k, aut in rows]
+        # each row must name a class of d; one pattern and K-class serve all
+        pattern = _key_shape(q, ",".join(map(str, d)))[1]
+        kclass = self._kclass_of(d)
+        classes = []
+        for key, aut in rows:
+            if not (type(key) is str and pattern.fullmatch(key) and type(aut) is int and aut > 0):
+                raise QuiverError(
+                    f"cached class {key!r} (aut {aut!r}) is not a class of dimension vector {d}"
+                )
+            classes.append(self._register(Rep._keyed(q, d, key), aut, kclass))
         self._classify[d] = classes
         return classes
 
@@ -452,15 +481,20 @@ class RepCategory:
             mats.append(np.array(digits, dtype=np.int64).reshape(d[h], d[t]))
         return mats
 
-    def _register(self, rep: Rep, aut: int) -> IsoClass:
-        if rep.key in self._by_key:
-            return self._by_key[rep.key]
-        kclass = self._kclass.get(rep.dim)
+    def _kclass_of(self, dim: tuple) -> tuple:
+        kclass = self._kclass.get(dim)
         if kclass is None:
-            kclass = self._kclass[rep.dim] = self.quiver.class_of_dimvec(rep.dim)
-        cls = IsoClass(rep=rep, aut_order=aut, kclass=kclass, key=rep.key)
-        self._by_key[rep.key] = cls
-        self._canon[rep.key] = rep.key
+            kclass = self._kclass[dim] = self.quiver.class_of_dimvec(dim)
+        return kclass
+
+    def _register(self, rep: Rep, aut: int, kclass=None) -> IsoClass:
+        key = rep.key
+        if key in self._by_key:
+            return self._by_key[key]
+        if kclass is None:
+            kclass = self._kclass_of(rep.dim)
+        cls = self._by_key[key] = IsoClass(rep=rep, aut_order=aut, kclass=kclass, key=key)
+        self._canon[key] = key
         return cls
 
     def class_by_key(self, key: str) -> IsoClass:
@@ -624,15 +658,11 @@ class RepCategory:
     # ------------------------------------------------------------------
     # persistent cache plumbing
 
-    def _store_key(self, op: str, args) -> str:
-        """Store key of CANONICAL_FORM, content hash, str(p), op and the args."""
-        parts = (op, *args) if isinstance(args, tuple) else (op, args)
-        return CacheStore.key(self._key_head, parts)
-
-    def _stored(self, op, args, compute):
+    def _stored(self, op: str, args: tuple, compute):
+        """op's stored value on args (keyed after `_key_heads[op]`), else compute()'s."""
         if self.store is None:
             return compute()
-        key = self._store_key(op, args)
+        key = CacheStore.key(self._key_heads[op], args)
         hit = self.store.get(key)
         if hit is not None:
             if self.store.audit:

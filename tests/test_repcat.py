@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from collections import Counter
@@ -426,6 +427,142 @@ def test_torn_last_cache_line_is_a_miss(tmp_path, l2m2, monkeypatch):
     warm = CacheStore(path)
     assert warm.rejected == 0
     assert session(warm) == cold
+    assert puts == []
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        ["2|0000;0000", 6],  # a well-formed class key of dimension vector (2,)
+        ["1|0;0", 0],  # a class of (1,) with automorphism order 0
+        ["1|0;0", -1],
+        ["1|0;0", 1.5],
+        [1, 1],
+    ],
+)
+def test_cached_classify_rows_must_be_classes_of_their_dimension(tmp_path, l2m2, row):
+    path = tmp_path / "c.jsonl"
+    cache_session(l2m2.quiver, CacheStore(path))
+    lines = path.read_text().splitlines()
+    at = [json.loads(line.split("\t")[0])[4:] for line in lines].index(["classify", "1"])
+    lines[at] = lines[at].split("\t")[0] + "\t" + json.dumps([row])
+    path.write_text("".join(line + "\n" for line in lines))
+    cat = RepCategory(l2m2.quiver, store=CacheStore(path))
+    with pytest.raises(QuiverError, match=r"cached class .* of dimension vector \(1,\)"):
+        cat.classify((1,))
+    # the rows of other dimension vectors still read
+    assert [c.key for c in cat.classify((2,))] == [c.key for c in l2m2.classify((2,))]
+
+
+def test_cache_value_decoding_is_no_looser_than_json_loads(tmp_path, mixed, monkeypatch):
+    path = tmp_path / "c.jsonl"
+
+    def session(store):
+        cat = RepCategory(mixed.quiver, store=store)
+        classes = cat.classes_up_to_total_dim(2)
+        return [
+            (c.key, c.aut_order, cat.aut_order(c.rep), cat.subquot_table(c),
+             [cat.hom_dim(c.rep, b.rep) for b in classes[:4]])
+            for c in classes
+        ]
+
+    cold = session(CacheStore(path))
+    records = path.read_text().splitlines()
+    assert {json.loads(r.split("\t")[0])[4] for r in records} == {
+        "classify", "aut", "subquot", "homdim"
+    }
+    store = CacheStore(path)
+    for record in records:
+        key, value = record.split("\t")
+        assert store.get(key) == json.loads(value)
+    # one record per op, each cut short and each followed by stray text; a
+    # list value cut anywhere is no JSON text, while a cut number may still
+    # be one, so numbers are only extended
+    ops = [json.loads(r.split("\t")[0])[4] for r in records]
+    chosen = [records[ops.index(op)] for op in ("classify", "subquot", "aut", "homdim")]
+    puts = []
+    put = CacheStore.put
+    monkeypatch.setattr(
+        CacheStore, "put", lambda self, key, value: (puts.append(key), put(self, key, value))
+    )
+    files = itertools.count()
+
+    def broken_file(record, bad):
+        # a new file each time: truncating a file can be slow on some disks
+        key = record.split("\t")[0]
+        lines = [f"{key}\t{bad}" if r == record else r for r in records]
+        path = tmp_path / f"broken-{next(files)}.jsonl"
+        path.write_text("".join(line + "\n" for line in lines))
+        return path, lines
+
+    for record in chosen:
+        key, value = record.split("\t")
+        cuts = [value[:i] for i in range(len(value))] if value.startswith("[") else []
+        stray = [value + "x", value + " [1]x", value + " ", " " + value, value + "\x00"]
+        for bad in cuts + stray:
+            assert CacheStore(broken_file(record, bad)[0]).get(key) is None, bad
+        # a session recomputes such a value and appends it once
+        for bad in cuts[-1:] + stray[:1]:
+            path, lines = broken_file(record, bad)
+            puts.clear()
+            assert session(CacheStore(path)) == cold
+            assert puts == [key]
+            assert path.read_text().splitlines() == lines + [record]
+
+
+def test_cache_key_text_is_json_dumps():
+    head = ("orbit-lexmin/1", "6f2dbcd0a7d2a09b", "2")
+    for parts in [
+        ("subquot", "1|0;1"),
+        ("classify", 2, 0, 1),
+        ("op", 'a "quoted" part', "back\\slash", "Kl\u00e4sse", "tab\there", "\x00\x1f\x7f"),
+    ]:
+        expected = json.dumps([FORMAT, *head, *map(str, parts)])
+        assert CacheStore.key(CacheStore.key_head(*head), parts) == expected
+        assert CacheStore.key(CacheStore.key_head(*head, parts[0]), parts[1:]) == expected
+    assert CacheStore.key(CacheStore.key_head(*head), ()) == json.dumps([FORMAT, *head])
+
+
+def small_l2m2_session(cat):
+    """The reads that wrote tests/data/l2m2-cache2.jsonl."""
+    classes = cat.classes_up_to_total_dim(2)
+    small = [c for c in classes if c.total_dim <= 1]
+    return [
+        (c.key, cat.aut_order(c.rep), cat.subquot_table(c),
+         [cat.hom_dim(c.rep, b.rep) for b in small])
+        for c in small
+    ]
+
+
+def test_cache_file_of_an_earlier_build_reads_as_hits(tmp_path, l2m2, monkeypatch):
+    # written by an earlier build of the hallq-cache/2 format, which encoded
+    # key parts with json.dumps and decoded values with json.loads
+    path = tmp_path / "c.jsonl"
+    path.write_bytes((DATA / "l2m2-cache2.jsonl").read_bytes())
+    gets, puts = [], []
+    get = CacheStore.get
+    monkeypatch.setattr(
+        CacheStore, "get", lambda self, key: gets.append(key) or get(self, key)
+    )
+    monkeypatch.setattr(CacheStore, "put", lambda self, key, value: puts.append(key))
+    warm = small_l2m2_session(RepCategory(l2m2.quiver, store=CacheStore(path)))
+    assert warm == small_l2m2_session(RepCategory(l2m2.quiver))
+    assert puts == []
+    assert sorted(gets) == sorted(line.split("\t")[0] for line in path.read_text().splitlines())
+
+
+def test_warm_session_reads_each_record_once_through_get(tmp_path, l2m2, monkeypatch):
+    path = tmp_path / "c.jsonl"
+    cold = cache_session(l2m2.quiver, CacheStore(path))
+    gets, puts = [], []
+    get = CacheStore.get
+    monkeypatch.setattr(
+        CacheStore, "get", lambda self, key: gets.append(json.loads(key)[4:]) or get(self, key)
+    )
+    monkeypatch.setattr(CacheStore, "put", lambda self, key, value: puts.append(key))
+    assert cache_session(l2m2.quiver, CacheStore(path)) == cold
+    dims = [[str(t)] for t in range(3)]
+    assert gets == [["classify", *d] for d in dims] + [["subquot", key] for key, _, _ in cold]
     assert puts == []
 
 
