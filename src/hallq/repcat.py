@@ -291,7 +291,7 @@ class RepCategory:
         memo_key = (a.key, b.key)
         if memo_key in self._homdim:
             return self._homdim[memo_key]
-        val = self._stored("homdim", memo_key, lambda: len(self.hom_basis(a, b)))
+        val = self._stored("homdim", memo_key, lambda: len(self.hom_basis(a, b)), least=0)
         self._homdim[memo_key] = val
         return val
 
@@ -333,7 +333,7 @@ class RepCategory:
                     count += 1
             return count
 
-        val = self._stored("aut", (a.key,), compute)
+        val = self._stored("aut", (a.key,), compute, least=1)
         self._aut_brute[a.key] = val
         return val
 
@@ -658,13 +658,15 @@ class RepCategory:
     # ------------------------------------------------------------------
     # persistent cache plumbing
 
-    def _stored(self, op: str, args: tuple, compute):
+    def _stored(self, op: str, args: tuple, compute, least=None):
         """op's stored value on args (keyed after `_key_heads[op]`), else compute()'s."""
         if self.store is None:
             return compute()
         key = CacheStore.key(self._key_heads[op], args)
         hit = self.store.get(key)
         if hit is not None:
+            if least is not None and not (type(hit) is int and hit >= least):
+                raise QuiverError(f"cached record {key} holds {hit!r}, not an int >= {least}")
             if self.store.audit:
                 fresh = compute()
                 if fresh != hit:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import pathlib
 import re
@@ -165,6 +166,24 @@ def test_verify_json_round_trip(capsys):
     assert rep["suite"] == "drinfeld"
     assert all(c["status"] == "pass" for c in rep["checks"])
     assert {"id", "status", "lhs", "rhs", "residual", "suite"} <= set(rep["checks"][0])
+
+
+# sha256 of `verify --suite drinfeld --json` as the check printed it when it
+# built each right-side word with the general product: the rows must not move
+DRINFELD_DIGESTS = {
+    "a2": "6e0d5c500bf5e8f4fcb4d00749a263e9c1a3a5e1f8bc029c62fd906b61385f8a",
+    "kronecker": "5750a8d5768dd439914747e6870945d53f263f15282232c54f47109212d985f2",
+    "l2": "b419e0cc09c13460bb85aff022bc9283bc76634b8deb64b919042b5716ae0fb2",
+}
+
+
+@pytest.mark.parametrize("quiver", sorted(DRINFELD_DIGESTS))
+def test_verify_drinfeld_json_is_pinned(capsys, quiver):
+    code, out, _ = run(
+        capsys, "verify", "--quiver", DATA / f"{quiver}.quiver", "--suite", "drinfeld", "--json"
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == DRINFELD_DIGESTS[quiver]
 
 
 def test_verify_reports_skips_per_suite(capsys):

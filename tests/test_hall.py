@@ -31,8 +31,10 @@ def test_k_conjugation(a2, l2):
         for s in cat.classes_with_total_dim(1):
             alpha = cat.quiver.simple_class(0)
             lhs = hall.product(
-                hall.k_element(alpha),
-                hall.product(hall.element(s), hall.k_element(tuple(-x for x in alpha))),
+                hall.element(cat.zero_class(), alpha),
+                hall.product(
+                    hall.element(s), hall.element(cat.zero_class(), tuple(-x for x in alpha))
+                ),
             )
             rhs = hall.element(s).scale(
                 hall.ring.v_pow(cat.quiver.sym_form(alpha, s.kclass))
@@ -48,7 +50,10 @@ def test_associativity_triples(a2, l2):
         hall = HallAlgebra(cat)
         by_dim = {m: cat.classes_with_total_dim(m) for m in range(3)}
         alpha = cat.quiver.simple_class(0)
-        k_elems = [hall.k_element(alpha), hall.k_element(tuple(-x for x in alpha))]
+        k_elems = [
+            hall.element(cat.zero_class(), alpha),
+            hall.element(cat.zero_class(), tuple(-x for x in alpha)),
+        ]
         for d1 in range(3):
             for d2 in range(3):
                 for d3 in range(3):
@@ -124,7 +129,7 @@ def test_hopf_pair_values(a1):
     assert hall.hopf_pair(hall.element(s), hall.element(s)) == hall.ring.one
     assert hall.hopf_pair(hall.element(s), hall.element(ss)).is_zero()
     a, b = (1,), (-2,)
-    val = hall.hopf_pair(hall.k_element(a), hall.k_element(b))
+    val = hall.hopf_pair(hall.element(a1.zero_class(), a), hall.element(a1.zero_class(), b))
     assert val == hall.ring.v_pow(a1.quiver.sym_form(a, b))
     # diagonal Gram entries are the nonzero automorphism counts
     for c in a1.classes_up_to_total_dim(3):
@@ -190,6 +195,44 @@ def test_dd_identity_degenerate_and_dim2(a1, a2):
     for a in a2.classes_with_total_dim(2):
         for b in a2.classes_with_total_dim(1):
             assert hall2.check_dd_identity(a, b, dh2)["ok"]
+
+
+def test_dd_words_from_r2_and_r4_match_the_general_product(a2, l2, kronecker):
+    # the right side of the Drinfeld check reads each word F_B2 Kd_B1 E_A2
+    # as v^(-(B1, A2)) (F_B2 E_A2) Kd_B1; compare every word the check meets
+    for cat in (a2, l2, kronecker):
+        dh = DHAlgebra(cat)
+        euler, z = cat.quiver.euler_dimvec, cat.quiver.zero_kvector()
+        classes = cat.classes_up_to_total_dim(2)
+        words = set()
+        for a in classes:
+            for b in classes:
+                for b2k, b1k in cat.subquot_table(b):
+                    words.update(
+                        (b2k, b1k, a2k) for (a1k, a2k) in cat.subquot_table(a) if a1k == b1k
+                    )
+        for b2k, b1k, a2k in sorted(words):
+            b1, a2 = cat.class_by_key(b1k), cat.class_by_key(a2k)
+            # the check takes (B1, A2) from dimension vectors, as an integer
+            sym = cat.quiver.sym_form(b1.kclass, a2.kclass)
+            assert sym == euler(b1.dim, a2.dim) + euler(a2.dim, b1.dim)
+            word = dh.times_k(dh._fe_expand(b2k, a2k), z, b1.kclass).scale(dh.ring.v_pow(-sym))
+            general = dh.product(
+                dh.f_elem(b2k), dh.product(dh.kd_elem(b1.kclass), dh.e_elem(a2k))
+            )
+            assert word == general, (b2k, b1k, a2k)
+
+
+def test_dd_identity_takes_no_general_product(a2, monkeypatch):
+    def refuse(*_args):
+        raise AssertionError("check_dd_identity called DHAlgebra.product")
+
+    monkeypatch.setattr(DHAlgebra, "product", refuse)
+    hall, dh = HallAlgebra(a2), DHAlgebra(a2)
+    classes = a2.classes_up_to_total_dim(2)
+    for a in classes:
+        for b in classes:
+            assert hall.check_dd_identity(a, b, dh)["ok"]
 
 
 def test_render_and_json(a2):

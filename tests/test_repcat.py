@@ -454,6 +454,32 @@ def test_cached_classify_rows_must_be_classes_of_their_dimension(tmp_path, l2m2,
     assert [c.key for c in cat.classify((2,))] == [c.key for c in l2m2.classify((2,))]
 
 
+@pytest.mark.parametrize("value", [0, -1, 1.5, "1"])
+@pytest.mark.parametrize("op", ["aut", "homdim"])
+def test_cached_aut_and_homdim_values_must_be_counts(tmp_path, l2m2, op, value):
+    path = tmp_path / "c.jsonl"
+
+    def read(cat, rep):
+        return cat.aut_order(rep) if op == "aut" else cat.hom_dim(rep, rep)
+
+    s = l2m2.classify((1,))[0].rep
+    cold = read(RepCategory(l2m2.quiver, store=CacheStore(path)), s)
+    lines = path.read_text().splitlines()
+    [at] = [i for i, line in enumerate(lines) if json.loads(line.split("\t")[0])[4] == op]
+    key = lines[at].split("\t")[0]
+    lines[at] = key + "\t" + json.dumps(value)
+    path.write_text("".join(line + "\n" for line in lines))
+    cat = RepCategory(l2m2.quiver, store=CacheStore(path))
+    if op == "homdim" and value == 0:
+        # a Hom dimension of 0 is a count, so the record is served
+        assert (cold, read(cat, s)) == (1, 0)
+        return
+    least = 1 if op == "aut" else 0
+    with pytest.raises(QuiverError, match=rf"cached record .* not an int >= {least}") as exc:
+        read(cat, s)
+    assert key in str(exc.value)
+
+
 def test_cache_value_decoding_is_no_looser_than_json_loads(tmp_path, mixed, monkeypatch):
     path = tmp_path / "c.jsonl"
 
