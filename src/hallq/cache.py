@@ -98,6 +98,3 @@ class CacheStore:
             finally:
                 if fcntl is not None:
                     fcntl.flock(fh.fileno(), fcntl.LOCK_UN)
-
-    def __len__(self):
-        return len(self._mem)

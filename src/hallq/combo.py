@@ -8,7 +8,7 @@ with ok None for a skipped check.
 
 from __future__ import annotations
 
-from .scalar import Scalar, ScalarRing
+from .scalar import ScalarRing
 
 
 class Combination:
@@ -70,9 +70,6 @@ class Combination:
         for t, c in other.terms.items():
             self.add_term(t, c * s)
 
-    def coeff(self, term) -> Scalar:
-        return self.terms.get(term, self.ring.zero)
-
     def items_sorted(self):
         return sorted(self.terms.items(), key=lambda kv: repr(kv[0]))
 
@@ -94,9 +91,6 @@ class Combination:
             and self.ring == other.ring
             and self.terms == other.terms
         )
-
-    def __len__(self):
-        return len(self.terms)
 
 
 def check(cid: str, lhs, rhs, render) -> dict:

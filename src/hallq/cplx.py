@@ -347,10 +347,7 @@ class ComplexCategory:
         return tuple(x % self.p for x in s1), tuple(x % self.p for x in s0)
 
     def _chain_map_vector(self, s1, s0):
-        bits = [m.reshape(-1) for m in s1] + [m.reshape(-1) for m in s0]
-        if not bits:
-            return np.zeros(0, dtype=np.int64)
-        return np.concatenate(bits)
+        return np.concatenate([m.reshape(-1) for m in s1] + [m.reshape(-1) for m in s0])
 
     def homotopy_image(self, a: Complex, b: Complex):
         """Chain maps homotopic to zero, as entry vectors (rows)."""

@@ -208,13 +208,6 @@ class DHAlgebra:
                         tw = self.ring.v_pow(self.quiver.euler_form(tuple(m.kclass), y_minus_x))
                     yield m, x1k, y1k, tw * (gx * gy * m.aut_order)
 
-    def from_eab_coords(self, coords) -> DHElement:
-        """Expand two-sided generator coordinates (A, B, gamma, delta)."""
-        out = self.zero()
-        for (akey, bkey, gamma, delta), c in coords.terms.items():
-            out.add_scaled(self.times_k(self.eab(akey, bkey), gamma, delta), c)
-        return out
-
     def _k_left(self, gamma, delta, x: DHElement) -> DHElement:
         """K_gamma o Kd_delta o x for x in normal form.
 

@@ -114,17 +114,12 @@ def in_row_space(v, basis_rref, pivots, p):
 
 def all_matrices(rows, cols, p):
     """All (rows x cols) matrices mod p in a fixed lexicographic order."""
-    if rows * cols == 0:
-        yield np.zeros((rows, cols), dtype=np.int64)
-        return
     for entries in product(range(p), repeat=rows * cols):
         yield np.array(entries, dtype=np.int64).reshape(rows, cols)
 
 
 def all_invertible(n, p):
     """All of GL_n(F_p), lexicographically by entries."""
-    if n == 0:
-        return [np.zeros((0, 0), dtype=np.int64)]
     return [m for m in all_matrices(n, n, p) if is_invertible(m, p)]
 
 

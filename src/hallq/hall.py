@@ -44,9 +44,6 @@ class HallAlgebra:
     def one(self) -> HallElement:
         return self.element(self.cat.zero_class())
 
-    def zero(self) -> HallElement:
-        return HallElement.zero(self.ring)
-
     def _cls(self, key: str) -> IsoClass:
         return self.cat.class_by_key(key)
 
@@ -68,10 +65,6 @@ class HallAlgebra:
                 for c, coeff in self.cat.middle_terms(a, b):
                     out.add_term((c.key, gamma), c0 * coeff)
         return out
-
-    def degree(self, x: HallElement):
-        """K(R)-degrees appearing in x (class of A for each term)."""
-        return {tuple(self._cls(k).kclass) for (k, _alpha) in x.terms}
 
     # ------------------------------------------------------------------
     # coalgebra structure

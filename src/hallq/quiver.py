@@ -156,9 +156,6 @@ class Quiver:
     def zero_kvector(self) -> KVector:
         return (0,) * self.n
 
-    def proj_class(self, i: int) -> KVector:
-        return tuple(1 if j == i else 0 for j in range(self.n))
-
     def euler_dimvec(self, a, b) -> int:
         """Euler form on dimension vectors (hom minus ext for actual reps)."""
         out = sum(x * y for x, y in zip(a, b))

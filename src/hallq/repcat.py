@@ -199,7 +199,7 @@ class RepCategory:
         self.store = store
         head = (CANONICAL_FORM, quiver.content_hash(), str(self.p))
         self._key_heads = {
-            op: CacheStore.key_head(*head, op) for op in ("classify", "aut", "subquot", "homdim")
+            op: CacheStore.key_head(*head, op) for op in ("classify", "subquot", "homdim")
         }
         self._classify: dict[tuple, list[IsoClass]] = {}
         self._by_key: dict[str, IsoClass] = {}
@@ -219,9 +219,6 @@ class RepCategory:
 
     def rep(self, dim, mats) -> Rep:
         return Rep(self.quiver, dim, mats)
-
-    def rep_from_key(self, key: str) -> Rep:
-        return Rep.from_key(self.quiver, key)
 
     def zero_rep(self) -> Rep:
         z = (0,) * self.quiver.n
@@ -308,34 +305,29 @@ class RepCategory:
         """|Aut(a)| by brute force over the endomorphism space."""
         if a.key in self._aut_brute:
             return self._aut_brute[a.key]
-
-        def compute():
-            basis = self.hom_basis(a, a)
-            h = len(basis)
-            if self.p**h > self.bounds.max_aut_candidates:
-                raise EnumerationTooLarge(
-                    f"q^{h} endomorphism candidates exceed the configured bound"
-                )
-            count = 0
-            for coeffs in product(range(self.p), repeat=h):
-                good = True
-                for i in range(self.quiver.n):
-                    if a.dim[i] == 0:
-                        continue
-                    m = np.zeros((a.dim[i], a.dim[i]), dtype=np.int64)
-                    for c, f in zip(coeffs, basis):
-                        if c:
-                            m = m + c * f[i]
-                    if not fplin.is_invertible(m % self.p, self.p):
-                        good = False
-                        break
-                if good:
-                    count += 1
-            return count
-
-        val = self._stored("aut", (a.key,), compute, least=1)
-        self._aut_brute[a.key] = val
-        return val
+        basis = self.hom_basis(a, a)
+        h = len(basis)
+        if self.p**h > self.bounds.max_aut_candidates:
+            raise EnumerationTooLarge(
+                f"q^{h} endomorphism candidates exceed the configured bound"
+            )
+        count = 0
+        for coeffs in product(range(self.p), repeat=h):
+            good = True
+            for i in range(self.quiver.n):
+                if a.dim[i] == 0:
+                    continue
+                m = np.zeros((a.dim[i], a.dim[i]), dtype=np.int64)
+                for c, f in zip(coeffs, basis):
+                    if c:
+                        m = m + c * f[i]
+                if not fplin.is_invertible(m % self.p, self.p):
+                    good = False
+                    break
+            if good:
+                count += 1
+        self._aut_brute[a.key] = count
+        return count
 
     # ------------------------------------------------------------------
     # isomorphism classification
@@ -371,19 +363,9 @@ class RepCategory:
         size = self._group_order(dim)
         if size > self.bounds.max_group:
             raise EnumerationTooLarge(f"base-change group of size {size} too large")
-        per_vertex = [self._gl_list(d) for d in dim]
-        idx = np.array(list(product(*[range(len(g)) for g in per_vertex])), dtype=np.int64)
-        if idx.size == 0:
-            idx = idx.reshape(size, len(dim))
-        stacks, inv_stacks = [], []
-        for i, gens in enumerate(per_vertex):
-            arr = np.stack(gens) if gens else np.zeros((1, 0, 0), dtype=np.int64)
-            if gens:
-                inv = np.stack(self._gl_inverses(dim[i]))
-            else:
-                inv = arr
-            stacks.append(arr[idx[:, i]])
-            inv_stacks.append(inv[idx[:, i]])
+        idx = np.array(list(product(*[range(len(self._gl_list(d))) for d in dim])), dtype=np.int64)
+        stacks = [np.stack(self._gl_list(d))[idx[:, i]] for i, d in enumerate(dim)]
+        inv_stacks = [np.stack(self._gl_inverses(d))[idx[:, i]] for i, d in enumerate(dim)]
         out = (size, stacks, inv_stacks)
         self._stacks[dim] = out
         return out
@@ -403,7 +385,7 @@ class RepCategory:
     def _orbit_codes(self, mats, stacks, inv_stacks, pows, entry_counts):
         """Codes of the full base-change orbit of one matrix tuple."""
         q = self.quiver
-        size = stacks[0].shape[0] if stacks else 1
+        size = stacks[0].shape[0]
         pieces = []
         for k, (t, h) in enumerate(q.arrows):
             if entry_counts[k] == 0:
@@ -411,8 +393,7 @@ class RepCategory:
                 continue
             imgs = np.matmul(stacks[h], np.matmul(mats[k][None, :, :], inv_stacks[t]))
             pieces.append((imgs % self.p).reshape(size, -1))
-        flat = np.concatenate(pieces, axis=1) if pieces else np.zeros((size, 0), dtype=np.int64)
-        return np.unique(flat @ pows)
+        return np.unique(np.concatenate(pieces, axis=1) @ pows)
 
     def classify(self, d) -> list:
         """All isomorphism classes with dimension vector d, sorted by key."""
@@ -500,7 +481,7 @@ class RepCategory:
     def class_by_key(self, key: str) -> IsoClass:
         if key in self._by_key:
             return self._by_key[key]
-        cls = self.class_of(self.rep_from_key(key))
+        cls = self.class_of(Rep.from_key(self.quiver, key))
         if cls.key != key:
             raise QuiverError(f"{key} is not a canonical class key (use {cls.key})")
         return cls

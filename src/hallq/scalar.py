@@ -112,9 +112,6 @@ class ScalarRing:
             row = new
         return row[k]
 
-    def parse(self, text: str) -> "Scalar":
-        return parse_scalar(self, text)
-
 
 class Scalar:
     """Immutable ring element; construct through a ScalarRing.

@@ -1,10 +1,13 @@
-"""The benchmark tracer's wrapped names still exist in the engine.
+"""The engine names the benchmark uses still exist and still fit.
 
-`perfbench/tracer.py` wraps the functions named in its `FUNCS` mapping; a
-refactor that renames or deletes one of them breaks `run.py --trace 1`.
-This test only reads the mapping.
+`perfbench/tracer.py` wraps the functions named in its `FUNCS` mapping, and
+`perfbench/workloads.py` imports private helpers of `hallq.cli` and patches
+`RelationVerifier._try`; a refactor that renames or deletes one of them, or
+changes how it is called, breaks `perfbench/run.py`.
 """
 
+import ast
+import importlib
 import pathlib
 
 BENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
@@ -20,3 +23,37 @@ def test_traced_functions_resolve(monkeypatch):
         owner, attrs = tracer._resolve(path)
         for attr in attrs:
             assert attr in owner.__dict__, path
+
+
+def test_workload_imports_resolve():
+    # every `from hallq... import name` in the workload module, private
+    # names among them
+    tree = ast.parse((BENCH / "workloads.py").read_text())
+    imports = [
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("hallq")
+        for alias in node.names
+    ]
+    assert ("hallq.cli", "_generator_elements") in imports
+    assert ("hallq.cli", "_loc_of") in imports
+    for module, name in imports:
+        assert hasattr(importlib.import_module(module), name), (module, name)
+
+
+def test_private_names_the_workloads_call(a2):
+    from hallq import ComplexCategory, DHAlgebra, RelationVerifier
+    from hallq.cli import _generator_elements, _loc_of
+
+    dh = DHAlgebra(a2)
+    cpx = ComplexCategory(a2)
+    gens = _generator_elements(a2, dh, 1)
+    assert [name for name, _ in gens[:2]] == ["E[0,1|]", "F[0,1|]"]
+    for _name, x in gens:
+        assert cpx.normalize(_loc_of(cpx, dh, x)) == cpx.eval_dh_element(x)
+    # the relation suite is timed per check by patching `_try` on the
+    # instance; every row it reports must pass through it
+    verifier = RelationVerifier(a2)
+    inner, seen = verifier._try, []
+    verifier._try = lambda cid, compute: seen.append(cid) or inner(cid, compute)
+    assert [row["id"] for row in verifier.verify_all()] == seen

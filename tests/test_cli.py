@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import pathlib
@@ -6,7 +7,9 @@ import time
 
 import pytest
 
+import hallq.cli
 from hallq.cli import main
+from hallq.uq import RelationVerifier
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -118,6 +121,36 @@ def test_product_reduced(capsys):
     assert "Kd" not in out and "K(-1)" in out and "K(1)" in out
 
 
+@pytest.mark.parametrize("reduced", [False, True])
+def test_product_json_rows_match_the_text(capsys, reduced):
+    # two terms differ only in Kd, which the reduced form folds into K
+    args = ["product", "--quiver", DATA / "a2.quiver", "--expr", "F[1,0|] E[1,0|] F[0,1|]"]
+    args += ["--reduced"] if reduced else []
+    code, text, _ = run(capsys, *args)
+    assert code == 0
+    code, out, _ = run(capsys, *args, "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["expr"] == "F[1,0|] E[1,0|] F[0,1|]" and data["reduced"] is reduced
+    rows = data["terms"]
+    assert len(rows) == 4
+    keys = {"E", "K", "F", "coeff"} if reduced else {"E", "K", "F", "Kd", "coeff"}
+    assert all(set(row) == keys for row in rows)
+
+    def mono(row):
+        bits = [f"E[{row['E']}]"] if row["E"] != "0,0|" else []
+        if any(row["K"]):
+            bits.append("K(" + ",".join(map(str, row["K"])) + ")")
+        if row["F"] != "0,0|":
+            bits.append(f"F[{row['F']}]")
+        if any(row.get("Kd", ())):
+            bits.append("Kd(" + ",".join(map(str, row["Kd"])) + ")")
+        return " ".join(bits)
+
+    # the rows in the text's order, each coefficient the text's
+    assert " + ".join(f"({row['coeff']})*{mono(row)}" for row in rows) == text.strip()
+
+
 def test_product_parse_error(capsys):
     code, _, err = run(
         capsys, "product", "--quiver", DATA / "a1.quiver", "--expr", "E[1|] %"
@@ -223,6 +256,48 @@ def test_verify_reports_skips_per_suite(capsys):
                 m = re.fullmatch(r"skipped: total dimension (\d+) exceeds bound (\d+)",
                                  c["residual"])
                 assert m and m[2] == bound and int(m[1]) > int(bound), c
+
+
+def test_verify_reports_a_failing_check(capsys, monkeypatch):
+    # a wrong F prefactor breaks the two [E_i, F_i] relations
+    monkeypatch.setattr(
+        hallq.cli, "RelationVerifier", functools.partial(RelationVerifier, f_prefactor=-1)
+    )
+    args = ("verify", "--quiver", DATA / "a2.quiver", "--suite", "relations")
+    code, out, _ = run(capsys, *args)
+    assert code == 1
+    lines = out.splitlines()
+    at = lines.index("FAIL  [relations] (v-1/v)[E[0,0],F[0,0]]")
+    assert [line.split(":")[0].strip() for line in lines[at + 1 : at + 4]] == [
+        "lhs", "rhs", "residual"
+    ]
+    assert lines[at + 2] == "      rhs: (-1)*K(-1,1) + (1)*K(1,-1)"
+    assert "[relations] 17 passed, 2 failed, 0 skipped of 19" in lines
+    assert lines[-1] == "17 passed, 2 failed, 0 skipped"
+    code, out, _ = run(capsys, *args, "--json")
+    assert code == 1
+    failed = [c for c in json.loads(out)["checks"] if c["status"] == "fail"]
+    assert [c["id"] for c in failed] == [
+        "(v-1/v)[E[0,0],F[0,0]]", "(v-1/v)[E[1,0],F[1,0]]"
+    ]
+    assert all(c["ok"] is False and c["residual"] != "0" for c in failed)
+
+
+def test_verify_reports_a_skipped_suite_and_its_timing(capsys):
+    args = ("verify", "--quiver", DATA / "a2.quiver", "--suite", "drinfeld",
+            "--max-total-dim", "1")
+    code, out, _ = run(capsys, *args)
+    assert code == 0
+    assert out.splitlines() == [
+        "SKIP  [drinfeld] drinfeld",
+        "      skipped: total dimension 2 exceeds bound 1",
+        "[drinfeld] 0 passed, 0 failed, 1 skipped of 1",
+        "0 passed, 0 failed, 1 skipped",
+    ]
+    code, timed, _ = run(capsys, *args, "--timing")
+    assert code == 0
+    assert timed.splitlines()[:-1] == out.splitlines()
+    assert re.fullmatch(r"time\[drinfeld\] = \d+\.\d{3}s", timed.splitlines()[-1])
 
 
 def test_verify_serre_suite(capsys):

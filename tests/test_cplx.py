@@ -502,7 +502,12 @@ def test_normalized_complex_matches_straightening(ca2, a2):
     dh = DHAlgebra(a2)
 
     def expand(cx):
-        return dh.from_eab_coords(ca2.normalize(ca2.e_of_complex(cx)))
+        # each two-sided generator coordinate (A, B, gamma, delta) is
+        # K_gamma Kd_delta E(A, B)
+        out = dh.zero()
+        for (akey, bkey, gamma, delta), c in ca2.normalize(ca2.e_of_complex(cx)).terms.items():
+            out.add_scaled(dh.times_k(dh.eab(akey, bkey), gamma, delta), c)
+        return out
 
     for c in a2.classes_up_to_total_dim(2):
         cx = ca2.resolution(c.rep)
