@@ -72,9 +72,13 @@ class ComplexCategory:
         self._resolutions: dict[str, Complex] = {}
         # key -> (first complex with the key, H0 class, H1 class, M1+, M0-)
         self._registry: dict[str, tuple] = {}
-        # (dst key, ker and im bases) -> one half of a split; see _half_split
+        # (dst key, raw d and d_back) and (dst key, ker and im bases) -> one
+        # half of a split; see _half_split
+        self._raw_halves: dict[tuple, tuple] = {}
         self._halves: dict[tuple, tuple] = {}
         self._product_cache: dict[tuple, LocElement] = {}
+        # (A key, alpha, B key, beta) -> normal_monomial's shared value
+        self._monomials: dict[tuple, LocElement] = {}
         self._zero_rep = cat.zero_rep()
         self.zero_complex = Complex(self._zero_rep, self._zero_rep,
                                     mor_zero(self._zero_rep, self._zero_rep),
@@ -256,11 +260,22 @@ class ComplexCategory:
 
         im d is taken inside the subrepresentation ker d_back, in its
         coordinates, so one subquotient gives the source, the inclusion and
-        the homology together.  Memoized on dst and the echelon bases of
-        ker d_back and im d, so content-equal complexes, and a complex and
-        its dagger, share their halves: the result is shared and callers
-        only read it (the inclusion's arrays are read-only).
+        the homology together.  Memoized at two levels.  The first is keyed
+        on dst and the raw differentials, which catches the same
+        differentials met again (a complex rebuilt from equal data) without
+        any elimination.  Only on a miss are the echelon bases of ker d_back
+        and im d computed; keyed on dst and those, the second level is the
+        real memo, so complexes whose differentials differ but span the
+        same spaces (a complex and its dagger, d and 2d) share their halves.
+        Both levels hold the same tuple: it is shared and callers only read
+        it (the inclusion's arrays are read-only).
         """
+        # dst's and the source's dimensions fix every shape, so one byte
+        # string of all the blocks is an exact key
+        raw = (dst.key, tuple(m.shape[1] for m in d), b"".join(m.tobytes() for m in d + d_back))
+        half = self._raw_halves.get(raw)
+        if half is not None:
+            return half
         kers = [fplin.nullspace(m, self.p) for m in d_back]
         ims = [fplin.row_space(m.T, self.p) for m in d]
         memo = (dst.key,) + tuple((b.shape, b.tobytes()) for b in kers + ims)
@@ -275,7 +290,8 @@ class ComplexCategory:
             for m in f:
                 m.setflags(write=False)
             self._halves[memo] = (im_sub, ker_sub, f, hom)
-        return self._halves[memo]
+        half = self._raw_halves[raw] = self._halves[memo]
+        return half
 
     def plus_minus_classes(self, cx: Complex):
         """K(R)-classes of (M1+, M0+, M1-, M0-), read off the key's record.
@@ -533,7 +549,13 @@ class ComplexCategory:
         return out
 
     def normal_monomial(self, mono) -> LocElement:
-        """E_A K_alpha F_B Kd_beta on the complex side, for mono (A, alpha, B, beta)."""
+        """E_A K_alpha F_B Kd_beta on the complex side, for mono (A, alpha, B, beta).
+
+        Memoized per monomial: the value is shared, and callers only read it
+        (`scale`, `product` and `normalize` all build new elements).
+        """
+        if mono in self._monomials:
+            return self._monomials[mono]
         akey, alpha, bkey, beta = mono
         factors = []
         a = self.cat.class_by_key(akey)
@@ -546,7 +568,8 @@ class ComplexCategory:
             factors.append(self.f_elem(b.rep))
         if any(beta):
             factors.append(self.kd_elem(beta))
-        return self.product_all(factors)
+        self._monomials[mono] = self.product_all(factors)
+        return self._monomials[mono]
 
     def eval_dh_element(self, x) -> Combination:
         out = Combination.zero(self.ring)

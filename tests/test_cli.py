@@ -219,6 +219,23 @@ def test_verify_drinfeld_json_is_pinned(capsys, quiver):
     assert hashlib.sha256(out.encode()).hexdigest() == DRINFELD_DIGESTS[quiver]
 
 
+# sha256 of `verify --suite oracle --json` as the oracle printed it before
+# its per-monomial and raw-differential memos: the rows must not move
+ORACLE_DIGESTS = {
+    "a2": "3bd43c8d6e2ebfd7b612aaa0af88152e889c8740a720631de59d4bc4b3bc9cfd",
+    "kronecker": "1fdaa63fcae085e4f442cfea4c2d7087172906cdcdea776daa218210e0d37db2",
+}
+
+
+@pytest.mark.parametrize("quiver", sorted(ORACLE_DIGESTS))
+def test_verify_oracle_json_is_pinned(capsys, quiver):
+    code, out, _ = run(
+        capsys, "verify", "--quiver", DATA / f"{quiver}.quiver", "--suite", "oracle", "--json"
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ORACLE_DIGESTS[quiver]
+
+
 def test_verify_reports_skips_per_suite(capsys):
     # every suite reports its own count, and a check over the bound is
     # skipped on its own.  At total dimension 3, four of the ten random

@@ -259,6 +259,7 @@ def test_memoized_split_and_hom_basis_match_cold(name, monkeypatch):
     assert len(cpx._halves) < 2 * len(built)
     cold = ComplexCategory(cat)
     for cx in built.values():
+        cold._raw_halves.clear()
         cold._halves.clear()
         warm = cpx.decompose(cx)
         fresh = cold.decompose(Complex(cx.m1, cx.m0, cx.d1, cx.d0, cat.p))
@@ -279,6 +280,83 @@ def test_memoized_split_and_hom_basis_match_cold(name, monkeypatch):
         for x, y in zip(warm, fresh):
             assert all(m.shape == n.shape and np.array_equal(m, n) for m, n in zip(x, y))
             assert not any(m.flags.writeable for m in x)
+
+
+def test_raw_key_hits_share_the_echelon_memo(monkeypatch):
+    # over p = 3 on A2: a content-equal copy of a complex is a raw-key hit
+    # with no elimination at all, and returns the tuple the echelon memo
+    # holds; the complex with twice its differentials misses the raw key
+    # but still shares its halves through the echelon memo
+    from hallq import parse_quiver
+
+    cat = RepCategory(parse_quiver("field p=3\nvertex 1 loops=0\nvertex 2 loops=0\nedge 1 2\n"))
+    cpx = ComplexCategory(cat)
+    calls = Counter()
+    for owner, meth in ((fplin, "nullspace"), (fplin, "row_space"), (RepCategory, "sub_quotient")):
+        def counting(*args, _orig=getattr(owner, meth), _meth=meth):
+            calls[_meth] += 1
+            return _orig(*args)
+        monkeypatch.setattr(owner, meth, counting)
+    classes = [c for c in cat.classes_up_to_total_dim(2) if c.total_dim]
+    # no daggers: over p = 3, twice the dagger of a complex is the complex
+    complexes = [cpx.resolution(c.rep) for c in classes]
+    complexes += [cpx.direct_sum(cx, cpx.dagger(cy)) for cx in complexes for cy in complexes[:2]]
+    complexes = [cx for cx in complexes if any(m.any() for m in cx.d1 + cx.d0)]
+    assert len(complexes) == 14
+    for cx in complexes:
+        split = cpx.decompose(cx)
+        assert all(any(h is v for v in cpx._halves.values()) for h in split)
+        n_raw, n_memo, before = len(cpx._raw_halves), len(cpx._halves), Counter(calls)
+        copy = Complex(cx.m1, cx.m0, cx.d1, cx.d0, cat.p)
+        assert all(h is h0 for h, h0 in zip(cpx.decompose(copy), split, strict=True))
+        assert calls == before and len(cpx._raw_halves) == n_raw
+        twice = Complex(cx.m1, cx.m0, [2 * m for m in cx.d1], [2 * m for m in cx.d0], cat.p)
+        assert all(h is h0 for h, h0 in zip(cpx.decompose(twice), split, strict=True))
+        assert len(cpx._halves) == n_memo and len(cpx._raw_halves) == n_raw + 2
+        assert calls["sub_quotient"] == before["sub_quotient"]
+        assert calls["nullspace"] == before["nullspace"] + 2 * cat.quiver.n
+
+
+@pytest.mark.parametrize("name", ["a2", "kronecker"])
+def test_monomial_memo_is_built_once_and_never_mutated(name, monkeypatch):
+    # over one oracle suite each distinct monomial is built once, later
+    # calls return the same object, and what the suite's scale, product and
+    # normalize calls leave stored equals the first value and the value a
+    # fresh ComplexCategory computes
+    inside, builds, first = [], Counter(), {}
+
+    def normal_monomial(orig):
+        def wrapped(self, mono):
+            inside.append(mono)
+            try:
+                out = orig(self, mono)
+            finally:
+                inside.pop()
+            if mono in first:
+                assert out is first[mono][0]
+            else:
+                first[mono] = (out, dict(out.terms))
+            return out
+        return wrapped
+
+    def product_all(orig):
+        def wrapped(self, factors):
+            if inside:
+                builds[inside[-1]] += 1
+            return orig(self, factors)
+        return wrapped
+
+    cat, cpx = run_oracle_suite(name, 2, monkeypatch, {
+        (ComplexCategory, "normal_monomial"): normal_monomial,
+        (ComplexCategory, "product_all"): product_all,
+    })
+    assert set(builds) == set(first) == set(cpx._monomials)
+    assert set(builds.values()) == {1}
+    cold = ComplexCategory(cat)
+    for mono, (value, terms) in first.items():
+        assert cpx._monomials[mono] is value and value.terms == terms
+        cold._monomials.clear()
+        assert cold.normal_monomial(mono) == value, mono
 
 
 def cokernel_route(cat, dst, d, d_back):

@@ -1,0 +1,63 @@
+import numpy as np
+import pytest
+
+from hallq import fplin
+
+
+def reference_rref(a, p):
+    """The numpy-row elimination fplin.rref replaced, kept as its reference."""
+    r = a.copy() % p
+    m, n = r.shape
+    pivots = []
+    row = 0
+    for col in range(n):
+        if row == m:
+            break
+        sel = -1
+        for i in range(row, m):
+            if r[i, col] % p:
+                sel = i
+                break
+        if sel < 0:
+            continue
+        if sel != row:
+            r[[row, sel]] = r[[sel, row]]
+        r[row] = (r[row] * fplin.inv_mod(r[row, col], p)) % p
+        for i in range(m):
+            if i != row and r[i, col]:
+                r[i] = (r[i] - r[i, col] * r[row]) % p
+        pivots.append(col)
+        row += 1
+    return r, pivots
+
+
+def cases(p, rng):
+    """Seeded inputs: empty shapes, reduced and unreduced (negative and
+    large) entries, low-rank products and an all-zero column."""
+    for shape in [(0, 0), (0, 3), (3, 0), (1, 1), (1, 5), (5, 1)]:
+        yield rng.integers(0, p, size=shape, dtype=np.int64)
+    for _ in range(60):
+        m, n = (int(x) for x in rng.integers(1, 7, size=2))
+        yield rng.integers(0, p, size=(m, n), dtype=np.int64)
+        yield rng.integers(-3 * p, 5 * p, size=(m, n), dtype=np.int64)
+        k = int(rng.integers(1, min(m, n) + 1))
+        yield rng.integers(0, p, size=(m, k), dtype=np.int64) @ \
+            rng.integers(0, p, size=(k, n), dtype=np.int64)
+        a = rng.integers(-p, p, size=(m, n), dtype=np.int64)
+        a[:, int(rng.integers(n))] = 0
+        yield a
+    yield np.zeros((4, 4), dtype=np.int64)
+    yield np.eye(4, dtype=np.int64) * (p - 1)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_rref_matches_the_numpy_reference(p):
+    rng = np.random.default_rng(1000 + p)
+    for a in cases(p, rng):
+        before = a.copy()
+        r, pivots = fplin.rref(a, p)
+        r0, pivots0 = reference_rref(a, p)
+        assert np.array_equal(a, before), "input modified"
+        assert pivots == pivots0 and all(type(c) is int for c in pivots)
+        assert r.dtype == r0.dtype == np.int64 and r.shape == r0.shape == a.shape
+        assert r.tobytes() == r0.tobytes(), (a, p)
