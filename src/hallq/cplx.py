@@ -258,17 +258,24 @@ class ComplexCategory:
     def _half_split(self, dst: Rep, d, d_back):
         """(im d, ker d_back, the inclusion, ker d_back / im d) for one differential.
 
-        im d is taken inside the subrepresentation ker d_back, in its
-        coordinates, so one subquotient gives the source, the inclusion and
-        the homology together.  Memoized at two levels.  The first is keyed
-        on dst and the raw differentials, which catches the same
-        differentials met again (a complex rebuilt from equal data) without
-        any elimination.  Only on a miss are the echelon bases of ker d_back
-        and im d computed; keyed on dst and those, the second level is the
-        real memo, so complexes whose differentials differ but span the
-        same spaces (a complex and its dagger, d and 2d) share their halves.
-        Both levels hold the same tuple: it is shared and callers only read
-        it (the inclusion's arrays are read-only).
+        Everything is read off two echelon bases per vertex, with no change
+        of basis.  The rows K of `fplin.nullspace_free(d_back)` are the
+        identity on its free columns, so a vector of ker d_back has its
+        coordinates there; the rows I of rref(d^T) are the identity on
+        their pivots.  So ker d_back acts by (x K_t^T)[free_h], im d by
+        (x I_t^T)[pivots_h], and the inclusion is coords^T with
+        coords = I[:, free].  The homology ker d_back / im d takes the unit
+        vectors off the pivots of rref(coords) as its basis: their images
+        are reduced against rref(coords) and read off its non-pivots.
+
+        Memoized at two levels.  The first is keyed on dst and the raw
+        differentials, which catches the same differentials met again (a
+        complex rebuilt from equal data) without any elimination.  Only on
+        a miss are K and I computed; keyed on dst and those, the second
+        level is the real memo, so complexes whose differentials differ but
+        span the same spaces (a complex and its dagger, d and 2d) share
+        their halves.  Both levels hold the same tuple: it is shared and
+        callers only read it (every array in it is read-only).
         """
         # dst's and the source's dimensions fix every shape, so one byte
         # string of all the blocks is an exact key
@@ -276,21 +283,39 @@ class ComplexCategory:
         half = self._raw_halves.get(raw)
         if half is not None:
             return half
-        kers = [fplin.nullspace(m, self.p) for m in d_back]
-        ims = [fplin.row_space(m.T, self.p) for m in d]
-        memo = (dst.key,) + tuple((b.shape, b.tobytes()) for b in kers + ims)
-        if memo not in self._halves:
-            ker_sub, _q, ker_incl, _p = self.cat.sub_quotient(dst, kers)
-            coords = []
-            for incl, im in zip(ker_incl, ims):
-                sol = fplin.solve(incl, im.T, self.p)
-                assert sol is not None, "im(d) not inside ker(d_back)"
-                coords.append(sol.T)
-            im_sub, hom, f, _proj = self.cat.sub_quotient(ker_sub, coords)
-            for m in f:
+        p = self.p
+        kers, frees = zip(*(fplin.nullspace_free(m, p) for m in d_back))
+        ims, pivots = [], []
+        for m in d:
+            r, piv = fplin.rref(m.T, p)
+            ims.append(r[: len(piv)])
+            pivots.append(piv)
+        memo = (dst.key,) + tuple((b.shape, b.tobytes()) for b in kers + tuple(ims))
+        half = self._halves.get(memo)
+        if half is None:
+            coords = [im[:, free] for im, free in zip(ims, frees)]
+            # rref(coords) per vertex: its rows and the complement of its pivots
+            reduced = []
+            for c in coords:
+                r, piv = fplin.rref(c, p)
+                reduced.append((r[: len(piv)], piv, [e for e in range(c.shape[1]) if e not in piv]))
+            ker_mats, im_mats, hom_mats = [], [], []
+            for k, (t, h) in enumerate(self.quiver.arrows):
+                x = dst.mats[k]
+                on_ker = (x @ kers[t].T)[frees[h]] % p
+                ker_mats.append(on_ker)
+                im_mats.append((x @ ims[t].T)[pivots[h]])
+                rows, piv, comp = reduced[h]
+                y = on_ker[:, reduced[t][2]]
+                hom_mats.append(y[comp] - rows[:, comp].T @ y[piv])
+            im_sub = self.cat.rep([len(b) for b in ims], im_mats)
+            ker_sub = self.cat.rep([len(f) for f in frees], ker_mats)
+            hom = self.cat.rep([len(red[2]) for red in reduced], hom_mats)
+            f = tuple(c.T % p for c in coords)
+            for m in f + im_sub.mats + ker_sub.mats + hom.mats:
                 m.setflags(write=False)
-            self._halves[memo] = (im_sub, ker_sub, f, hom)
-        half = self._raw_halves[raw] = self._halves[memo]
+            half = self._halves[memo] = (im_sub, ker_sub, f, hom)
+        self._raw_halves[raw] = half
         return half
 
     def plus_minus_classes(self, cx: Complex):
@@ -336,31 +361,41 @@ class ComplexCategory:
 
     def hom_complex_basis(self, a: Complex, b: Complex):
         """Basis of chain maps a -> b, each a pair (s1, s0) of morphisms."""
-        gens = [(s1, mor_zero(a.m0, b.m0)) for s1 in self.cat.hom_basis(a.m1, b.m1)] + [
-            (mor_zero(a.m1, b.m1), s0) for s0 in self.cat.hom_basis(a.m0, b.m0)
-        ]
-        rows = []
-        q = self.quiver
-        for s1, s0 in gens:
-            c1 = [
-                (s0[i] @ a.d1[i] - b.d1[i] @ s1[i]) % self.p for i in range(q.n)
-            ]
-            c0 = [
-                (s1[i] @ a.d0[i] - b.d0[i] @ s0[i]) % self.p for i in range(q.n)
-            ]
-            rows.append(self._chain_map_vector(c1, c0))
-        system = np.stack(rows, axis=1) if rows else np.zeros((0, 0), dtype=np.int64)
-        kernel = fplin.nullspace(system, self.p) if rows else np.zeros((0, 0), dtype=np.int64)
-        return [self._combine(vec, gens, a, b) for vec in kernel]
+        return [self._chain_map(row, a, b) for row in self._chain_map_rows(a, b)]
 
-    def _combine(self, coeffs, maps, a: Complex, b: Complex):
-        """The chain map sum_j coeffs[j] * maps[j] from a to b, reduced mod p."""
-        s1, s0 = mor_zero(a.m1, b.m1), mor_zero(a.m0, b.m0)
-        for c, (m1, m0) in zip(coeffs, maps):
-            if c:
-                s1 = tuple(x + int(c) * y for x, y in zip(s1, m1))
-                s0 = tuple(x + int(c) * y for x, y in zip(s0, m0))
-        return tuple(x % self.p for x in s1), tuple(x % self.p for x in s0)
+    def _chain_map_rows(self, a: Complex, b: Complex):
+        """Basis of chain maps a -> b as the rows of a matrix of entry vectors.
+
+        The rows are the nullspace of the chain-map conditions on the
+        generators (s1, 0) and (0, s0), for s1 and s0 in the Hom bases of the
+        terms, times the generators' entry vectors, mod p.
+        """
+        q, p = self.quiver, self.p
+        h1 = self.cat.hom_basis(a.m1, b.m1)
+        h0 = self.cat.hom_basis(a.m0, b.m0)
+        zero1, zero0 = mor_zero(a.m1, b.m1), mor_zero(a.m0, b.m0)
+        gens = [(s1, zero0) for s1 in h1] + [(zero1, s0) for s0 in h0]
+        if not gens:
+            return np.zeros((0, sum(m.size for m in zero1 + zero0)), dtype=np.int64)
+        conditions = []
+        for s1, s0 in gens:
+            c1 = [(s0[i] @ a.d1[i] - b.d1[i] @ s1[i]) % p for i in range(q.n)]
+            c0 = [(s1[i] @ a.d0[i] - b.d0[i] @ s0[i]) % p for i in range(q.n)]
+            conditions.append(self._chain_map_vector(c1, c0))
+        kernel = fplin.nullspace(np.stack(conditions, axis=1), p)
+        return kernel @ np.stack([self._chain_map_vector(s1, s0) for s1, s0 in gens]) % p
+
+    def _chain_map(self, row, a: Complex, b: Complex):
+        """The chain map (s1, s0) a -> b whose entry vector is row (views into it)."""
+        out, at = [], 0
+        for src, dst in ((a.m1, b.m1), (a.m0, b.m0)):
+            blocks = []
+            for i in range(self.quiver.n):
+                size = dst.dim[i] * src.dim[i]
+                blocks.append(row[at : at + size].reshape(dst.dim[i], src.dim[i]))
+                at += size
+            out.append(tuple(blocks))
+        return tuple(out)
 
     def _chain_map_vector(self, s1, s0):
         return np.concatenate([m.reshape(-1) for m in s1] + [m.reshape(-1) for m in s0])
@@ -386,20 +421,27 @@ class ComplexCategory:
         return np.stack(rows) if rows else np.zeros((0, size), dtype=np.int64)
 
     def homotopy_classes(self, a: Complex, b: Complex):
-        """One representative chain map per homotopy class of maps a -> b."""
-        basis = self.hom_complex_basis(a, b)
-        if not basis:
+        """One representative chain map per homotopy class of maps a -> b.
+
+        The representatives are all combinations of a complement of the
+        homotopy image in the chain maps, in `itertools.product` order of
+        their coefficients, built as one matrix product.
+        """
+        basis = self._chain_map_rows(a, b)
+        if not len(basis):
             return [(mor_zero(a.m1, b.m1), mor_zero(a.m0, b.m0))]
-        hvecs = np.stack([self._chain_map_vector(s1, s0) for s1, s0 in basis])
         null_rows = self.homotopy_image(a, b)
         # pivot columns past the null rows: basis maps independent modulo
         # the homotopy image and the basis maps chosen before them
-        _r, pivots = fplin.rref(np.concatenate([null_rows, hvecs]).T, self.p)
-        complement = [basis[pc - len(null_rows)] for pc in pivots if pc >= len(null_rows)]
-        return [
-            self._combine(coeffs, complement, a, b)
-            for coeffs in product(range(self.p), repeat=len(complement))
-        ]
+        _r, pivots = fplin.rref(np.concatenate([null_rows, basis]).T, self.p)
+        complement = basis[[pc - len(null_rows) for pc in pivots if pc >= len(null_rows)]]
+        count, bound = self.p ** len(complement), self.cat.bounds.max_aut_candidates
+        if count > bound:
+            raise EnumerationTooLarge(
+                f"{count} homotopy classes exceed max_aut_candidates={bound}"
+            )
+        coeffs = np.array(list(product(range(self.p), repeat=len(complement))), dtype=np.int64)
+        return [self._chain_map(row, a, b) for row in coeffs @ complement % self.p]
 
     # ------------------------------------------------------------------
     # cones
@@ -586,16 +628,14 @@ class ComplexCategory:
         """Brute-force search for an invertible chain map a -> b."""
         if a.m1.dim != b.m1.dim or a.m0.dim != b.m0.dim:
             return False
-        basis = self.hom_complex_basis(a, b)
+        basis = self._chain_map_rows(a, b)
         if len(basis) == 0:
             return a.m1.total_dim == 0 and a.m0.total_dim == 0
         if self.p ** len(basis) > self.cat.bounds.max_aut_candidates:
             raise EnumerationTooLarge("chain-map space too large for brute force")
         for coeffs in product(range(self.p), repeat=len(basis)):
-            s1, s0 = self._combine(coeffs, basis, a, b)
-            if all(fplin.is_invertible(m, self.p) for m in s1) and all(
-                fplin.is_invertible(m, self.p) for m in s0
-            ):
+            s1, s0 = self._chain_map(np.array(coeffs) @ basis % self.p, a, b)
+            if all(fplin.is_invertible(m, self.p) for m in s1 + s0):
                 return True
         return False
 

@@ -4,7 +4,7 @@ Matrices are numpy int64 arrays with entries reduced mod p.  Everything is
 plain Gaussian elimination; p is small (2, 3, 5) and shapes are tiny, so
 clarity beats asymptotics.  `rref`, under every other routine here,
 eliminates on Python int rows (lists) and converts back once: at these sizes
-(nine in ten calls of a Kronecker `verify` see at most 49 entries) indexing a
+(nine in ten calls of a Kronecker `verify` see at most 24 entries) indexing a
 numpy scalar costs more than the arithmetic it feeds.  Empty shapes like
 (0, n) and (n, 0) are legal everywhere.
 """
@@ -59,6 +59,16 @@ def rank(a, p):
 
 def nullspace(a, p):
     """Basis of the right kernel of a, as rows of a (k x n) matrix."""
+    return nullspace_free(a, p)[0]
+
+
+def nullspace_free(a, p):
+    """(nullspace(a, p), free): the basis and the free columns of rref(a).
+
+    Basis row k is the unit vector at free[k] plus entries at the pivot
+    columns, so the basis is the identity on the free columns: a kernel
+    vector's coordinates are its entries there.
+    """
     m, n = a.shape
     r, pivots = rref(a, p)
     free = [j for j in range(n) if j not in pivots]
@@ -67,7 +77,7 @@ def nullspace(a, p):
         basis[bi, j] = 1
         for ri, pc in enumerate(pivots):
             basis[bi, pc] = (-r[ri, j]) % p
-    return basis
+    return basis, free
 
 
 def row_space(a, p):

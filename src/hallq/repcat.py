@@ -206,6 +206,7 @@ class RepCategory:
         self._kclass: dict[tuple, tuple] = {}
         self._canon: dict[str, str] = {}
         self._homs: dict[tuple, list] = {}
+        self._sums: dict[tuple, Rep] = {}
         self._homdim: dict[tuple, int] = {}
         self._subquot: dict[str, dict] = {}
         self._middle: dict[tuple, list] = {}
@@ -241,6 +242,11 @@ class RepCategory:
         return self.rep(dim, mats)
 
     def direct_sum(self, a: Rep, b: Rep) -> Rep:
+        """a + b, block diagonal.  Memoized per (A, B), so the Rep is shared
+        and callers only read it; its matrices are read-only."""
+        memo = (a.key, b.key)
+        if memo in self._sums:
+            return self._sums[memo]
         dim = tuple(x + y for x, y in zip(a.dim, b.dim))
         mats = []
         for k, (t, h) in enumerate(self.quiver.arrows):
@@ -248,7 +254,10 @@ class RepCategory:
             m[: a.dim[h], : a.dim[t]] = a.mats[k]
             m[a.dim[h] :, a.dim[t] :] = b.mats[k]
             mats.append(m)
-        return self.rep(dim, mats)
+        out = self._sums[memo] = self.rep(dim, mats)
+        for m in out.mats:
+            m.setflags(write=False)
+        return out
 
     # ------------------------------------------------------------------
     # hom / ext / aut

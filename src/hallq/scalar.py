@@ -127,7 +127,7 @@ class Scalar:
         self.terms = terms
 
     def _coerce(self, other):
-        if isinstance(other, Scalar):
+        if type(other) is Scalar:
             if other.ring is not self.ring and other.ring != self.ring:
                 raise ValueError("mixing scalars from different rings")
             return other
@@ -167,7 +167,9 @@ class Scalar:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        # `type(other) is Scalar` first, here and in __eq__: Fraction's
+        # ABCMeta makes a Scalar fail isinstance(_, Fraction) slowly
+        if type(other) is not Scalar and isinstance(other, (int, Fraction)):
             if not other:
                 return self.ring.zero
             return Scalar(self.ring, {k: _canon(c * other) for k, c in self.terms.items()})
@@ -201,7 +203,7 @@ class Scalar:
         return out
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not Scalar and isinstance(other, (int, Fraction)):
             other = self.ring.rational(other)
         return isinstance(other, Scalar) and self.ring == other.ring and self.terms == other.terms
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from hallq import EnumerationTooLarge, QuiverError, RepCategory, fplin
-from hallq.cplx import Complex, ComplexCategory
+from hallq.cplx import Complex, ComplexCategory, mor_zero
 from hallq.dh import DHAlgebra
 from hallq.quiver import kv_sub
 
@@ -180,57 +181,67 @@ def run_oracle_suite(name, max_dim, monkeypatch, wrap):
 
 
 def test_half_split_and_hom_basis_run_once_per_content(monkeypatch):
-    # kronecker oracle at max dim 1: every half-split memo entry costs
-    # exactly two subquotients and a hit costs none; the hom_basis
-    # nullspace runs once per distinct (A key, B key)
+    # kronecker oracle at max dim 1: a half split that adds an echelon memo
+    # entry makes exactly 3n eliminations, one that only adds a raw-key
+    # entry exactly 2n and a raw-key hit none, with no subquotient, solve
+    # or inverse in any of them; the hom_basis nullspace runs once per
+    # distinct (A key, B key)
     inside = []
-    sub_quotients, nullspaces = Counter(), Counter()
+    calls = {"half": Counter(), "hom": Counter()}
     halves, homs = [], []
 
     def half_split(orig):
         def wrapped(self, *args):
-            before, n_memo = sub_quotients["half"], len(self._halves)
+            before = Counter(calls["half"])
+            n_memo, n_raw = len(self._halves), len(self._raw_halves)
             inside.append("half")
             try:
                 return orig(self, *args)
             finally:
                 inside.pop()
-                halves.append((len(self._halves) - n_memo, sub_quotients["half"] - before))
+                made = calls["half"] - before
+                halves.append((len(self._halves) - n_memo, len(self._raw_halves) - n_raw,
+                               made.pop("rref", 0)))
+                assert not made, made
         return wrapped
 
     def hom_basis(orig):
         def wrapped(self, a, b):
-            before = nullspaces["hom"]
+            before = calls["hom"]["nullspace"]
             inside.append("hom")
             try:
                 return orig(self, a, b)
             finally:
                 inside.pop()
-                homs.append(((a.key, b.key), nullspaces["hom"] - before))
+                homs.append(((a.key, b.key), calls["hom"]["nullspace"] - before))
         return wrapped
 
-    def counted(counter):
+    def counted(name):
         def wrap(orig):
             def wrapped(*args):
                 if inside:
-                    counter[inside[-1]] += 1
+                    calls[inside[-1]][name] += 1
                 return orig(*args)
             return wrapped
         return wrap
 
-    _cat, cpx = run_oracle_suite("kronecker", 1, monkeypatch, {
+    cat, cpx = run_oracle_suite("kronecker", 1, monkeypatch, {
         (ComplexCategory, "_half_split"): half_split,
         (RepCategory, "hom_basis"): hom_basis,
-        (RepCategory, "sub_quotient"): counted(sub_quotients),
-        (fplin, "nullspace"): counted(nullspaces),
+        (RepCategory, "sub_quotient"): counted("sub_quotient"),
+        (fplin, "nullspace"): counted("nullspace"),
+        (fplin, "rref"): counted("rref"),
+        (fplin, "solve"): counted("solve"),
+        (fplin, "inverse"): counted("inverse"),
     })
-    assert set(halves) == {(1, 2), (0, 0)}
-    assert sub_quotients["half"] == 2 * len(cpx._halves)
+    n = cat.quiver.n
+    assert set(halves) == {(1, 1, 3 * n), (0, 1, 2 * n), (0, 0, 0)}
+    assert set(calls["half"]) == {"rref"}
     seen = set()
     for pair, runs in homs:
         assert runs == (pair not in seen), pair
         seen.add(pair)
-    assert nullspaces["hom"] == len(seen) < len(homs)
+    assert calls["hom"]["nullspace"] == len(seen) < len(homs)
 
 
 @pytest.mark.parametrize("name", ["a2", "kronecker"])
@@ -286,13 +297,16 @@ def test_raw_key_hits_share_the_echelon_memo(monkeypatch):
     # over p = 3 on A2: a content-equal copy of a complex is a raw-key hit
     # with no elimination at all, and returns the tuple the echelon memo
     # holds; the complex with twice its differentials misses the raw key
-    # but still shares its halves through the echelon memo
+    # but still shares its halves through the echelon memo, at 2n
+    # eliminations per half against 3n for an echelon miss
     from hallq import parse_quiver
 
     cat = RepCategory(parse_quiver("field p=3\nvertex 1 loops=0\nvertex 2 loops=0\nedge 1 2\n"))
     cpx = ComplexCategory(cat)
+    n = cat.quiver.n
     calls = Counter()
-    for owner, meth in ((fplin, "nullspace"), (fplin, "row_space"), (RepCategory, "sub_quotient")):
+    for owner, meth in ((fplin, "rref"), (fplin, "solve"), (fplin, "inverse"),
+                        (RepCategory, "sub_quotient")):
         def counting(*args, _orig=getattr(owner, meth), _meth=meth):
             calls[_meth] += 1
             return _orig(*args)
@@ -303,9 +317,15 @@ def test_raw_key_hits_share_the_echelon_memo(monkeypatch):
     complexes += [cpx.direct_sum(cx, cpx.dagger(cy)) for cx in complexes for cy in complexes[:2]]
     complexes = [cx for cx in complexes if any(m.any() for m in cx.d1 + cx.d0)]
     assert len(complexes) == 14
+    misses = 0
     for cx in complexes:
+        n_raw, n_memo, before = len(cpx._raw_halves), len(cpx._halves), Counter(calls)
         split = cpx.decompose(cx)
         assert all(any(h is v for v in cpx._halves.values()) for h in split)
+        new_memo = len(cpx._halves) - n_memo
+        new_raw_only = len(cpx._raw_halves) - n_raw - new_memo
+        misses += new_memo
+        assert calls - before == Counter({"rref": 3 * n * new_memo + 2 * n * new_raw_only})
         n_raw, n_memo, before = len(cpx._raw_halves), len(cpx._halves), Counter(calls)
         copy = Complex(cx.m1, cx.m0, cx.d1, cx.d0, cat.p)
         assert all(h is h0 for h, h0 in zip(cpx.decompose(copy), split, strict=True))
@@ -313,8 +333,8 @@ def test_raw_key_hits_share_the_echelon_memo(monkeypatch):
         twice = Complex(cx.m1, cx.m0, [2 * m for m in cx.d1], [2 * m for m in cx.d0], cat.p)
         assert all(h is h0 for h, h0 in zip(cpx.decompose(twice), split, strict=True))
         assert len(cpx._halves) == n_memo and len(cpx._raw_halves) == n_raw + 2
-        assert calls["sub_quotient"] == before["sub_quotient"]
-        assert calls["nullspace"] == before["nullspace"] + 2 * cat.quiver.n
+        assert calls - before == Counter({"rref": 2 * 2 * n})
+    assert misses > 0
 
 
 @pytest.mark.parametrize("name", ["a2", "kronecker"])
@@ -456,6 +476,127 @@ def test_homotopy_classes_one_per_class(name, request):
             for i, u in enumerate(vecs):
                 for w in vecs[:i]:
                     assert not fplin.in_row_space(u - w, null, pivots, cat.p)
+
+
+def reference_combine(cpx, coeffs, maps, a, b):
+    """The chain map sum_j coeffs[j] * maps[j] from a to b, reduced mod p,
+    one map at a time: the loop the flat-vector route replaced."""
+    s1, s0 = mor_zero(a.m1, b.m1), mor_zero(a.m0, b.m0)
+    for c, (m1, m0) in zip(coeffs, maps):
+        if c:
+            s1 = tuple(x + int(c) * y for x, y in zip(s1, m1))
+            s0 = tuple(x + int(c) * y for x, y in zip(s0, m0))
+    return tuple(x % cpx.p for x in s1), tuple(x % cpx.p for x in s0)
+
+
+def reference_hom_complex_basis(cpx, a, b):
+    gens = [(s1, mor_zero(a.m0, b.m0)) for s1 in cpx.cat.hom_basis(a.m1, b.m1)] + [
+        (mor_zero(a.m1, b.m1), s0) for s0 in cpx.cat.hom_basis(a.m0, b.m0)
+    ]
+    rows = []
+    for s1, s0 in gens:
+        c1 = [(s0[i] @ a.d1[i] - b.d1[i] @ s1[i]) % cpx.p for i in range(cpx.quiver.n)]
+        c0 = [(s1[i] @ a.d0[i] - b.d0[i] @ s0[i]) % cpx.p for i in range(cpx.quiver.n)]
+        rows.append(cpx._chain_map_vector(c1, c0))
+    if not rows:
+        return []
+    kernel = fplin.nullspace(np.stack(rows, axis=1), cpx.p)
+    return [reference_combine(cpx, vec, gens, a, b) for vec in kernel]
+
+
+def reference_homotopy_classes(cpx, a, b):
+    basis = reference_hom_complex_basis(cpx, a, b)
+    if not basis:
+        return [(mor_zero(a.m1, b.m1), mor_zero(a.m0, b.m0))]
+    hvecs = np.stack([cpx._chain_map_vector(s1, s0) for s1, s0 in basis])
+    null_rows = cpx.homotopy_image(a, b)
+    _r, pivots = fplin.rref(np.concatenate([null_rows, hvecs]).T, cpx.p)
+    complement = [basis[pc - len(null_rows)] for pc in pivots if pc >= len(null_rows)]
+    return [
+        reference_combine(cpx, coeffs, complement, a, b)
+        for coeffs in itertools.product(range(cpx.p), repeat=len(complement))
+    ]
+
+
+def same_maps(got, want):
+    return len(got) == len(want) and all(
+        len(x) == len(y) and all(m.shape == n.shape and np.array_equal(m, n) for m, n in zip(x, y))
+        for s, t in zip(got, want, strict=True) for x, y in zip(s, t, strict=True)
+    )
+
+
+@pytest.mark.parametrize("name", ["a2", "kronecker", "a3", "a2p3"])
+def test_homotopy_classes_match_the_combine_loop(name, request):
+    # hom_complex_basis and homotopy_classes, built as one matrix product of
+    # flat vectors, equal map for map and in order the per-map loop they
+    # replaced, including pairs with no chain maps and pairs with one class
+    if name == "a2p3":
+        from hallq import parse_quiver
+
+        cat = RepCategory(parse_quiver("field p=3\nvertex 1 loops=0\nvertex 2 loops=0\nedge 1 2\n"))
+    else:
+        cat = request.getfixturevalue(name)
+    cpx = ComplexCategory(cat)
+    n = cat.quiver.n
+    pool = [cpx.zero_complex]
+    pool += [cpx.k_complex(tuple(int(j == i) for j in range(n))) for i in range(n)]
+    for c in cat.classes_up_to_total_dim(2):
+        if c.total_dim:
+            res = cpx.resolution(c.rep)
+            pool += [res, cpx.dagger(res)]
+    kinds = Counter()
+    for a in pool:
+        for b in pool:
+            basis = cpx.hom_complex_basis(a, b)
+            assert same_maps(basis, reference_hom_complex_basis(cpx, a, b))
+            classes = cpx.homotopy_classes(a, b)
+            assert same_maps(classes, reference_homotopy_classes(cpx, a, b))
+            kinds["empty hom" if not basis else "one class" if len(classes) == 1 else "many"] += 1
+    assert set(kinds) == {"empty hom", "one class", "many"}, kinds
+
+
+def test_homotopy_class_guard_skips_the_pair():
+    # over the bound, homotopy_classes refuses before building the classes,
+    # and the oracle suite reports that pair as skipped, naming the bound
+    from hallq import Bounds
+    from hallq.cli import _oracle_suite
+
+    from .conftest import load
+
+    # at max dim 1 the Kronecker products have 1, 2 or 4 homotopy classes
+    cat = RepCategory(load("kronecker"), bounds=Bounds(max_aut_candidates=2))
+    rows = _oracle_suite(cat, 1)
+    skipped = [r for r in rows if r["ok"] is None]
+    assert skipped and all(r["ok"] is True for r in rows if r["ok"] is not None)
+    assert len(skipped) < len(rows)
+    for r in skipped:
+        assert r["residual"].startswith("skipped: ")
+        assert r["residual"] == "skipped: 4 homotopy classes exceed max_aut_candidates=2"
+
+
+@pytest.mark.parametrize("name", ["a2", "kronecker"])
+def test_memoized_sums_and_split_reps_are_read_only(name, request):
+    # the memoized direct sum equals a freshly built one, key for key; its
+    # matrices, and those of every Rep in a memoized half split, refuse writes
+    cat = request.getfixturevalue(name)
+    cpx = ComplexCategory(cat)
+    fresh = RepCategory(cat.quiver)
+    reps = [cpx.proj_sum(c.dim) for c in cat.classes_up_to_total_dim(2)] + cpx.projectives
+    for a in reps:
+        for b in reps[:4]:
+            total = cat.direct_sum(a, b)
+            assert cat.direct_sum(a, b) is total
+            assert total.key == fresh.direct_sum(fresh.rep(a.dim, a.mats), fresh.rep(b.dim, b.mats)).key
+            for m in total.mats:
+                with pytest.raises(ValueError):
+                    m[...] = 0
+    for c in cat.classes_up_to_total_dim(2):
+        res = cpx.resolution(c.rep)
+        for cx in (res, cpx.dagger(res), cpx.direct_sum(res, cpx.dagger(res))):
+            for src, tgt, f, hom in cpx.decompose(cx):
+                for m in f + src.mats + tgt.mats + hom.mats:
+                    with pytest.raises(ValueError):
+                        m[...] = 1
 
 
 def test_hom_space_decomposition(ca2, a2):

@@ -61,3 +61,19 @@ def test_rref_matches_the_numpy_reference(p):
         assert pivots == pivots0 and all(type(c) is int for c in pivots)
         assert r.dtype == r0.dtype == np.int64 and r.shape == r0.shape == a.shape
         assert r.tobytes() == r0.tobytes(), (a, p)
+
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_nullspace_is_the_identity_on_its_free_columns(p):
+    # the property the complex split reads coordinates from: the basis is
+    # the identity on the non-pivot columns of rref(a), spans the kernel,
+    # and is nullspace's basis
+    rng = np.random.default_rng(2000 + p)
+    for a in cases(p, rng):
+        basis, free = fplin.nullspace_free(a, p)
+        assert free == [j for j in range(a.shape[1]) if j not in fplin.rref(a, p)[1]]
+        assert basis.dtype == np.int64 and basis.shape == (len(free), a.shape[1])
+        assert np.array_equal(basis[:, free], np.eye(len(free), dtype=np.int64))
+        assert not (a @ basis.T % p).any()
+        assert basis.tobytes() == fplin.nullspace(a, p).tobytes()
