@@ -36,7 +36,7 @@ def mor_zero(src: Rep, dst: Rep):
 class Complex:
     """Z2-graded complex of projectives: m1 <-> m0 with d1 d0 = d0 d1 = 0."""
 
-    __slots__ = ("m1", "m0", "d1", "d0", "_key", "_split")
+    __slots__ = ("m1", "m0", "d1", "d0", "_key")
 
     def __init__(self, m1: Rep, m0: Rep, d1, d0, p: int):
         self.m1 = m1
@@ -50,10 +50,9 @@ class Complex:
                 raise QuiverError("d0 component shape mismatch")
             if ((self.d1[i] @ self.d0[i]) % p).any() or ((self.d0[i] @ self.d1[i]) % p).any():
                 raise QuiverError("differentials do not square to zero")
-        # invariants filled on first use by ComplexCategory; the terms and
+        # the key, filled on first use by ComplexCategory; the terms and
         # differentials are never changed after construction
         self._key = None
-        self._split = None
 
 
 class ComplexCategory:
@@ -178,9 +177,10 @@ class ComplexCategory:
         for j in range(q.n):
             if a.dim[j]:
                 assert fplin.rank(aug[j], self.p) == a.dim[j], "augmentation not onto"
-        kers = [fplin.nullspace(aug[j], self.p) for j in range(q.n)]
-        sub, _quot, incl, _proj = self.cat.sub_quotient(m0, kers)
-        cx = Complex(sub, m0, incl, mor_zero(m0, sub), self.p)
+        kers, frees = zip(*(fplin.nullspace_free(m, self.p) for m in aug))
+        sub = self.cat.sub_rep(m0, kers, frees)
+        assert sub is not None, "subspace tuple is not stable"
+        cx = Complex(sub, m0, [k.T for k in kers], mor_zero(m0, sub), self.p)
         h0, h1 = self.homology(cx)
         assert h1.total_dim == 0 and self.cat.class_of(h0).key == self.cat.class_of(a).key
         self._resolutions[key] = cx
@@ -233,15 +233,10 @@ class ComplexCategory:
         Returns (plus, minus): plus = (source, target, f, H0) gives the C_f
         summand (f the inclusion of im d1 into ker d0, H0 = coker f);
         minus = (source, target, g, H1) the shifted summand (g: im d0 into
-        ker d1, H1 = coker g).  Kept on cx; each half comes from the
-        _half_split memo, so it is shared and callers only read it.
+        ker d1, H1 = coker g).  Each half comes from the _half_split memo,
+        so it is shared and callers only read it.
         """
-        if cx._split is None:
-            cx._split = (
-                self._half_split(cx.m0, cx.d1, cx.d0),
-                self._half_split(cx.m1, cx.d0, cx.d1),
-            )
-        return cx._split
+        return self._half_split(cx.m0, cx.d1, cx.d0), self._half_split(cx.m1, cx.d0, cx.d1)
 
     def split_summands(self, cx: Complex):
         """The summand complexes (C_f, C_g-dagger) themselves.
@@ -258,15 +253,12 @@ class ComplexCategory:
     def _half_split(self, dst: Rep, d, d_back):
         """(im d, ker d_back, the inclusion, ker d_back / im d) for one differential.
 
-        Everything is read off two echelon bases per vertex, with no change
-        of basis.  The rows K of `fplin.nullspace_free(d_back)` are the
-        identity on its free columns, so a vector of ker d_back has its
-        coordinates there; the rows I of rref(d^T) are the identity on
-        their pivots.  So ker d_back acts by (x K_t^T)[free_h], im d by
-        (x I_t^T)[pivots_h], and the inclusion is coords^T with
-        coords = I[:, free].  The homology ker d_back / im d takes the unit
-        vectors off the pivots of rref(coords) as its basis: their images
-        are reduced against rref(coords) and read off its non-pivots.
+        Read by `RepCategory.sub_quotient`'s two parts: with K, free =
+        `fplin.nullspace_free(d_back)` and I, pivots the rows and pivots of
+        rref(d^T), ker d_back is sub_rep(dst, K, free), im d is
+        sub_rep(dst, I, pivots), the inclusion is coords^T with
+        coords = I[:, free], and the homology is quotient_rep of ker d_back
+        on rref(coords).
 
         Memoized at two levels.  The first is keyed on dst and the raw
         differentials, which catches the same differentials met again (a
@@ -283,7 +275,7 @@ class ComplexCategory:
         half = self._raw_halves.get(raw)
         if half is not None:
             return half
-        p = self.p
+        p, cat = self.p, self.cat
         kers, frees = zip(*(fplin.nullspace_free(m, p) for m in d_back))
         ims, pivots = [], []
         for m in d:
@@ -294,23 +286,11 @@ class ComplexCategory:
         half = self._halves.get(memo)
         if half is None:
             coords = [im[:, free] for im, free in zip(ims, frees)]
-            # rref(coords) per vertex: its rows and the complement of its pivots
-            reduced = []
-            for c in coords:
-                r, piv = fplin.rref(c, p)
-                reduced.append((r[: len(piv)], piv, [e for e in range(c.shape[1]) if e not in piv]))
-            ker_mats, im_mats, hom_mats = [], [], []
-            for k, (t, h) in enumerate(self.quiver.arrows):
-                x = dst.mats[k]
-                on_ker = (x @ kers[t].T)[frees[h]] % p
-                ker_mats.append(on_ker)
-                im_mats.append((x @ ims[t].T)[pivots[h]])
-                rows, piv, comp = reduced[h]
-                y = on_ker[:, reduced[t][2]]
-                hom_mats.append(y[comp] - rows[:, comp].T @ y[piv])
-            im_sub = self.cat.rep([len(b) for b in ims], im_mats)
-            ker_sub = self.cat.rep([len(f) for f in frees], ker_mats)
-            hom = self.cat.rep([len(red[2]) for red in reduced], hom_mats)
+            reduced = [fplin.rref(c, p) for c in coords]
+            im_sub, ker_sub = cat.sub_rep(dst, ims, pivots), cat.sub_rep(dst, kers, frees)
+            assert im_sub is not None and ker_sub is not None, "subspace tuple is not stable"
+            hom = cat.quotient_rep(ker_sub, [r[: len(piv)] for r, piv in reduced],
+                                   [piv for _r, piv in reduced])
             f = tuple(c.T % p for c in coords)
             for m in f + im_sub.mats + ker_sub.mats + hom.mats:
                 m.setflags(write=False)

@@ -213,16 +213,20 @@ class Quiver:
             for j in range(self.n)
         )
 
-    def euler_form(self, x: KVector, y: KVector) -> Fraction:
-        """Generalized Euler form on K(R), rational-valued."""
+    def _gram_num(self, x: KVector, y: KVector) -> int:
+        """Numerator of the Euler form over the common denominator."""
         num = 0
         for xi, row in zip(x, self._gram):
             if xi:
                 num += xi * sum(yj * g for yj, g in zip(y, row))
-        return Fraction(num, self._gram_den)
+        return num
+
+    def euler_form(self, x: KVector, y: KVector) -> Fraction:
+        """Generalized Euler form on K(R), rational-valued."""
+        return Fraction(self._gram_num(x, y), self._gram_den)
 
     def sym_form(self, x: KVector, y: KVector) -> Fraction:
-        return self.euler_form(x, y) + self.euler_form(y, x)
+        return Fraction(self._gram_num(x, y) + self._gram_num(y, x), self._gram_den)
 
     def borcherds_cartan(self):
         """Symmetric matrix a_ij = (S_i, S_j); diagonal 2 - 2 c_i."""

@@ -2,9 +2,11 @@
 
 Everything here is exhaustive and exact over F_p: intertwiner spaces by
 linear algebra, isomorphism classes by full base-change orbit enumeration
-with lexicographic minima as canonical forms, Hall numbers by enumerating
-edge-stable subspace tuples.  Deliberately correctness-first; the hard
-bounds below keep runs at desk scale.
+(`_orbit`) with lexicographic minima as canonical forms, Hall numbers by
+enumerating edge-stable subspace tuples.  Every sub and quotient, here and
+in `cplx`, is read off an echelon basis by `RepCategory.sub_quotient`.
+Deliberately correctness-first; the hard bounds below keep runs at desk
+scale.
 """
 
 from __future__ import annotations
@@ -379,30 +381,35 @@ class RepCategory:
         self._stacks[dim] = out
         return out
 
-    def _code_powers(self, entries: int):
-        """Place values p^i of the int64 orbit codes of `entries` entries.
+    def _orbit(self, rep: Rep):
+        """(codes of rep's base-change orbit, its registered class).
 
-        A code ranges up to p^entries - 1; past 2^63 - 1 it would wrap and
-        distinct matrix tuples would share a code.
+        The class is the representation of the least code, with
+        aut = |group| / |orbit|.  A representation with no matrix entries
+        is its own canonical form, and the whole group fixes it: its orbit
+        is the one code 0, and no group element is listed.
         """
+        d = rep.dim
+        entry_counts = [d[t] * d[h] for t, h in self.quiver.arrows]
+        if not any(entry_counts):
+            return np.zeros(1, dtype=np.int64), self._register(rep, self._group_order(d))
+        size, stacks, inv_stacks = self._group_stacks(d)
+        # a code ranges up to p^entries - 1; past 2^63 - 1 it would wrap and
+        # distinct matrix tuples would share a code
+        entries = sum(entry_counts)
         if self.p**entries - 1 > np.iinfo(np.int64).max:
             raise EnumerationTooLarge(
                 f"orbit codes of {entries} entries over F_{self.p} overflow int64"
             )
-        return self.p ** np.arange(entries, dtype=np.int64)
-
-    def _orbit_codes(self, mats, stacks, inv_stacks, pows, entry_counts):
-        """Codes of the full base-change orbit of one matrix tuple."""
-        q = self.quiver
-        size = stacks[0].shape[0]
         pieces = []
-        for k, (t, h) in enumerate(q.arrows):
-            if entry_counts[k] == 0:
-                pieces.append(np.zeros((size, 0), dtype=np.int64))
-                continue
-            imgs = np.matmul(stacks[h], np.matmul(mats[k][None, :, :], inv_stacks[t]))
+        for k, (t, h) in enumerate(self.quiver.arrows):
+            imgs = np.matmul(stacks[h], np.matmul(rep.mats[k][None, :, :], inv_stacks[t]))
             pieces.append((imgs % self.p).reshape(size, -1))
-        return np.unique(np.concatenate(pieces, axis=1) @ pows)
+        pows = self.p ** np.arange(entries, dtype=np.int64)
+        orbit = np.unique(np.concatenate(pieces, axis=1) @ pows)
+        assert size % len(orbit) == 0
+        canon = self.rep(d, self._decode(int(orbit.min()), d, entry_counts))
+        return orbit, self._register(canon, size // len(orbit))
 
     def classify(self, d) -> list:
         """All isomorphism classes with dimension vector d, sorted by key."""
@@ -417,17 +424,21 @@ class RepCategory:
             )
         q, p = self.quiver, self.p
         entry_counts = [d[t] * d[h] for t, h in q.arrows]
-        total_entries = sum(entry_counts)
-        n_tuples = p**total_entries
+        n_tuples = p ** sum(entry_counts)
         if n_tuples > self.bounds.max_tuples:
             raise EnumerationTooLarge(f"{n_tuples} candidate matrix tuples")
 
         def compute():
-            if n_tuples == 1:
-                c = self.class_of(self.rep(d, self._decode(0, d, entry_counts)))
-                return [[c.key, c.aut_order]]
-            scanned = self._classify_scan(d, entry_counts, n_tuples)
-            return [[c.key, c.aut_order] for c in scanned]
+            # one orbit per class, from the least matrix tuple no orbit has met
+            seen = np.zeros(n_tuples, dtype=bool)
+            classes = []
+            for code in range(n_tuples):
+                if not seen[code]:
+                    orbit, cls = self._orbit(self.rep(d, self._decode(code, d, entry_counts)))
+                    seen[orbit] = True
+                    classes.append(cls)
+            classes.sort(key=_sort_key)
+            return [[c.key, c.aut_order] for c in classes]
 
         rows = self._stored("classify", d, compute)
         # each row must name a class of d; one pattern and K-class serve all
@@ -441,23 +452,6 @@ class RepCategory:
                 )
             classes.append(self._register(Rep._keyed(q, d, key), aut, kclass))
         self._classify[d] = classes
-        return classes
-
-    def _classify_scan(self, d, entry_counts, n_tuples):
-        size, stacks, inv_stacks = self._group_stacks(d)
-        pows = self._code_powers(sum(entry_counts))
-        seen = np.zeros(n_tuples, dtype=bool)
-        classes = []
-        for code in range(n_tuples):
-            if seen[code]:
-                continue
-            mats = self._decode(code, d, entry_counts)
-            orbit = self._orbit_codes(mats, stacks, inv_stacks, pows, entry_counts)
-            seen[orbit] = True
-            assert size % len(orbit) == 0
-            rep = self.rep(d, self._decode(int(orbit.min()), d, entry_counts))
-            classes.append(self._register(rep, size // len(orbit)))
-        classes.sort(key=_sort_key)
         return classes
 
     def _decode(self, code, d, entry_counts):
@@ -499,17 +493,7 @@ class RepCategory:
         """Canonical class of an arbitrary representation."""
         if rep.key in self._canon:
             return self._by_key[self._canon[rep.key]]
-        entry_counts = [rep.dim[t] * rep.dim[h] for t, h in self.quiver.arrows]
-        if not any(entry_counts):
-            # no matrix entries: rep is its own canonical form, and the whole
-            # base-change group fixes it
-            cls = self._register(rep, self._group_order(rep.dim))
-        else:
-            size, stacks, inv_stacks = self._group_stacks(rep.dim)
-            pows = self._code_powers(sum(entry_counts))
-            orbit = self._orbit_codes(rep.mats, stacks, inv_stacks, pows, entry_counts)
-            canon = self.rep(rep.dim, self._decode(int(orbit.min()), rep.dim, entry_counts))
-            cls = self._register(canon, size // len(orbit))
+        cls = self._orbit(rep)[1]
         self._canon[rep.key] = cls.key
         return cls
 
@@ -559,55 +543,52 @@ class RepCategory:
         q, p = self.quiver, self.p
         for ks in product(*[range(d + 1) for d in rep.dim]):
             for bases in product(*[fplin.subspaces(rep.dim[i], ks[i], p) for i in range(q.n)]):
-                rrefs = [fplin.rref(b, p) for b in bases]
-                stable = True
-                for k, (t, h) in enumerate(q.arrows):
-                    if ks[t] == 0:
-                        continue
-                    imgs = (rep.mats[k] @ bases[t].T) % p
-                    for col in range(imgs.shape[1]):
-                        if not fplin.in_row_space(imgs[:, col], *rrefs[h], p):
-                            stable = False
-                            break
-                    if not stable:
-                        break
-                if not stable:
-                    continue
-                sub, quot, _incl, _proj = self.sub_quotient(rep, bases)
-                yield sub, quot
+                pair = self.sub_quotient(rep, bases, [fplin.rref(b, p)[1] for b in bases])
+                if pair is not None:
+                    yield pair
 
-    def sub_quotient(self, rep: Rep, bases):
-        """Subrepresentation spanned by stable subspace bases, and quotient.
+    def sub_quotient(self, rep: Rep, rows, cols):
+        """(sub, quotient) of rep on the span of rows, or None if not stable.
 
-        bases[i] is a (k_i x d_i) matrix whose rows span a subspace at
-        vertex i; the tuple must be stable under all arrow maps.  Returns
-        (sub, quot, incl, proj): incl[i] maps sub coordinates into the
-        ambient space, proj[i] maps ambient coordinates onto quotient
-        coordinates (kernel exactly the subspace).
+        The one reading of a sub and a quotient, on both sides of the
+        embedding: the subobject tables here and the split of a complex in
+        `cplx`.  rows[i] is a (k_i x d_i) basis of a subspace at vertex i
+        that is the identity on the columns cols[i], so a vector of the span
+        has its coordinates there (`sub_rep`); the quotient takes the unit
+        vectors off cols[i] as its basis (`quotient_rep`).  No change of
+        basis is built or inverted.
         """
-        q, p = self.quiver, self.p
-        ks = tuple(b.shape[0] for b in bases)
-        basis_t, inv_t = [], []
-        for i in range(q.n):
-            pivots = fplin.rref(bases[i], p)[1]
-            comp = [e for e in range(rep.dim[i]) if e not in pivots]
-            w = np.zeros((len(comp), rep.dim[i]), dtype=np.int64)
-            for r, e in enumerate(comp):
-                w[r, e] = 1
-            full = np.concatenate([bases[i], w], axis=0)
-            basis_t.append(full)
-            inv_t.append(fplin.inverse(full.T % p, p) if rep.dim[i] else full.T)
-        sub_mats, quot_mats = [], []
-        for k, (t, h) in enumerate(q.arrows):
-            m = (inv_t[h] @ rep.mats[k] @ basis_t[t].T) % p
-            assert not m[ks[h] :, : ks[t]].any(), "subspace tuple is not stable"
-            sub_mats.append(m[: ks[h], : ks[t]])
-            quot_mats.append(m[ks[h] :, ks[t] :])
-        sub = self.rep(ks, sub_mats)
-        quot = self.rep(tuple(d - k for d, k in zip(rep.dim, ks)), quot_mats)
-        incl = tuple(bases[i].T % p for i in range(q.n))
-        proj = tuple(inv_t[i][ks[i] :, :] % p for i in range(q.n))
-        return sub, quot, incl, proj
+        sub = self.sub_rep(rep, rows, cols)
+        return None if sub is None else (sub, self.quotient_rep(rep, rows, cols))
+
+    def sub_rep(self, rep: Rep, rows, cols):
+        """The sub of `sub_quotient`, or None if the span is not stable.
+
+        Arrow x: t -> h acts by y = (x rows_t^T)[cols_h]; the span is stable
+        iff rows_h^T y gives the images x rows_t^T back.
+        """
+        p = self.p
+        mats = []
+        for k, (t, h) in enumerate(self.quiver.arrows):
+            imgs = rep.mats[k] @ rows[t].T % p
+            y = imgs[cols[h]]
+            if (rows[h].T @ y % p != imgs).any():
+                return None
+            mats.append(y)
+        return self.rep([len(c) for c in cols], mats)
+
+    def quotient_rep(self, rep: Rep, rows, cols):
+        """The quotient of `sub_quotient`, for a stable span.
+
+        The image y of each unit vector off cols_t is reduced by rows_h^T
+        y[cols_h], then read off the columns off cols_h.
+        """
+        comps = [[e for e in range(d) if e not in c] for d, c in zip(rep.dim, cols)]
+        mats = []
+        for k, (t, h) in enumerate(self.quiver.arrows):
+            y = rep.mats[k][:, comps[t]]
+            mats.append(y[comps[h]] - rows[h][:, comps[h]].T @ y[cols[h]])
+        return self.rep([len(c) for c in comps], mats)
 
     def hall_number(self, a: IsoClass, b: IsoClass, c: IsoClass) -> int:
         """g^c_{a,b}: subrepresentations of c isomorphic to b with quotient a."""

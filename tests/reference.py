@@ -1,0 +1,50 @@
+"""Slow reference routes the engine's readings are cross-checked against."""
+
+import numpy as np
+
+from hallq import fplin
+
+
+def is_stable(cat, rep, bases):
+    """Whether the row spans of bases are stable under every arrow, tested
+    one image vector at a time against the rref of the head's span."""
+    p = cat.p
+    rrefs = [fplin.rref(b, p) for b in bases]
+    for k, (t, h) in enumerate(cat.quiver.arrows):
+        imgs = (rep.mats[k] @ bases[t].T) % p
+        for col in range(imgs.shape[1]):
+            if not fplin.in_row_space(imgs[:, col], *rrefs[h], p):
+                return False
+    return True
+
+
+def change_of_basis_sub_quotient(cat, rep, bases):
+    """Subrepresentation spanned by stable subspace bases, and quotient, by
+    a change of basis at every vertex.
+
+    bases[i] is a (k_i x d_i) matrix whose rows span a subspace at vertex
+    i; it is completed by the unit vectors off the pivots of its rref, and
+    each arrow matrix is conjugated into that basis.  Returns
+    (sub, quot, incl): incl[i] maps sub coordinates into the ambient space.
+    """
+    q, p = cat.quiver, cat.p
+    ks = tuple(b.shape[0] for b in bases)
+    basis_t, inv_t = [], []
+    for i in range(q.n):
+        pivots = fplin.rref(bases[i], p)[1]
+        comp = [e for e in range(rep.dim[i]) if e not in pivots]
+        w = np.zeros((len(comp), rep.dim[i]), dtype=np.int64)
+        for r, e in enumerate(comp):
+            w[r, e] = 1
+        full = np.concatenate([bases[i], w], axis=0)
+        basis_t.append(full)
+        inv_t.append(fplin.inverse(full.T % p, p) if rep.dim[i] else full.T)
+    sub_mats, quot_mats = [], []
+    for k, (t, h) in enumerate(q.arrows):
+        m = (inv_t[h] @ rep.mats[k] @ basis_t[t].T) % p
+        assert not m[ks[h] :, : ks[t]].any(), "subspace tuple is not stable"
+        sub_mats.append(m[: ks[h], : ks[t]])
+        quot_mats.append(m[ks[h] :, ks[t] :])
+    sub = cat.rep(ks, sub_mats)
+    quot = cat.rep(tuple(d - k for d, k in zip(rep.dim, ks)), quot_mats)
+    return sub, quot, tuple(bases[i].T % p for i in range(q.n))

@@ -10,7 +10,8 @@ import ast
 import importlib
 import pathlib
 
-BENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+BENCH = ROOT / "perfbench"
 
 
 def test_traced_functions_resolve(monkeypatch):
@@ -23,6 +24,47 @@ def test_traced_functions_resolve(monkeypatch):
         owner, attrs = tracer._resolve(path)
         for attr in attrs:
             assert attr in owner.__dict__, path
+
+
+def engine_callers():
+    """name -> the engine functions that call it by that name (`f(...)` or
+    `x.f(...)`), over every module of `src/hallq`."""
+    callers = {}
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                callers.setdefault(name, set()).add(scope)
+            visit(child, scope)
+
+    for path in (ROOT / "src" / "hallq").glob("*.py"):
+        visit(ast.parse(path.read_text()), path.stem)
+    return callers
+
+
+def test_traced_names_without_an_engine_caller(monkeypatch):
+    # the traced names only the benchmark keeps alive: the list to move
+    # into tests/ when the benchmark next changes (operators are called by
+    # `*` and `+`, not by name)
+    monkeypatch.syspath_prepend(str(BENCH))
+    import tracer
+
+    callers = engine_callers()
+    uncalled = {
+        path
+        for fns in tracer.FUNCS.values()
+        for path in fns.values()
+        if not path.endswith("__") and path.split()[0].rsplit(".", 1)[1] not in callers
+    }
+    assert uncalled == {"fplin.solve", "fplin.row_space", "fplin.in_row_space",
+                        "quiver.Quiver.simple_coords"}
+    # the engine inverts matrices only to list the base-change group
+    assert callers["inverse"] == {"_gl_inverses"}
 
 
 def test_workload_imports_resolve():

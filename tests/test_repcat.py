@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import random
@@ -20,6 +21,7 @@ from hallq.cache import FORMAT
 from hallq.repcat import CANONICAL_FORM, _compositions
 
 from .conftest import DATA, load
+from .reference import change_of_basis_sub_quotient, is_stable
 
 
 
@@ -254,6 +256,48 @@ def test_subobject_enumeration_finite(l2):
         zero = l2.zero_class().key
         assert table[(c.key, zero)] == 1
         assert table[(zero, c.key)] == 1
+
+
+@pytest.mark.parametrize(
+    "name,max_total", [("a2", 3), ("kronecker", 3), ("l2m2", 3), ("mixed", 2)]
+)
+def test_sub_quotient_matches_change_of_basis(name, max_total, request):
+    # on every candidate subspace tuple, stable or not, of every class: the
+    # echelon reading is None exactly where the span is not stable, and
+    # otherwise gives the change-of-basis sub and quotient, key for key
+    cat = request.getfixturevalue(name)
+    p = cat.p
+    stable = unstable = 0
+    for c in cat.classes_up_to_total_dim(max_total):
+        rep = c.rep
+        for ks in itertools.product(*[range(d + 1) for d in rep.dim]):
+            spaces = [fplin.subspaces(d, k, p) for d, k in zip(rep.dim, ks)]
+            for bases in itertools.product(*spaces):
+                got = cat.sub_quotient(rep, bases, [fplin.rref(b, p)[1] for b in bases])
+                if not is_stable(cat, rep, bases):
+                    assert got is None, (c.key, bases)
+                    unstable += 1
+                    continue
+                sub, quot, _incl = change_of_basis_sub_quotient(cat, rep, bases)
+                assert got is not None, (c.key, bases)
+                assert (got[0].key, got[1].key) == (sub.key, quot.key), (c.key, bases)
+                stable += 1
+    assert stable and unstable
+
+
+def test_mixed_classes_and_subobject_tables_are_pinned():
+    # every classify row (key and aut) and every subobject table of `mixed`
+    # up to total dimension 3, cold; the digest was taken from the
+    # change-of-basis subquotient route.  Every cache record carries these keys
+    cat = RepCategory(load("mixed"))
+    digest = hashlib.sha256()
+    classes = cat.classes_up_to_total_dim(3)
+    for c in classes:
+        digest.update(f"{c.key}\t{c.aut_order}\n".encode())
+        for (qk, sk), n in sorted(cat.subquot_table(c).items()):
+            digest.update(f"\t{qk}\t{sk}\t{n}\n".encode())
+    assert len(classes) == 2016
+    assert digest.hexdigest() == "c0f2f0986963d1143bb38fe3924f1062286e004396c328ff72923f013e2fbfc4"
 
 
 def test_rep_key_round_trip():
