@@ -161,14 +161,11 @@ class DHAlgebra:
         memo = (bkey, akey)
         if memo in self._fe:
             return self._fe[memo]
-        if bkey == self._zero_key:
-            out = self.eab(akey, self._zero_key)
-        elif akey == self._zero_key:
-            out = self.eab(self._zero_key, bkey)
-        else:
-            out, z = self.zero(), self.quiver.zero_kvector()
-            for m, a1k, b1k, coeff in self._join(akey, bkey):
-                out.add_scaled(self._k_left(tuple(m.kclass), z, self.eab(a1k, b1k)), coeff)
+        out, z = self.zero(), self.quiver.zero_kvector()
+        b_minus_a = kv_sub(self._cls(bkey).dim, self._cls(akey).dim)
+        for m, a1k, b1k, n in self._join(akey, bkey):
+            tw = self.ring.v_pow(self.quiver.euler_dimvec(m.dim, b_minus_a))
+            out.add_scaled(self._k_left(tuple(m.kclass), z, self.eab(a1k, b1k)), tw * n)
         self._fe[memo] = out
         return out
 
@@ -179,34 +176,34 @@ class DHAlgebra:
             return self._eab[memo]
         z = self.quiver.zero_kvector()
         out = self.element((akey, z, bkey, z))
-        if bkey != self._zero_key and akey != self._zero_key:
-            a_dim, b_dim = self._cls(akey).total_dim, self._cls(bkey).total_dim
-            for m, b1k, a1k, coeff in self._join(bkey, akey):
-                if m.total_dim:
-                    assert self._cls(a1k).total_dim < a_dim and self._cls(b1k).total_dim < b_dim
-                    out.add_scaled(self._k_left(z, tuple(m.kclass), self.eab(a1k, b1k)), -coeff)
+        a, b = self._cls(akey), self._cls(bkey)
+        a_minus_b = kv_sub(a.dim, b.dim)
+        for m, b1k, a1k, n in self._join(bkey, akey):
+            if m.total_dim:
+                assert self._cls(a1k).total_dim < a.total_dim
+                assert self._cls(b1k).total_dim < b.total_dim
+                tw = self.ring.v_pow(self.quiver.euler_dimvec(m.dim, a_minus_b))
+                out.add_scaled(self._k_left(z, tuple(m.kclass), self.eab(a1k, b1k)), tw * -n)
         self._eab[memo] = out
         return out
 
     def _join(self, xkey: str, ykey: str):
-        """The subobject-table join of rules R4 (X = A, Y = B) and R5 (X = B, Y = A).
+        """The one subobject-table join: rules R4 (X = A, Y = B) and R5
+        (X = B, Y = A), and both sides of `HallAlgebra.check_dd_identity`.
 
-        Yields (M, X1 key, Y1 key, coeff) for every M that is a sub of X with
-        quotient X1 and a quotient of Y with sub Y1, where
-        coeff = v^(<M, Y-X>) g^X_{X1,M} g^Y_{M,Y1} a_M.  The twist of M = 0
-        is 1, so rows that R5 drops cost no Euler form.
+        Yields (M, X1 key, Y1 key, g^X_{X1,M} g^Y_{M,Y1} a_M) for every M
+        that is a sub of X with quotient X1 and a quotient of Y with sub Y1.
+        Y's rows are looked up by quotient key, so only matching pairs are
+        visited.  The count is an int; each caller applies its own twist.
         """
-        x, y = self._cls(xkey), self._cls(ykey)
-        y_minus_x = kv_sub(tuple(y.kclass), tuple(x.kclass))
-        ty = self.cat.subquot_table(y)
-        for (x1k, mk), gx in self.cat.subquot_table(x).items():
-            m = self._cls(mk)
-            for (qk, y1k), gy in ty.items():
-                if qk == mk:
-                    tw = self.ring.one
-                    if m.total_dim:
-                        tw = self.ring.v_pow(self.quiver.euler_form(tuple(m.kclass), y_minus_x))
-                    yield m, x1k, y1k, tw * (gx * gy * m.aut_order)
+        by_quot: dict[str, list] = {}
+        for (qk, y1k), gy in self.cat.subquot_table(self._cls(ykey)).items():
+            by_quot.setdefault(qk, []).append((y1k, gy))
+        for (x1k, mk), gx in self.cat.subquot_table(self._cls(xkey)).items():
+            if mk in by_quot:
+                m = self._cls(mk)
+                for y1k, gy in by_quot[mk]:
+                    yield m, x1k, y1k, gx * gy * m.aut_order
 
     def _k_left(self, gamma, delta, x: DHElement) -> DHElement:
         """K_gamma o Kd_delta o x for x in normal form.

@@ -146,14 +146,14 @@ def gl_order(n, p):
 
 
 def subspaces(n, k, p):
-    """All k-dimensional subspaces of F_p^n as rref generator matrices.
+    """All k-dimensional subspaces of F_p^n as (rref basis, pivot columns).
 
     Deterministic order: pivot column combinations lexicographically, then
-    free entries lexicographically.  Rows of each yielded (k x n) matrix are
-    the echelon basis.
+    free entries lexicographically.  The rows of each (k x n) basis are its
+    own rref, so its pivot columns are the ones `rref` would return.
     """
     if k == 0:
-        yield np.zeros((0, n), dtype=np.int64)
+        yield np.zeros((0, n), dtype=np.int64), []
         return
     if k > n:
         return
@@ -170,4 +170,4 @@ def subspaces(n, k, p):
                 m[i, pc] = 1
             for (i, j), val in zip(free_cells, vals):
                 m[i, j] = val
-            yield m
+            yield m, list(pivots)

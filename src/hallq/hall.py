@@ -8,15 +8,16 @@ Elements are linear combinations of terms (class key, alpha) standing for
 
 whose untwisted constants come from `RepCategory.middle_terms`; the
 coproduct is the Green/Xiao one, and the Hopf pairing is diagonal on
-the class basis.  The double-compatibility check at the bottom joins the
-two subobject tables and reads the right side of the reduced Drinfeld
-identity from rules R2 and R4 of `dh`, with no general product.
+the class basis.  The double-compatibility check at the bottom reads both
+sides of the reduced Drinfeld identity from `DHAlgebra._join`, the
+subobject-table join of rules R4 and R5, and the right side's words from
+rules R2 and R4 of `dh`, with no general product.
 """
 
 from __future__ import annotations
 
 from .combo import Combination, check
-from .quiver import kv_add
+from .quiver import kv_add, kv_sub
 from .repcat import IsoClass, RepCategory
 
 
@@ -122,32 +123,25 @@ class HallAlgebra:
         """Reduced double-compatibility identity for the pair (a, b).
 
         Both sides are the generator-level expansions of the double axiom
-        (all K_alpha / K_beta factors already cancelled): the left side
-        collects E_{A1} K_{A2} F_{B1} over rows with A2 = B2, the right side
-        F_{B2} Kd_{B1} E_{A2} = v^(-(B1, A2)) (F_{B2} E_{A2}) Kd_{B1} (rule R2,
-        with F_{B2} E_{A2} from rule R4) over rows with A1 = B1, and the two
+        (all K_alpha / K_beta factors already cancelled), read from the R4/R5
+        join `dh._join`.  The left side collects E_{A1} K_{A2} F_{B1} over
+        rows with A2 = B2 = M, the join of A over B, twisted by
+        v^(<A1,A2> + <B2,B1>) = v^(<A,M> + <M,B> - 2<M,M>).  The right side
+        collects F_{B2} Kd_{B1} E_{A2} = v^(-(B1, A2)) (F_{B2} E_{A2}) Kd_{B1}
+        (rule R2, with F_{B2} E_{A2} from rule R4) over rows with A1 = B1 = M,
+        the join of B over A, twisted by v^(<B,M> - <A,M>).  The two sides
         must agree as normal-ordered elements.
         """
         lhs, rhs = dh.zero(), dh.zero()
         euler = self.quiver.euler_dimvec
         z = self.quiver.zero_kvector()
-        # B's rows by B2 (left side) and by B1 (right side), with the twist <B2, B1>
-        by_b2, by_b1 = {}, {}
-        for (b2k, b1k), gb in self.cat.subquot_table(b).items():
-            b2, b1 = self._cls(b2k), self._cls(b1k)
-            eb = euler(b2.dim, b1.dim)
-            by_b2.setdefault(b2k, []).append((b1k, gb, eb))
-            by_b1.setdefault(b1k, []).append((b2k, b1, gb, eb))
-        for (a1k, a2k), ga in self.cat.subquot_table(a).items():
-            a1, a2 = self._cls(a1k), self._cls(a2k)
-            ea = euler(a1.dim, a2.dim)
-            for b1k, gb, eb in by_b2.get(a2k, ()):
-                mono = (a1k, tuple(a2.kclass), b1k, z)
-                lhs.add_term(mono, self.ring.v_pow(ea + eb) * (ga * gb * a2.aut_order))
-            for b2k, b1, gb, eb in by_b1.get(a1k, ()):
-                sym = euler(b1.dim, a2.dim) + euler(a2.dim, b1.dim)
-                word = dh.times_k(dh._fe_expand(b2k, a2k), z, b1.kclass)
-                rhs.add_scaled(word, self.ring.v_pow(ea + eb - sym) * (ga * gb * a1.aut_order))
+        for m, a1k, b1k, n in dh._join(a.key, b.key):
+            e = euler(a.dim, m.dim) + euler(m.dim, b.dim) - 2 * euler(m.dim, m.dim)
+            lhs.add_term((a1k, tuple(m.kclass), b1k, z), self.ring.v_pow(e) * n)
+        b_minus_a = kv_sub(b.dim, a.dim)
+        for m, b2k, a2k, n in dh._join(b.key, a.key):
+            word = dh.times_k(dh._fe_expand(b2k, a2k), z, m.kclass)
+            rhs.add_scaled(word, self.ring.v_pow(euler(b_minus_a, m.dim)) * n)
         return check(f"drinfeld[{a.key};{b.key}]", lhs, rhs, dh.render)
 
     # ------------------------------------------------------------------

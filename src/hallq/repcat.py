@@ -542,8 +542,8 @@ class RepCategory:
         """Yield (sub, quotient) Reps for every edge-stable subspace tuple."""
         q, p = self.quiver, self.p
         for ks in product(*[range(d + 1) for d in rep.dim]):
-            for bases in product(*[fplin.subspaces(rep.dim[i], ks[i], p) for i in range(q.n)]):
-                pair = self.sub_quotient(rep, bases, [fplin.rref(b, p)[1] for b in bases])
+            for spaces in product(*[fplin.subspaces(rep.dim[i], ks[i], p) for i in range(q.n)]):
+                pair = self.sub_quotient(rep, *zip(*spaces))
                 if pair is not None:
                     yield pair
 

@@ -3,6 +3,7 @@
 import numpy as np
 
 from hallq import fplin
+from hallq.quiver import kv_sub
 
 
 def is_stable(cat, rep, bases):
@@ -48,3 +49,23 @@ def change_of_basis_sub_quotient(cat, rep, bases):
     sub = cat.rep(ks, sub_mats)
     quot = cat.rep(tuple(d - k for d, k in zip(rep.dim, ks)), quot_mats)
     return sub, quot, tuple(bases[i].T % p for i in range(q.n))
+
+
+def all_pairs_join(dh, xkey, ykey):
+    """The subobject-table join of rules R4 and R5 by visiting every
+    (X row, Y row) pair and keeping those whose middle classes match.
+
+    Yields (M, X1 key, Y1 key, count, twist) with
+    count = g^X_{X1,M} g^Y_{M,Y1} a_M and twist = v^(<M, Y-X>), the Euler
+    form taken on K(R) classes.
+    """
+    cat = dh.cat
+    x, y = cat.class_by_key(xkey), cat.class_by_key(ykey)
+    y_minus_x = kv_sub(tuple(y.kclass), tuple(x.kclass))
+    ty = cat.subquot_table(y)
+    for (x1k, mk), gx in cat.subquot_table(x).items():
+        m = cat.class_by_key(mk)
+        for (qk, y1k), gy in ty.items():
+            if qk == mk:
+                tw = dh.ring.v_pow(dh.quiver.euler_form(tuple(m.kclass), y_minus_x))
+                yield m, x1k, y1k, gx * gy * m.aut_order, tw

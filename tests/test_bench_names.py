@@ -67,6 +67,14 @@ def test_traced_names_without_an_engine_caller(monkeypatch):
     assert callers["inverse"] == {"_gl_inverses"}
 
 
+def test_one_subobject_table_join():
+    # the Hall numbers, the coproduct and one join read the subobject
+    # tables; rules R4, R5 and both sides of the Drinfeld check share it
+    callers = engine_callers()
+    assert callers["subquot_table"] == {"hall_number", "_join", "coproduct"}
+    assert callers["_join"] == {"_fe_expand", "eab", "check_dd_identity"}
+
+
 def test_workload_imports_resolve():
     # every `from hallq... import name` in the workload module, private
     # names among them

@@ -202,11 +202,15 @@ def test_verify_json_round_trip(capsys):
 
 
 # sha256 of `verify --suite drinfeld --json` as the check printed it when it
-# built each right-side word with the general product: the rows must not move
+# built each right-side word with the general product (l2m2 and mixed: when
+# it joined the two subobject tables itself, with its own row twists): the
+# rows must not move
 DRINFELD_DIGESTS = {
     "a2": "6e0d5c500bf5e8f4fcb4d00749a263e9c1a3a5e1f8bc029c62fd906b61385f8a",
     "kronecker": "5750a8d5768dd439914747e6870945d53f263f15282232c54f47109212d985f2",
     "l2": "b419e0cc09c13460bb85aff022bc9283bc76634b8deb64b919042b5716ae0fb2",
+    "l2m2": "50ef1b50ea0d8ff03f20b32d582c0e47aa2133c3b15206a23c6b42abf6dedf3e",
+    "mixed": "afce4ed9cb9a04035018a10eeb6c2778e4106648aa13be1b741df28b6ce15467",
 }
 
 

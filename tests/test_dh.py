@@ -1,10 +1,13 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from hallq.dh import DHAlgebra, ReducedDHElement
 from hallq.quiver import kv_neg
+
+from .reference import all_pairs_join
 
 
 def gens_for(cat, dh):
@@ -286,3 +289,32 @@ def test_products_leave_memoized_elements_unchanged(kronecker):
             dh.dagger(dh.product(x, y))
     assert len(dh._fe) > len(before[0])
     assert [{k: dh.render(memo[k]) for k in seen} for memo, seen in zip(memos, before)] == before
+
+
+@pytest.mark.parametrize("name", ["a2", "kronecker", "l2m2", "mixed"])
+def test_keyed_join_matches_the_all_pairs_reference(name, request):
+    # the keyed join yields the all-pairs join's rows and counts, and R4
+    # and R5 twist each by v^(<M, Y-X>) on dimension vectors, the reference
+    # twist on K(R) classes.  With the zero class on either side the join
+    # has one row, so F_0 E_A = E(A,0) and F_B E_0 = E(0,B)
+    cat = request.getfixturevalue(name)
+    dh = DHAlgebra(cat)
+    z = cat.quiver.zero_kvector()
+    zero = cat.zero_class().key
+    keys = [c.key for c in cat.classes_up_to_total_dim(2)]
+    for xk in keys:
+        for yk in keys:
+            ref = list(all_pairs_join(dh, xk, yk))
+            got = Counter((m.key, x1k, y1k, n) for m, x1k, y1k, n in dh._join(xk, yk))
+            assert got == Counter((m.key, x1k, y1k, n) for m, x1k, y1k, n, _tw in ref)
+            r4 = dh.zero()
+            r5 = dh.element((yk, z, xk, z))
+            for m, x1k, y1k, n, tw in ref:
+                mk = tuple(m.kclass)
+                r4.add_scaled(dh._k_left(mk, z, dh.eab(x1k, y1k)), tw * n)
+                if m.total_dim:
+                    r5.add_scaled(dh._k_left(z, mk, dh.eab(y1k, x1k)), tw * -n)
+            assert dh._fe_expand(yk, xk) == r4, (xk, yk)
+            assert dh.eab(yk, xk) == r5, (xk, yk)
+        assert dh._fe_expand(zero, xk) == dh.eab(xk, zero)
+        assert dh._fe_expand(xk, zero) == dh.eab(zero, xk)

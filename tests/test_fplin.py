@@ -63,6 +63,23 @@ def test_rref_matches_the_numpy_reference(p):
         assert r.tobytes() == r0.tobytes(), (a, p)
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_subspaces_yield_their_rref_and_pivots(p):
+    # the subobject tables read each basis's pivots off `subspaces` instead
+    # of re-running rref; every k-subspace of F_p^n comes once
+    for n in range(5):
+        for k in range(n + 1):
+            seen = set()
+            for basis, pivots in fplin.subspaces(n, k, p):
+                r, pivots0 = fplin.rref(basis, p)
+                assert basis.shape == (k, n) and r.tobytes() == basis.tobytes()
+                assert pivots == pivots0, (n, k, basis)
+                seen.add(basis.tobytes())
+            count = 1
+            for i in range(k):
+                count = count * (p ** (n - i) - 1) // (p ** (i + 1) - 1)
+            assert len(seen) == count, (n, k)
+
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_nullspace_is_the_identity_on_its_free_columns(p):
