@@ -21,7 +21,9 @@ text that ends just before the line's newline; anything else (cut short,
 or followed by stray text) is dropped on its first `get` and reads as a
 miss, so the recomputed value is appended again.  Other processes may
 append to the same file: appends take an advisory file lock.  Audit mode
-recomputes on every hit and raises on disagreement.
+recomputes on every hit and raises on disagreement.  A `get` returns the
+value as stored: the store knows no op, so its reader checks the value's
+shape (`RepCategory` refuses a record that cannot be its op's value).
 """
 
 from __future__ import annotations
@@ -57,7 +59,9 @@ class CacheStore:
     @staticmethod
     def key(head: str, parts: tuple) -> str:
         """`json.dumps([FORMAT, *head's parts, *map(str, parts)])`, reusing `head`."""
-        return ", ".join([head, *map(encode_basestring_ascii, map(str, parts))]) + "]"
+        for part in parts:
+            head = f"{head}, {encode_basestring_ascii(str(part))}"
+        return head + "]"
 
     def _load(self):
         with open(self.path, "r", encoding="utf-8") as fh:

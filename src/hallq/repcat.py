@@ -158,20 +158,42 @@ class Rep:
         return f"Rep({self.key})"
 
 
-@dataclass(frozen=True)
 class IsoClass:
-    rep: Rep
-    aut_order: int
-    kclass: tuple
-    key: str
+    """An isomorphism class: its canonical key, dimension vector, |Aut| and
+    class in the Grothendieck group.
+
+    Classes of one `RepCategory` are unique per key, and compare and hash by
+    key.  The representative `rep` is the Rep the key names; a class read
+    from a cache record decodes it from the key on first use, so a warm
+    session builds no Rep for a class it only counts.
+    """
+
+    __slots__ = ("quiver", "key", "dim", "aut_order", "kclass", "_rep")
+
+    def __init__(self, quiver: Quiver, key: str, dim: tuple, aut_order: int, kclass: tuple,
+                 rep: Rep | None = None):
+        self.quiver = quiver
+        self.key = key
+        self.dim = dim
+        self.aut_order = aut_order
+        self.kclass = kclass
+        self._rep = rep
 
     @property
-    def dim(self):
-        return self.rep.dim
+    def rep(self) -> Rep:
+        if self._rep is None:
+            self._rep = Rep._keyed(self.quiver, self.dim, self.key)
+        return self._rep
 
     @property
-    def total_dim(self):
-        return self.rep.total_dim
+    def total_dim(self) -> int:
+        return sum(self.dim)
+
+    def __eq__(self, other):
+        return isinstance(other, IsoClass) and self.key == other.key
+
+    def __hash__(self):
+        return hash(self.key)
 
     def __repr__(self):
         return f"<{self.key}>"
@@ -203,6 +225,8 @@ class RepCategory:
         self._key_heads = {
             op: CacheStore.key_head(*head, op) for op in ("classify", "subquot", "homdim")
         }
+        # the key of the zero class (as `zero_rep().key`, with no Rep built)
+        self._zero_key = ",".join("0" * quiver.n) + "|" + ";" * (len(quiver.arrows) - 1)
         self._classify: dict[tuple, list[IsoClass]] = {}
         self._by_key: dict[str, IsoClass] = {}
         self._kclass: dict[tuple, tuple] = {}
@@ -299,7 +323,10 @@ class RepCategory:
         memo_key = (a.key, b.key)
         if memo_key in self._homdim:
             return self._homdim[memo_key]
-        val = self._stored("homdim", memo_key, lambda: len(self.hom_basis(a, b)), least=0)
+        val = self._stored("homdim", memo_key, lambda: len(self.hom_basis(a, b)))
+        if not (type(val) is int and val >= 0):
+            key = CacheStore.key(self._key_heads["homdim"], memo_key)
+            raise QuiverError(f"cached record {key} holds {val!r}, not an int >= 0")
         self._homdim[memo_key] = val
         return val
 
@@ -392,7 +419,8 @@ class RepCategory:
         d = rep.dim
         entry_counts = [d[t] * d[h] for t, h in self.quiver.arrows]
         if not any(entry_counts):
-            return np.zeros(1, dtype=np.int64), self._register(rep, self._group_order(d))
+            cls = self._register(rep.key, d, self._group_order(d), rep=rep)
+            return np.zeros(1, dtype=np.int64), cls
         size, stacks, inv_stacks = self._group_stacks(d)
         # a code ranges up to p^entries - 1; past 2^63 - 1 it would wrap and
         # distinct matrix tuples would share a code
@@ -409,7 +437,7 @@ class RepCategory:
         orbit = np.unique(np.concatenate(pieces, axis=1) @ pows)
         assert size % len(orbit) == 0
         canon = self.rep(d, self._decode(int(orbit.min()), d, entry_counts))
-        return orbit, self._register(canon, size // len(orbit))
+        return orbit, self._register(canon.key, d, size // len(orbit), rep=canon)
 
     def classify(self, d) -> list:
         """All isomorphism classes with dimension vector d, sorted by key."""
@@ -441,18 +469,31 @@ class RepCategory:
             return [[c.key, c.aut_order] for c in classes]
 
         rows = self._stored("classify", d, compute)
-        # each row must name a class of d; one pattern and K-class serve all
-        pattern = _key_shape(q, ",".join(map(str, d)))[1]
+        self._check_class_rows(d, rows)
         kclass = self._kclass_of(d)
-        classes = []
-        for key, aut in rows:
-            if not (type(key) is str and pattern.fullmatch(key) and type(aut) is int and aut > 0):
-                raise QuiverError(
-                    f"cached class {key!r} (aut {aut!r}) is not a class of dimension vector {d}"
-                )
-            classes.append(self._register(Rep._keyed(q, d, key), aut, kclass))
-        self._classify[d] = classes
+        classes = self._classify[d] = [self._register(key, d, aut, kclass) for key, aut in rows]
         return classes
+
+    def _check_class_rows(self, d: tuple, rows):
+        """Refuse rows unless they are distinct [class key of d, aut >= 1] pairs, at least one.
+
+        Only a refused record is read row by row, to name its first bad row.
+        """
+        pattern = _key_shape(self.quiver, ",".join(map(str, d)))[1]
+        if _class_rows_ok(pattern, rows):
+            return
+        key = CacheStore.key(self._key_heads["classify"], d)
+        seen = set()
+        for row in rows if type(rows) is list else ():
+            if not _class_rows_ok(pattern, [row]) or row[0] in seen:
+                raise QuiverError(
+                    f"cached class {row!r} in record {key} is not a class of dimension vector "
+                    f"{d}, or comes twice"
+                )
+            seen.add(row[0])
+        raise QuiverError(
+            f"cached record {key} holds {rows!r}, not the classes of dimension vector {d}"
+        )
 
     def _decode(self, code, d, entry_counts):
         q = self.quiver
@@ -471,14 +512,18 @@ class RepCategory:
             kclass = self._kclass[dim] = self.quiver.class_of_dimvec(dim)
         return kclass
 
-    def _register(self, rep: Rep, aut: int, kclass=None) -> IsoClass:
-        key = rep.key
-        if key in self._by_key:
-            return self._by_key[key]
-        if kclass is None:
-            kclass = self._kclass_of(rep.dim)
-        cls = self._by_key[key] = IsoClass(rep=rep, aut_order=aut, kclass=kclass, key=key)
-        self._canon[key] = key
+    def _register(self, key: str, dim: tuple, aut: int, kclass=None, rep: Rep | None = None):
+        """The class of canonical key `key`, registered on first sight.
+
+        rep, if given, is the Rep of `key`; otherwise the class decodes it
+        from the key on first use.
+        """
+        cls = self._by_key.get(key)
+        if cls is None:
+            if kclass is None:
+                kclass = self._kclass_of(dim)
+            cls = self._by_key[key] = IsoClass(self.quiver, key, dim, aut, kclass, rep)
+            self._canon[key] = key
         return cls
 
     def class_by_key(self, key: str) -> IsoClass:
@@ -521,22 +566,40 @@ class RepCategory:
         """Counts of subrepresentation types of c.
 
         Maps (quotient class key, sub class key) -> number of
-        subrepresentations of c with that sub and quotient type.
+        subrepresentations of c with that sub and quotient type.  A stored
+        table is refused with a QuiverError naming its record unless each
+        row is [quotient key, sub key, count >= 1], no row comes twice, and
+        the rows (c, 0) and (0, c) have count 1; the checks ride on the
+        table's one build.
         """
-        if c.key in self._subquot:
-            return self._subquot[c.key]
-
-        def compute():
-            table: dict[tuple, int] = {}
-            for sub, quot in self._stable_subreps(c.rep):
-                k = (self.class_of(quot).key, self.class_of(sub).key)
-                table[k] = table.get(k, 0) + 1
-            return sorted([qk, sk, n] for (qk, sk), n in table.items())
-
-        rows = self._stored("subquot", (c.key,), compute)
-        table = {(qk, sk): n for qk, sk, n in rows}
-        self._subquot[c.key] = table
+        table = self._subquot.get(c.key)
+        if table is None:
+            rows = self._stored("subquot", (c.key,), self._subquot_rows, c)
+            zero = self._zero_key
+            try:
+                table = {(qk, sk): n for qk, sk, n in rows if type(n) is int and n > 0}
+                ok = len(table) == len(rows) and (
+                    table.get((c.key, zero)) == table.get((zero, c.key)) == 1
+                )
+            except (TypeError, ValueError):
+                ok = False
+            if not ok:
+                key = CacheStore.key(self._key_heads["subquot"], (c.key,))
+                raise QuiverError(
+                    f"cached record {key} is not the subobject table of a class of dimension "
+                    f"vector {c.dim}: each row is [quotient key, sub key, count >= 1], none "
+                    "twice, and (C, 0) and (0, C) have count 1"
+                )
+            self._subquot[c.key] = table
         return table
+
+    def _subquot_rows(self, c: IsoClass) -> list:
+        """c's subobject table as sorted [quotient key, sub key, count] rows."""
+        table: dict[tuple, int] = {}
+        for sub, quot in self._stable_subreps(c.rep):
+            k = (self.class_of(quot).key, self.class_of(sub).key)
+            table[k] = table.get(k, 0) + 1
+        return sorted([qk, sk, n] for (qk, sk), n in table.items())
 
     def _stable_subreps(self, rep: Rep):
         """Yield (sub, quotient) Reps for every edge-stable subspace tuple."""
@@ -629,23 +692,43 @@ class RepCategory:
     # ------------------------------------------------------------------
     # persistent cache plumbing
 
-    def _stored(self, op: str, args: tuple, compute, least=None):
-        """op's stored value on args (keyed after `_key_heads[op]`), else compute()'s."""
+    def _stored(self, op: str, args: tuple, compute, *inputs):
+        """op's stored value on args (keyed after `_key_heads[op]`), else
+        compute(*inputs)'s, which is then stored.
+
+        The value is returned as stored; each caller checks its shape.
+        """
         if self.store is None:
-            return compute()
+            return compute(*inputs)
         key = CacheStore.key(self._key_heads[op], args)
         hit = self.store.get(key)
         if hit is not None:
-            if least is not None and not (type(hit) is int and hit >= least):
-                raise QuiverError(f"cached record {key} holds {hit!r}, not an int >= {least}")
             if self.store.audit:
-                fresh = compute()
+                fresh = compute(*inputs)
                 if fresh != hit:
                     raise CacheCorruption(f"cache corruption at {key}: {hit} != {fresh}")
             return hit
-        val = compute()
+        val = compute(*inputs)
         self.store.put(key, val)
         return val
+
+
+def _class_rows_ok(pattern, rows) -> bool:
+    """Whether rows are distinct [key matching pattern, aut >= 1] pairs, at least one.
+
+    One pass over the rows builds {key: aut}, with no object per row; its
+    keys and orders are then checked in bulk.
+    """
+    try:
+        auts = dict(rows)
+        return (
+            len(auts) == len(rows)
+            and all(map(pattern.fullmatch, auts))
+            and set(map(type, auts.values())) == {int}
+            and min(auts.values()) > 0
+        )
+    except (TypeError, ValueError):
+        return False
 
 
 def _compositions(total: int, parts: int):

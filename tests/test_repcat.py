@@ -490,6 +490,10 @@ def test_torn_last_cache_line_is_a_miss(tmp_path, l2m2, monkeypatch):
         ["1|0;0", -1],
         ["1|0;0", 1.5],
         [1, 1],
+        ["1|0;0"],  # a row without its automorphism order
+        5,  # a row that is no list
+        ["1|0;0", 1, 2],  # a row with a stray third entry
+        ["1|0;0\n1|0;1", 1],  # two keys of (1,) in one
     ],
 )
 def test_cached_classify_rows_must_be_classes_of_their_dimension(tmp_path, l2m2, row):
@@ -504,6 +508,76 @@ def test_cached_classify_rows_must_be_classes_of_their_dimension(tmp_path, l2m2,
         cat.classify((1,))
     # the rows of other dimension vectors still read
     assert [c.key for c in cat.classify((2,))] == [c.key for c in l2m2.classify((2,))]
+
+
+def corrupt_record(path, quiver, args, value):
+    """Write a cold session's cache to path with the record of args replaced."""
+    cache_session(quiver, CacheStore(path))
+    lines = path.read_text().splitlines()
+    at = [json.loads(line.split("\t")[0])[4:] for line in lines].index(args)
+    key = lines[at].split("\t")[0]
+    lines[at] = key + "\t" + json.dumps(value)
+    path.write_text("".join(line + "\n" for line in lines))
+    return key
+
+
+L2M2_CLASSES_1 = [["1|0;0", 1], ["1|0;1", 1], ["1|1;0", 1], ["1|1;1", 1]]
+
+
+@pytest.mark.parametrize(
+    "value, bad",
+    [
+        (7, None),  # no list at all
+        ({"a": 1}, None),
+        ([], None),  # every dimension vector has a class
+        (L2M2_CLASSES_1[:2] + [["2|0000;0000", 6]] + L2M2_CLASSES_1[2:], "2|0000;0000"),
+        (L2M2_CLASSES_1 + [["1|1;1", 0]], "1|1;1', 0"),  # a bad row after valid rows
+        (L2M2_CLASSES_1 + [["1|0;1", 1]], "['1|0;1', 1] in record"),  # a class twice
+    ],
+)
+def test_cached_classify_records_must_list_each_class_once(tmp_path, l2m2, value, bad):
+    path = tmp_path / "c.jsonl"
+    assert [[c.key, c.aut_order] for c in l2m2.classify((1,))] == L2M2_CLASSES_1
+    key = corrupt_record(path, l2m2.quiver, ["classify", "1"], value)
+    cat = RepCategory(l2m2.quiver, store=CacheStore(path))
+    with pytest.raises(QuiverError, match=r"of dimension vector \(1,\)") as exc:
+        cat.classify((1,))
+    assert key in str(exc.value)
+    if bad is not None:
+        assert bad in str(exc.value)
+
+
+def l2m2_table_rows(cat, key):
+    return sorted([qk, sk, n] for (qk, sk), n in cat.subquot_table(cat.class_by_key(key)).items())
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        5,  # no list at all
+        [["0|;", "0|;"]],  # a row without its count
+        [["9|x", "1|0;0", -3]],  # the table that made middle_terms drop (0, C)
+        [],
+        [["0|;", "1|0;0", 1]],  # (C, 0) missing
+        [["0|;", "1|0;0", 1], ["1|0;0", "0|;", 2]],  # (C, 0) with count 2
+        [["0|;", "1|0;0", 1], ["1|0;0", "0|;", True]],
+        [["0|;", "1|0;0", 1], ["1|0;0", "0|;", 1.0]],
+        [["0|;", "1|0;0", 1], ["1|0;0", "0|;", 1], ["0|;", "1|0;0", 1]],  # a row twice
+        [["0|;", "1|0;0", 1], ["1|0;0", "0|;", 1], ["1|0;0", "1|0;0", 0]],  # a zero count
+        [["0|;", "1|0;0", 1], ["1|0;0", "0|;", 1], [["1|0;0"], "0|;", 1]],  # a key no string
+    ],
+)
+def test_cached_subobject_tables_must_be_tables_of_their_class(tmp_path, l2m2, value):
+    path = tmp_path / "c.jsonl"
+    assert l2m2_table_rows(l2m2, "1|0;0") == [["0|;", "1|0;0", 1], ["1|0;0", "0|;", 1]]
+    key = corrupt_record(path, l2m2.quiver, ["subquot", "1|0;0"], value)
+    cat = RepCategory(l2m2.quiver, store=CacheStore(path))
+    c, zero = cat.class_by_key("1|0;0"), cat.class_by_key("0|;")
+    with pytest.raises(QuiverError, match=r"of dimension vector \(1,\)") as exc:
+        cat.middle_terms(zero, c)
+    assert key in str(exc.value)
+    # the other tables still read
+    assert l2m2_table_rows(cat, "1|1;1") == l2m2_table_rows(l2m2, "1|1;1")
 
 
 @pytest.mark.parametrize("value", [0, -1, 1.5, "1"])
@@ -645,6 +719,67 @@ def test_warm_session_reads_each_record_once_through_get(tmp_path, l2m2, monkeyp
     dims = [[str(t)] for t in range(3)]
     assert gets == [["classify", *d] for d in dims] + [["subquot", key] for key, _, _ in cold]
     assert puts == []
+
+
+def test_warm_session_builds_no_rep_and_runs_no_enumeration(tmp_path, l2m2, monkeypatch):
+    path = tmp_path / "c.jsonl"
+    cold = cache_session(l2m2.quiver, CacheStore(path))
+    keys = [line.split("\t")[0] for line in path.read_text().splitlines()]
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a warm session built a Rep or enumerated")
+
+    with monkeypatch.context() as m:
+        # the two ways to build a Rep: __init__ and _keyed (which from_key calls)
+        for name in ("__init__", "_keyed"):
+            m.setattr(Rep, name, refused)
+        m.setattr(RepCategory, "_orbit", refused)
+        for name, value in vars(fplin).items():
+            if callable(value) and getattr(value, "__module__", None) == fplin.__name__:
+                m.setattr(fplin, name, refused)
+        gets = []
+        get = CacheStore.get
+        m.setattr(CacheStore, "get", lambda self, key: gets.append(key) or get(self, key))
+        assert cache_session(l2m2.quiver, CacheStore(path)) == cold
+    assert sorted(gets) == sorted(keys)
+    # everything is as it was once the patches are undone
+    assert Rep(l2m2.quiver, (1,), [[[0]], [[1]]]).key == "1|0;1"
+
+
+@pytest.mark.parametrize("name", ["a2", "kronecker", "l2m2", "mixed"])
+def test_classes_decode_their_rep_on_first_use(tmp_path, name, monkeypatch):
+    q = load(name)
+    cold = RepCategory(q)
+    path = tmp_path / "c.jsonl"
+    cache_session(q, CacheStore(path))
+    warm = RepCategory(q, store=CacheStore(path))
+    cold_classes = cold.classes_up_to_total_dim(2)
+    for cat in (cold, warm):
+        with monkeypatch.context() as m:
+            for attr in ("__init__", "_keyed"):
+                m.setattr(Rep, attr, lambda *args: pytest.fail("a Rep was built"))
+            classes = cat.classes_up_to_total_dim(2)
+            fields = [(c.key, c.dim, c.total_dim, c.aut_order, c.kclass) for c in classes]
+        assert fields == [(c.key, c.dim, c.total_dim, c.aut_order, c.kclass) for c in cold_classes]
+        if cat is warm:
+            assert all(c._rep is None for c in classes)
+        for c, cc in zip(classes, cold_classes):
+            assert c.rep.key == c.key and c.rep.dim == c.dim
+            assert len(c.rep.mats) == len(cc.rep.mats)
+            for mat, cold_mat in zip(c.rep.mats, cc.rep.mats):
+                assert mat.shape == cold_mat.shape and (mat == cold_mat).all()
+            assert c.rep is c.rep
+            # one object per class, however it is asked for
+            assert any(x is c for x in cat.classify(c.dim))
+            assert cat.class_by_key(c.key) is c
+            assert cat.class_of(c.rep) is c
+            assert cat.class_of(Rep(q, c.dim, cc.rep.mats)) is c
+            # equal and hashed by key, across categories too
+            assert c == cc and hash(c) == hash(cc) == hash(c.key)
+            assert c != c.key and c != c.rep
+    keys = {c.key for c in cold_classes}
+    assert len(set(cold_classes) | set(warm.classes_up_to_total_dim(2))) == len(keys)
+    assert len({c for c in cold_classes if c != cold_classes[0]}) == len(keys) - 1
 
 
 @pytest.mark.parametrize("d", [(1,), (1, 0, 0), (1, -1)])
