@@ -19,11 +19,13 @@ append, a last line that lacks its newline is closed with a NUL, which no
 JSON text holds, so that line too reads as a miss.  A value is one JSON
 text that ends just before the line's newline; anything else (cut short,
 or followed by stray text) is dropped on its first `get` and reads as a
-miss, so the recomputed value is appended again.  Other processes may
-append to the same file: appends take an advisory file lock.  Audit mode
-recomputes on every hit and raises on disagreement.  A `get` returns the
-value as stored: the store knows no op, so its reader checks the value's
-shape (`RepCategory` refuses a record that cannot be its op's value).
+miss, so the recomputed value is appended again; so is a stored `null`,
+which no caller stores and `get` could not tell from a miss.  Other
+processes may append to the same file: appends take an advisory file lock.
+Audit mode recomputes on every hit and raises on disagreement.  A `get`
+returns the value as stored: the store knows no op, so its reader checks
+the value's shape (`RepCategory` refuses a record that cannot be its op's
+value).
 """
 
 from __future__ import annotations
@@ -80,8 +82,9 @@ class CacheStore:
             value, end = _decode(text)
         except json.JSONDecodeError:
             end = None
-        if end != len(text) - 1:
-            del self._mem[key]  # torn or corrupt: a miss, recomputed and appended
+        if end != len(text) - 1 or value is None:
+            # torn, corrupt or a JSON null: a miss, recomputed and appended
+            del self._mem[key]
             return None
         return value
 

@@ -27,6 +27,14 @@ class LocElement(Combination):
     """Terms are (complex class key, gamma, delta)."""
 
 
+def _stack_gens(first, second):
+    """The rows (x, 0) for x in first, then (0, y) for y in second."""
+    out = np.zeros((len(first) + len(second), first.shape[1] + second.shape[1]), dtype=np.int64)
+    out[: len(first), : first.shape[1]] = first
+    out[len(first) :, first.shape[1] :] = second
+    return out
+
+
 def mor_zero(src: Rep, dst: Rep):
     return tuple(
         np.zeros((dst.dim[i], src.dim[i]), dtype=np.int64) for i in range(len(src.dim))
@@ -67,7 +75,7 @@ class ComplexCategory:
         self.ring = cat.quiver.scalar_ring()
         self._paths = self._enumerate_paths()
         self.projectives = [self._build_projective(i) for i in range(self.quiver.n)]
-        self._proj_dims = np.array([pr.dim for pr in self.projectives], dtype=np.int64)
+        self._proj_dims = [pr.dim for pr in self.projectives]
         self._resolutions: dict[str, Complex] = {}
         # key -> (first complex with the key, H0 class, H1 class, M1+, M0-)
         self._registry: dict[str, tuple] = {}
@@ -127,19 +135,16 @@ class ComplexCategory:
 
     def proj_rank_vector(self, rep: Rep):
         """Multiplicities n_i with rep isomorphic to the sum of P_i^{n_i}."""
-        q = self.quiver
-        dims = np.array(rep.dim, dtype=np.int64)
-        ranks = np.zeros(q.n, dtype=np.int64)
-        remaining = dims.copy()
-        for i in q.topo_order:
-            n = remaining[i]
+        ranks, remaining = [0] * self.quiver.n, rep.dim
+        for i in self.quiver.topo_order:
+            n = ranks[i] = remaining[i]
             if n < 0:
                 raise QuiverError("representation is not projective")
-            ranks[i] = n
-            remaining = remaining - n * self._proj_dims[i]
-        if remaining.any():
+            if n:
+                remaining = [r - n * d for r, d in zip(remaining, self._proj_dims[i])]
+        if any(remaining):
             raise QuiverError("representation is not projective")
-        return tuple(int(x) for x in ranks)
+        return tuple(ranks)
 
     def _path_matrix(self, word, rep: Rep):
         if not word:
@@ -350,55 +355,54 @@ class ComplexCategory:
         generators (s1, 0) and (0, s0), for s1 and s0 in the Hom bases of the
         terms, times the generators' entry vectors, mod p.
         """
-        q, p = self.quiver, self.p
-        h1 = self.cat.hom_basis(a.m1, b.m1)
-        h0 = self.cat.hom_basis(a.m0, b.m0)
-        zero1, zero0 = mor_zero(a.m1, b.m1), mor_zero(a.m0, b.m0)
-        gens = [(s1, zero0) for s1 in h1] + [(zero1, s0) for s0 in h0]
-        if not gens:
-            return np.zeros((0, sum(m.size for m in zero1 + zero0)), dtype=np.int64)
-        conditions = []
-        for s1, s0 in gens:
-            c1 = [(s0[i] @ a.d1[i] - b.d1[i] @ s1[i]) % p for i in range(q.n)]
-            c0 = [(s1[i] @ a.d0[i] - b.d0[i] @ s0[i]) % p for i in range(q.n)]
-            conditions.append(self._chain_map_vector(c1, c0))
-        kernel = fplin.nullspace(np.stack(conditions, axis=1), p)
-        return kernel @ np.stack([self._chain_map_vector(s1, s0) for s1, s0 in gens]) % p
+        gens = _stack_gens(self.cat.hom_rows(a.m1, b.m1), self.cat.hom_rows(a.m0, b.m0))
+        kernel = fplin.nullspace(self._conditions(gens, a, b).T, self.p)
+        return kernel @ gens % self.p
+
+    def _conditions(self, rows, a: Complex, b: Complex):
+        """Per map (s1, s0) in rows, the entry vector of (s0 d1(a) - d1(b) s1,
+        s1 d0(a) - d0(b) s0) mod p: zero exactly on chain maps a -> b."""
+        (s1, s0), n = self._chain_map(rows, a, b), range(self.quiver.n)
+        c1 = [s0[i] @ a.d1[i] - b.d1[i] @ s1[i] for i in n]
+        c0 = [s1[i] @ a.d0[i] - b.d0[i] @ s0[i] for i in n]
+        return self._chain_map_vector(c1, c0) % self.p
 
     def _chain_map(self, row, a: Complex, b: Complex):
-        """The chain map (s1, s0) a -> b whose entry vector is row (views into it)."""
+        """The chain map (s1, s0) a -> b whose entry vector is row (views into
+        it), or the stacks of such maps over the rows of a matrix."""
+        return self._split(row, ((a.m1, b.m1), (a.m0, b.m0)))
+
+    def _split(self, rows, pairs):
+        """Per (src, dst) pair, the blocks Hom(src_i, dst_i) that follow one
+        another in entry vectors: the matrices of one vector (a 1-d row), or
+        their stacks over the rows of a matrix; views into rows either way."""
         out, at = [], 0
-        for src, dst in ((a.m1, b.m1), (a.m0, b.m0)):
+        for src, dst in pairs:
             blocks = []
             for i in range(self.quiver.n):
                 size = dst.dim[i] * src.dim[i]
-                blocks.append(row[at : at + size].reshape(dst.dim[i], src.dim[i]))
+                blocks.append(rows[..., at : at + size].reshape(
+                    rows.shape[:-1] + (dst.dim[i], src.dim[i])))
                 at += size
             out.append(tuple(blocks))
         return tuple(out)
 
     def _chain_map_vector(self, s1, s0):
-        return np.concatenate([m.reshape(-1) for m in s1] + [m.reshape(-1) for m in s0])
+        """Entry vector of (s1, s0), or the rows of such vectors for stacked maps."""
+        return np.concatenate(
+            [m.reshape(m.shape[:-2] + (m.shape[-2] * m.shape[-1],)) for m in (*s1, *s0)],
+            axis=-1,
+        )
 
     def homotopy_image(self, a: Complex, b: Complex):
-        """Chain maps homotopic to zero, as entry vectors (rows)."""
-        q = self.quiver
-        h10 = self.cat.hom_basis(a.m1, b.m0)
-        h01 = self.cat.hom_basis(a.m0, b.m1)
-        rows = []
-        for gen, is_h1 in [(g, True) for g in h10] + [(g, False) for g in h01]:
-            if is_h1:
-                t1 = [(b.d0[i] @ gen[i]) % self.p for i in range(q.n)]
-                t0 = [(gen[i] @ a.d0[i]) % self.p for i in range(q.n)]
-            else:
-                t1 = [(gen[i] @ a.d1[i]) % self.p for i in range(q.n)]
-                t0 = [(b.d1[i] @ gen[i]) % self.p for i in range(q.n)]
-            rows.append(self._chain_map_vector(t1, t0))
-        if not rows:
-            size = self._chain_map_vector(
-                mor_zero(a.m1, b.m1), mor_zero(a.m0, b.m0)
-            ).shape[0]
-        return np.stack(rows) if rows else np.zeros((0, size), dtype=np.int64)
+        """Chain maps homotopic to zero, as entry vectors (rows): the maps
+        (d0(b) h + k d1(a), h d0(a) + d1(b) k) for the generators (h, 0) and
+        (0, k), h and k in the Hom bases of a.m1 -> b.m0 and a.m0 -> b.m1."""
+        gens = _stack_gens(self.cat.hom_rows(a.m1, b.m0), self.cat.hom_rows(a.m0, b.m1))
+        (h, k), n = self._split(gens, ((a.m1, b.m0), (a.m0, b.m1))), range(self.quiver.n)
+        t1 = [b.d0[i] @ h[i] + k[i] @ a.d1[i] for i in n]
+        t0 = [h[i] @ a.d0[i] + b.d1[i] @ k[i] for i in n]
+        return self._chain_map_vector(t1, t0) % self.p
 
     def homotopy_classes(self, a: Complex, b: Complex):
         """One representative chain map per homotopy class of maps a -> b.
@@ -410,6 +414,12 @@ class ComplexCategory:
         basis = self._chain_map_rows(a, b)
         if not len(basis):
             return [(mor_zero(a.m1, b.m1), mor_zero(a.m0, b.m0))]
+        # d^2 = 0 on cone(s) is linear in s, so checking the basis maps
+        # checks the cone of every class `cone` builds for this pair
+        if self._conditions(basis, a, b).any():
+            raise AssertionError(
+                f"a basis map {self.complex_key(a)} -> {self.complex_key(b)} is not a chain map"
+            )
         null_rows = self.homotopy_image(a, b)
         # pivot columns past the null rows: basis maps independent modulo
         # the homotopy image and the basis maps chosen before them
@@ -427,7 +437,13 @@ class ComplexCategory:
     # cones
 
     def cone(self, s, src: Complex, tgt: Complex) -> Complex:
-        """Cone of a chain map src -> tgt; extension of src by tgt-dagger."""
+        """Cone of a chain map src -> tgt; extension of src by tgt-dagger.
+
+        s is one of `homotopy_classes(src, tgt)`, reduced mod p.  The cone
+        squares to zero because s is a chain map (its off-diagonal blocks of
+        d^2 are s's chain-map conditions), which `homotopy_classes` checks
+        once per pair, so `Complex.__init__`'s check is not run again.
+        """
         s1, s0 = s
         q = self.quiver
         m1 = self.cat.direct_sum(tgt.m0, src.m1)
@@ -444,7 +460,9 @@ class ComplexCategory:
             blk[: tgt.m0.dim[i], tgt.m1.dim[i] :] = s0[i]
             blk[tgt.m0.dim[i] :, tgt.m1.dim[i] :] = src.d0[i]
             d0.append(blk)
-        return Complex(m1, m0, d1, d0, self.p)
+        cx = Complex.__new__(Complex)
+        cx.m1, cx.m0, cx.d1, cx.d0, cx._key = m1, m0, tuple(d1), tuple(d0), None
+        return cx
 
     # ------------------------------------------------------------------
     # Hall structure

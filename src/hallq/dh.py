@@ -50,6 +50,7 @@ class DHAlgebra:
         self.ring = cat.quiver.scalar_ring()
         self._fe: dict[tuple, DHElement] = {}
         self._eab: dict[tuple, DHElement] = {}
+        self._mono: dict[tuple, DHElement] = {}
         self._zero_key = cat.zero_class().key
 
     # ------------------------------------------------------------------
@@ -228,10 +229,16 @@ class DHAlgebra:
     # products
 
     def mono_product(self, m1, m2) -> DHElement:
+        """Normal form of m1 o m2, memoized per (m1, m2): the value is shared,
+        and callers only read it (`product` reads it through `add_scaled`)."""
+        memo = (m1, m2)
+        if memo in self._mono:
+            return self._mono[memo]
         a2, al2, b2, be2 = m2
         z = self.quiver.zero_kvector()
         out = self.times_k(self.times_e(self.element(m1), a2), al2, z)
-        return self.times_k(self.times_f(out, b2), z, be2)
+        self._mono[memo] = self.times_k(self.times_f(out, b2), z, be2)
+        return self._mono[memo]
 
     def product(self, x: DHElement, y: DHElement) -> DHElement:
         out = self.zero()

@@ -143,8 +143,8 @@ class Rep:
     @property
     def key(self) -> str:
         if self._key is None:
-            dims = ",".join(str(d) for d in self.dim)
-            blocks = ";".join("".join(str(int(x)) for x in m.flat) for m in self._mats)
+            dims = ",".join(map(str, self.dim))
+            blocks = ";".join("".join(map(str, m.ravel().tolist())) for m in self._mats)
             self._key = f"{dims}|{blocks}"
         return self._key
 
@@ -232,6 +232,7 @@ class RepCategory:
         self._kclass: dict[tuple, tuple] = {}
         self._canon: dict[str, str] = {}
         self._homs: dict[tuple, list] = {}
+        self._hom_rows: dict[tuple, np.ndarray] = {}
         self._sums: dict[tuple, Rep] = {}
         self._homdim: dict[tuple, int] = {}
         self._subquot: dict[str, dict] = {}
@@ -294,7 +295,7 @@ class RepCategory:
         Each basis element is a tuple of per-vertex matrices f_i with
         f_h x_e = y_e f_t for every arrow e = (t, h).  Memoized per
         (A, B), so the list is shared and callers only read it; its
-        matrices are read-only.
+        matrices are read-only views into the rows of `hom_rows(a, b)`.
         """
         if a.quiver is not self.quiver or b.quiver is not self.quiver:
             raise QuiverError("representations from a different context")
@@ -311,13 +312,21 @@ class RepCategory:
             block[:, offs[h] : offs[h + 1]] += np.kron(np.eye(b.dim[h], dtype=np.int64), x.T)
             block[:, offs[t] : offs[t + 1]] -= np.kron(y, np.eye(a.dim[t], dtype=np.int64))
             blocks.append(block % p)
-        kernel = fplin.nullspace(np.concatenate(blocks), p)
+        kernel = self._hom_rows[memo] = fplin.nullspace(np.concatenate(blocks), p)
         kernel.setflags(write=False)
         self._homs[memo] = [
             tuple(vec[offs[i] : offs[i + 1]].reshape(b.dim[i], a.dim[i]) for i in range(q.n))
             for vec in kernel
         ]
         return self._homs[memo]
+
+    def hom_rows(self, a: Rep, b: Rep):
+        """The basis `hom_basis(a, b)` as the rows of one read-only matrix:
+        each row lists f_1, ..., f_n one after another, each row by row."""
+        memo = (a.key, b.key)
+        if memo not in self._hom_rows:
+            self.hom_basis(a, b)
+        return self._hom_rows[memo]
 
     def hom_dim(self, a: Rep, b: Rep) -> int:
         memo_key = (a.key, b.key)

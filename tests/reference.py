@@ -3,6 +3,7 @@
 import numpy as np
 
 from hallq import fplin
+from hallq.cplx import mor_zero
 from hallq.quiver import kv_sub
 
 
@@ -69,3 +70,23 @@ def all_pairs_join(dh, xkey, ykey):
             if qk == mk:
                 tw = dh.ring.v_pow(dh.quiver.euler_form(tuple(m.kclass), y_minus_x))
                 yield m, x1k, y1k, gx * gy * m.aut_order, tw
+
+
+def homotopy_image(cpx, a, b):
+    """Chain maps a -> b homotopic to zero, as entry vectors (rows), built
+    one generator of Hom(a.m1, b.m0) and Hom(a.m0, b.m1) at a time."""
+    q, p = cpx.quiver, cpx.p
+    h10 = cpx.cat.hom_basis(a.m1, b.m0)
+    h01 = cpx.cat.hom_basis(a.m0, b.m1)
+    rows = []
+    for gen, is_h1 in [(g, True) for g in h10] + [(g, False) for g in h01]:
+        if is_h1:
+            t1 = [(b.d0[i] @ gen[i]) % p for i in range(q.n)]
+            t0 = [(gen[i] @ a.d0[i]) % p for i in range(q.n)]
+        else:
+            t1 = [(gen[i] @ a.d1[i]) % p for i in range(q.n)]
+            t0 = [(b.d1[i] @ gen[i]) % p for i in range(q.n)]
+        rows.append(cpx._chain_map_vector(t1, t0))
+    if not rows:
+        size = cpx._chain_map_vector(mor_zero(a.m1, b.m1), mor_zero(a.m0, b.m0)).shape[0]
+    return np.stack(rows) if rows else np.zeros((0, size), dtype=np.int64)

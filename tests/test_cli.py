@@ -9,6 +9,7 @@ import pytest
 
 import hallq.cli
 from hallq.cli import main
+from hallq.dh import DHAlgebra
 from hallq.uq import RelationVerifier
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -238,6 +239,39 @@ def test_verify_oracle_json_is_pinned(capsys, quiver):
     )
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == ORACLE_DIGESTS[quiver]
+
+
+# sha256 of `verify --suite assoc --json` as straightening printed it before
+# `DHAlgebra.mono_product` was memoized: the rows must not move
+ASSOC_DIGESTS = {
+    "a2": "2b2c52856acb45aebb9d9af8e18c147abc85827b211c1ef5839ecd57fe165b69",
+    "kronecker": "fe545271eb18ba774f7c71b44fcc41b6ca59dfff6cda36e542f3c9b41b06ad41",
+    "l2m2": "3ae975c70a70e75bb3ba59822b97f41ef31c5945a293dfeb63f4523ef9783ebc",
+}
+
+
+@pytest.mark.parametrize("quiver", sorted(ASSOC_DIGESTS))
+def test_verify_assoc_json_is_pinned(capsys, monkeypatch, quiver):
+    # and every memoized monomial product the suite leaves behind equals the
+    # one a fresh algebra computes: no caller mutated a shared value
+    made = []
+
+    class Recording(hallq.cli.DHAlgebra):
+        def __init__(self, cat):
+            super().__init__(cat)
+            made.append(self)
+
+    monkeypatch.setattr(hallq.cli, "DHAlgebra", Recording)
+    code, out, _ = run(
+        capsys, "verify", "--quiver", DATA / f"{quiver}.quiver", "--suite", "assoc", "--json"
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ASSOC_DIGESTS[quiver]
+    (dh,) = made
+    fresh = DHAlgebra(dh.cat)
+    assert dh._mono
+    for (m1, m2), value in dh._mono.items():
+        assert fresh.mono_product(m1, m2) == value, (m1, m2)
 
 
 def test_verify_reports_skips_per_suite(capsys):

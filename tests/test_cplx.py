@@ -11,6 +11,7 @@ from hallq.dh import DHAlgebra
 from hallq.quiver import kv_sub
 
 from .reference import change_of_basis_sub_quotient
+from .reference import homotopy_image as reference_homotopy_image
 
 
 @pytest.fixture(scope="module")
@@ -530,7 +531,8 @@ def same_maps(got, want):
 def test_homotopy_classes_match_the_combine_loop(name, request):
     # hom_complex_basis and homotopy_classes, built as one matrix product of
     # flat vectors, equal map for map and in order the per-map loop they
-    # replaced, including pairs with no chain maps and pairs with one class
+    # replaced, including pairs with no chain maps and pairs with one class;
+    # so does the homotopy image, built per vertex as stacked products
     if name == "a2p3":
         from hallq import parse_quiver
 
@@ -550,10 +552,65 @@ def test_homotopy_classes_match_the_combine_loop(name, request):
         for b in pool:
             basis = cpx.hom_complex_basis(a, b)
             assert same_maps(basis, reference_hom_complex_basis(cpx, a, b))
+            assert np.array_equal(cpx.homotopy_image(a, b), reference_homotopy_image(cpx, a, b))
             classes = cpx.homotopy_classes(a, b)
             assert same_maps(classes, reference_homotopy_classes(cpx, a, b))
             kinds["empty hom" if not basis else "one class" if len(classes) == 1 else "many"] += 1
     assert set(kinds) == {"empty hom", "one class", "many"}, kinds
+
+
+def test_homotopy_classes_refuse_a_basis_map_that_is_not_a_chain_map(a2, monkeypatch):
+    # cones are checked once per pair, on the chain-map basis: with one entry
+    # of a basis map flipped, homotopy_classes raises, naming the pair,
+    # exactly when that map's cone fails Complex's own d^2 = 0 check
+    cpx = ComplexCategory(a2)
+    a = cpx.resolution(a2.class_by_key("1,1|1").rep)
+    b = cpx.dagger(cpx.resolution(a2.class_by_key("1,1|0").rep))
+    basis = cpx._chain_map_rows(a, b)
+    assert basis.shape == (2, 4)
+    bad = basis.copy()
+    monkeypatch.setattr(cpx, "_chain_map_rows", lambda a, b: bad)
+    raised = 0
+    for j in range(basis.shape[1]):
+        bad[:] = basis
+        bad[0, j] = (bad[0, j] + 1) % a2.p
+        cone = cpx.cone(cpx._chain_map(bad[0], a, b), a, b)
+        try:
+            Complex(cone.m1, cone.m0, cone.d1, cone.d0, a2.p)
+        except QuiverError:
+            with pytest.raises(AssertionError, match="is not a chain map") as exc:
+                cpx.homotopy_classes(a, b)
+            assert cpx.complex_key(a) in str(exc.value) and cpx.complex_key(b) in str(exc.value)
+            raised += 1
+        else:
+            cpx.homotopy_classes(a, b)
+    assert raised
+
+
+def test_every_oracle_cone_squares_to_zero(monkeypatch):
+    # the cones the oracle counts skip Complex's check; rebuilt through it,
+    # every one of them passes
+    seen = []
+
+    def cone(orig):
+        def wrapped(self, s, src, tgt):
+            cx = orig(self, s, src, tgt)
+            Complex(cx.m1, cx.m0, cx.d1, cx.d0, self.p)
+            seen.append(cx)
+            return cx
+        return wrapped
+
+    run_oracle_suite("kronecker", 1, monkeypatch, {(ComplexCategory, "cone"): cone})
+    assert seen
+
+
+def test_proj_rank_vector_refuses_a_non_projective(kronecker):
+    cpx = ComplexCategory(kronecker)
+    assert [cpx.proj_rank_vector(pr) for pr in cpx.projectives] == [(1, 0), (0, 1)]
+    for dim in [(1, 0), (1, 1)]:
+        rep = kronecker.classify(dim)[0].rep
+        with pytest.raises(QuiverError, match="not projective"):
+            cpx.proj_rank_vector(rep)
 
 
 def test_homotopy_class_guard_skips_the_pair():

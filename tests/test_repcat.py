@@ -482,6 +482,40 @@ def test_torn_last_cache_line_is_a_miss(tmp_path, l2m2, monkeypatch):
     assert puts == []
 
 
+def test_stored_null_is_recomputed_and_appended_once(tmp_path, l2m2, monkeypatch):
+    # a stored JSON null reads as a miss; the first session recomputes the
+    # value and appends it, and the sessions after it read only hits
+    path = tmp_path / "c.jsonl"
+    cold = cache_session(l2m2.quiver, CacheStore(path))
+    records = path.read_text().splitlines()
+    keys = [json.loads(line.split("\t")[0]) for line in records]
+    at = [key[4] for key in keys].index("subquot")
+    broken = list(records)
+    broken[at] = records[at].split("\t")[0] + "\tnull"
+    path.write_text("".join(line + "\n" for line in broken))
+    recomputed, misses = [], []
+    rows, get = RepCategory._subquot_rows, CacheStore.get
+
+    def counted_rows(self, c):
+        recomputed.append(c.key)
+        return rows(self, c)
+
+    def counted_get(self, key):
+        value = get(self, key)
+        if value is None:
+            misses.append(key)
+        return value
+
+    monkeypatch.setattr(RepCategory, "_subquot_rows", counted_rows)
+    monkeypatch.setattr(CacheStore, "get", counted_get)
+    for _ in range(3):
+        misses.clear()
+        assert cache_session(l2m2.quiver, CacheStore(path)) == cold
+    assert recomputed == [keys[at][5]]
+    assert path.read_text().splitlines() == broken + [records[at]]
+    assert misses == []
+
+
 @pytest.mark.parametrize(
     "row",
     [
