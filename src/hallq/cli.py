@@ -25,9 +25,10 @@ import random
 import re
 import sys
 import time
+from collections import Counter
 
 from .cache import CacheStore
-from .combo import check, skipped
+from .combo import run_check, skipped
 from .cplx import ComplexCategory
 from .dh import DHAlgebra
 from .hall import HallAlgebra
@@ -272,7 +273,6 @@ def cmd_verify(args) -> int:
             results[name] = [skipped(name, exc)]
         timings[name] = time.monotonic() - t0
 
-    any_fail = False
     report = {"suite": args.suite, "config": {
         "quiver": cat.quiver.content_key(),
         "max_dim": args.max_dim, "seed": args.seed, "serre_cap": args.serre_cap,
@@ -282,8 +282,7 @@ def cmd_verify(args) -> int:
         for result in results[name]:
             row = {"suite": name, "status": status_names[result["ok"]], **result}
             report["checks"].append(row)
-            if result["ok"] is False:
-                any_fail = True
+    n = Counter(row["ok"] for row in report["checks"])  # True passed, False failed, None skipped
     if args.json:
         print(json.dumps(report, sort_keys=True))
     else:
@@ -297,23 +296,14 @@ def cmd_verify(args) -> int:
             elif row["ok"] is None and row["residual"]:
                 print(f"      {row['residual']}")
         for name, _fn in suites:
-            n = _count_outcomes(results[name])
-            print(f"[{name}] {n[True]} passed, {n[False]} failed, {n[None]} skipped"
+            c = Counter(row["ok"] for row in results[name])
+            print(f"[{name}] {c[True]} passed, {c[False]} failed, {c[None]} skipped"
                   f" of {len(results[name])}")
-        n = _count_outcomes(report["checks"])
         print(f"{n[True]} passed, {n[False]} failed, {n[None]} skipped")
         if args.timing:
             for name, _fn in suites:
                 print(f"time[{name}] = {timings[name]:.3f}s")
-    return EXIT_FAIL if any_fail else EXIT_OK
-
-
-def _count_outcomes(checks):
-    """Number of checks per outcome: True passed, False failed, None skipped."""
-    counts = {True: 0, False: 0, None: 0}
-    for row in checks:
-        counts[row["ok"]] += 1
-    return counts
+    return EXIT_FAIL if n[False] else EXIT_OK
 
 
 def _build_suites(args, cat):
@@ -378,16 +368,12 @@ def _assoc_suite(cat, max_dim, seed, n_random):
     for t in range(n_random):
         (na, xa), (nb, xb), (nc, xc) = (rng.choice(pool) for _ in range(3))
         triples.append((f"assoc random#{t} {na} {nb} {nc}", xa, xb, xc))
-    checks = []
-    for cid, xa, xb, xc in triples:
-        try:
-            lhs = dh.product(dh.product(xa, xb), xc)
-            rhs = dh.product(xa, dh.product(xb, xc))
-        except EnumerationTooLarge as exc:
-            checks.append(skipped(cid, exc))
-            continue
-        checks.append(check(cid, lhs, rhs, dh.render))
-    return checks
+    return [
+        run_check(cid, lambda xa=xa, xb=xb, xc=xc: (
+            dh.product(dh.product(xa, xb), xc), dh.product(xa, dh.product(xb, xc))
+        ), dh.render)
+        for cid, xa, xb, xc in triples
+    ]
 
 
 def _oracle_suite(cat, max_dim):
@@ -396,21 +382,16 @@ def _oracle_suite(cat, max_dim):
     cpx = ComplexCategory(cat)
     dh = DHAlgebra(cat)
     gens = _generator_elements(cat, dh, max_dim)
-    checks = []
-    for na, xa in gens:
-        for nb, xb in gens:
-            cid = f"oracle {na} o {nb}"
-            try:
-                product_dh = dh.product(xa, xb)
-                direct = cpx.normalize(
-                    cpx.product(_loc_of(cpx, dh, xa), _loc_of(cpx, dh, xb))
-                )
-                via_dh = cpx.eval_dh_element(product_dh)
-            except EnumerationTooLarge as exc:
-                checks.append(skipped(cid, exc))
-                continue
-            checks.append(check(cid, direct, via_dh, cpx.render))
-    return checks
+
+    def sides(xa, xb):
+        product_dh = dh.product(xa, xb)
+        direct = cpx.normalize(cpx.product(_loc_of(cpx, dh, xa), _loc_of(cpx, dh, xb)))
+        return direct, cpx.eval_dh_element(product_dh)
+
+    return [
+        run_check(f"oracle {na} o {nb}", lambda xa=xa, xb=xb: sides(xa, xb), cpx.render)
+        for na, xa in gens for nb, xb in gens
+    ]
 
 
 def _loc_of(cpx, dh, x):

@@ -3,11 +3,13 @@
 Shared container for Hall elements, tensor elements, and normal-ordered
 monomial sums: a map from hashable terms to nonzero Scalars.  Also the one
 builder of the rows `hallq verify` reports: {id, ok, lhs, rhs, residual},
-with ok None for a skipped check.
+with ok None for a skipped check, and the one runner (`run_check`) that
+turns a blown enumeration bound into a skipped row.
 """
 
 from __future__ import annotations
 
+from .repcat import EnumerationTooLarge
 from .scalar import ScalarRing
 
 
@@ -94,10 +96,24 @@ class Combination:
 
 
 def check(cid: str, lhs, rhs, render) -> dict:
-    """The row of the equality check lhs = rhs; it holds when lhs - rhs is 0."""
+    """The row of the equality check lhs = rhs; it holds when lhs - rhs is 0.
+
+    A passing check's sides are equal, so only lhs is rendered.
+    """
     residual = lhs - rhs
-    return {"id": cid, "ok": residual.is_zero(), "lhs": render(lhs),
-            "rhs": render(rhs), "residual": render(residual)}
+    ok, text = residual.is_zero(), render(lhs)
+    return {"id": cid, "ok": ok, "lhs": text, "rhs": text if ok else render(rhs),
+            "residual": "0" if ok else render(residual)}
+
+
+def run_check(cid: str, compute, render) -> dict:
+    """The row of the check of the two sides compute() returns; a blown
+    enumeration bound skips just this check."""
+    try:
+        lhs, rhs = compute()
+    except EnumerationTooLarge as exc:
+        return skipped(cid, exc)
+    return check(cid, lhs, rhs, render)
 
 
 def skipped(cid: str, reason) -> dict:

@@ -228,18 +228,14 @@ class RepCategory:
         # the key of the zero class (as `zero_rep().key`, with no Rep built)
         self._zero_key = ",".join("0" * quiver.n) + "|" + ";" * (len(quiver.arrows) - 1)
         self._classify: dict[tuple, list[IsoClass]] = {}
-        self._by_key: dict[str, IsoClass] = {}
+        # every Rep key met, canonical or not -> its class
+        self._class: dict[str, IsoClass] = {}
         self._kclass: dict[tuple, tuple] = {}
-        self._canon: dict[str, str] = {}
-        self._homs: dict[tuple, list] = {}
         self._hom_rows: dict[tuple, np.ndarray] = {}
         self._sums: dict[tuple, Rep] = {}
-        self._homdim: dict[tuple, int] = {}
         self._subquot: dict[str, dict] = {}
         self._middle: dict[tuple, list] = {}
-        self._aut_brute: dict[str, int] = {}
-        self._gl: dict[int, list] = {}
-        self._glinv: dict[int, list] = {}
+        self._gl: dict[int, tuple] = {}
         self._stacks: dict[tuple, tuple] = {}
 
     # ------------------------------------------------------------------
@@ -289,54 +285,47 @@ class RepCategory:
     # ------------------------------------------------------------------
     # hom / ext / aut
 
-    def hom_basis(self, a: Rep, b: Rep):
-        """Basis of the intertwiner space Hom(a, b).
-
-        Each basis element is a tuple of per-vertex matrices f_i with
-        f_h x_e = y_e f_t for every arrow e = (t, h).  Memoized per
-        (A, B), so the list is shared and callers only read it; its
-        matrices are read-only views into the rows of `hom_rows(a, b)`.
+    def hom_rows(self, a: Rep, b: Rep):
+        """A basis of the intertwiner space Hom(a, b), as the rows of one
+        read-only matrix: each row lists f_1, ..., f_n one after another,
+        each row by row, with f_h x_e = y_e f_t for every arrow e = (t, h).
+        Memoized per (A, B), so the matrix is shared and callers only read it.
         """
         if a.quiver is not self.quiver or b.quiver is not self.quiver:
             raise QuiverError("representations from a different context")
         memo = (a.key, b.key)
-        if memo in self._homs:
-            return self._homs[memo]
-        q, p = self.quiver, self.p
-        # unknowns: each f_i flattened row by row; equations: the entries of
-        # f_h x - y f_t, row by row, one block of rows per arrow
-        offs = np.cumsum([0] + [b.dim[i] * a.dim[i] for i in range(q.n)])
-        blocks = [np.zeros((0, offs[-1]), dtype=np.int64)]
-        for (t, h), x, y in zip(q.arrows, a.mats, b.mats):
-            block = np.zeros((b.dim[h] * a.dim[t], offs[-1]), dtype=np.int64)
-            block[:, offs[h] : offs[h + 1]] += np.kron(np.eye(b.dim[h], dtype=np.int64), x.T)
-            block[:, offs[t] : offs[t + 1]] -= np.kron(y, np.eye(a.dim[t], dtype=np.int64))
-            blocks.append(block % p)
-        kernel = self._hom_rows[memo] = fplin.nullspace(np.concatenate(blocks), p)
-        kernel.setflags(write=False)
-        self._homs[memo] = [
-            tuple(vec[offs[i] : offs[i + 1]].reshape(b.dim[i], a.dim[i]) for i in range(q.n))
-            for vec in kernel
-        ]
-        return self._homs[memo]
+        kernel = self._hom_rows.get(memo)
+        if kernel is None:
+            q, p = self.quiver, self.p
+            # unknowns: each f_i flattened row by row; equations: the entries
+            # of f_h x - y f_t, row by row, one block of rows per arrow
+            offs = np.cumsum([0] + [b.dim[i] * a.dim[i] for i in range(q.n)])
+            blocks = [np.zeros((0, offs[-1]), dtype=np.int64)]
+            for (t, h), x, y in zip(q.arrows, a.mats, b.mats):
+                block = np.zeros((b.dim[h] * a.dim[t], offs[-1]), dtype=np.int64)
+                block[:, offs[h] : offs[h + 1]] += np.kron(np.eye(b.dim[h], dtype=np.int64), x.T)
+                block[:, offs[t] : offs[t + 1]] -= np.kron(y, np.eye(a.dim[t], dtype=np.int64))
+                blocks.append(block % p)
+            kernel = self._hom_rows[memo] = fplin.nullspace(np.concatenate(blocks), p)
+            kernel.setflags(write=False)
+        return kernel
 
-    def hom_rows(self, a: Rep, b: Rep):
-        """The basis `hom_basis(a, b)` as the rows of one read-only matrix:
-        each row lists f_1, ..., f_n one after another, each row by row."""
-        memo = (a.key, b.key)
-        if memo not in self._hom_rows:
-            self.hom_basis(a, b)
-        return self._hom_rows[memo]
+    def hom_basis(self, a: Rep, b: Rep) -> list:
+        """The basis `hom_rows(a, b)` as tuples of per-vertex matrices f_i,
+        read-only views into its rows."""
+        offs = np.cumsum([0] + [b.dim[i] * a.dim[i] for i in range(self.quiver.n)])
+        return [
+            tuple(vec[offs[i] : offs[i + 1]].reshape(b.dim[i], a.dim[i])
+                  for i in range(self.quiver.n))
+            for vec in self.hom_rows(a, b)
+        ]
 
     def hom_dim(self, a: Rep, b: Rep) -> int:
         memo_key = (a.key, b.key)
-        if memo_key in self._homdim:
-            return self._homdim[memo_key]
-        val = self._stored("homdim", memo_key, lambda: len(self.hom_basis(a, b)))
+        val = self._stored("homdim", memo_key, lambda: len(self.hom_rows(a, b)))
         if not (type(val) is int and val >= 0):
             key = CacheStore.key(self._key_heads["homdim"], memo_key)
             raise QuiverError(f"cached record {key} holds {val!r}, not an int >= 0")
-        self._homdim[memo_key] = val
         return val
 
     def hom_count(self, a: Rep, b: Rep) -> int:
@@ -350,8 +339,6 @@ class RepCategory:
 
     def aut_order(self, a: Rep) -> int:
         """|Aut(a)| by brute force over the endomorphism space."""
-        if a.key in self._aut_brute:
-            return self._aut_brute[a.key]
         basis = self.hom_basis(a, a)
         h = len(basis)
         if self.p**h > self.bounds.max_aut_candidates:
@@ -373,21 +360,18 @@ class RepCategory:
                     break
             if good:
                 count += 1
-        self._aut_brute[a.key] = count
         return count
 
     # ------------------------------------------------------------------
     # isomorphism classification
 
-    def _gl_list(self, n: int):
+    def _gl_stack(self, n: int):
+        """GL_n(F_p) stacked into one (|GL_n|, n, n) array, and its inverses
+        stacked in the same order."""
         if n not in self._gl:
-            self._gl[n] = fplin.all_invertible(n, self.p)
+            group = fplin.all_invertible(n, self.p)
+            self._gl[n] = (np.stack(group), np.stack([fplin.inverse(g, self.p) for g in group]))
         return self._gl[n]
-
-    def _gl_inverses(self, n: int):
-        if n not in self._glinv:
-            self._glinv[n] = [fplin.inverse(g, self.p) for g in self._gl_list(n)]
-        return self._glinv[n]
 
     def _group_order(self, dim) -> int:
         """|prod GL(d_i)|, from the order formula; no element is listed."""
@@ -410,9 +394,10 @@ class RepCategory:
         size = self._group_order(dim)
         if size > self.bounds.max_group:
             raise EnumerationTooLarge(f"base-change group of size {size} too large")
-        idx = np.array(list(product(*[range(len(self._gl_list(d))) for d in dim])), dtype=np.int64)
-        stacks = [np.stack(self._gl_list(d))[idx[:, i]] for i, d in enumerate(dim)]
-        inv_stacks = [np.stack(self._gl_inverses(d))[idx[:, i]] for i, d in enumerate(dim)]
+        gl = [self._gl_stack(d) for d in dim]
+        idx = np.array(list(product(*[range(len(g)) for g, _ in gl])), dtype=np.int64)
+        stacks = [g[idx[:, i]] for i, (g, _) in enumerate(gl)]
+        inv_stacks = [g_inv[idx[:, i]] for i, (_, g_inv) in enumerate(gl)]
         out = (size, stacks, inv_stacks)
         self._stacks[dim] = out
         return out
@@ -527,28 +512,26 @@ class RepCategory:
         rep, if given, is the Rep of `key`; otherwise the class decodes it
         from the key on first use.
         """
-        cls = self._by_key.get(key)
+        cls = self._class.get(key)
         if cls is None:
             if kclass is None:
                 kclass = self._kclass_of(dim)
-            cls = self._by_key[key] = IsoClass(self.quiver, key, dim, aut, kclass, rep)
-            self._canon[key] = key
+            cls = self._class[key] = IsoClass(self.quiver, key, dim, aut, kclass, rep)
         return cls
 
     def class_by_key(self, key: str) -> IsoClass:
-        if key in self._by_key:
-            return self._by_key[key]
-        cls = self.class_of(Rep.from_key(self.quiver, key))
+        cls = self._class.get(key)
+        if cls is None:
+            cls = self.class_of(Rep.from_key(self.quiver, key))
         if cls.key != key:
             raise QuiverError(f"{key} is not a canonical class key (use {cls.key})")
         return cls
 
     def class_of(self, rep: Rep) -> IsoClass:
         """Canonical class of an arbitrary representation."""
-        if rep.key in self._canon:
-            return self._by_key[self._canon[rep.key]]
-        cls = self._orbit(rep)[1]
-        self._canon[rep.key] = cls.key
+        cls = self._class.get(rep.key)
+        if cls is None:
+            cls = self._class[rep.key] = self._orbit(rep)[1]
         return cls
 
     def zero_class(self) -> IsoClass:

@@ -185,7 +185,8 @@ def test_criterion_9_drinfeld_identity(a1, a2, l2):
 def test_criterion_10_negative_control(a1):
     t0 = time.time()
     ring = a1.quiver.scalar_ring()
-    bad = RelationVerifier(a1, f_prefactor=ring.rational(-1))
+    bad = RelationVerifier(a1)
+    bad.gen.f_pref = ring.rational(-1)
     checks = bad.check_ef_commutators()
     failed = [c for c in checks if c["ok"] is False]
     ok = bool(failed) and all(c["residual"] != "0" for c in failed)

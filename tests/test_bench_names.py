@@ -64,7 +64,25 @@ def test_traced_names_without_an_engine_caller(monkeypatch):
     assert uncalled == {"fplin.solve", "fplin.row_space", "fplin.in_row_space",
                         "quiver.Quiver.simple_coords"}
     # the engine inverts matrices only to list the base-change group
-    assert callers["inverse"] == {"_gl_inverses"}
+    assert callers["inverse"] == {"_gl_stack"}
+
+
+def test_one_runner_skips_on_a_bound():
+    # only `combo.run_check` turns a blown enumeration bound into a skipped
+    # check row; `cli` catches it only in `main` (exit 3) and around a whole
+    # suite in `cmd_verify`
+    catchers = set()
+    for path in (ROOT / "src" / "hallq").glob("*.py"):
+        tree = ast.parse(path.read_text())
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, ast.ExceptHandler) and "EnumerationTooLarge" in {
+                    getattr(n, "id", None) for n in ast.walk(node.type or ast.Pass())
+                }:
+                    catchers.add((path.stem, func.name))
+    assert catchers == {("combo", "run_check"), ("cli", "main"), ("cli", "cmd_verify")}
 
 
 def test_one_subobject_table_join():

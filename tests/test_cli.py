@@ -1,4 +1,3 @@
-import functools
 import hashlib
 import json
 import pathlib
@@ -274,6 +273,27 @@ def test_verify_assoc_json_is_pinned(capsys, monkeypatch, quiver):
         assert fresh.mono_product(m1, m2) == value, (m1, m2)
 
 
+# sha256 of `verify --suite relations --json` as the relation families
+# printed it when each reduced its own sides and caught its own bound: the
+# rows must not move
+RELATIONS_DIGESTS = {
+    "a2": "e917893d641bb8c07bdf39cd4e19509a73f5d25eecb3fbd1dcec7c084968a63f",
+    "kronecker": "e16c136c38cf9c13a4989d4c091332ca1c88417dd64dfab03be0e3d2cde41441",
+    "l2m2": "6bac8b7ad145bb234e15b20bc1b8f4bf01637bed79dc4eac90a5053f99a8eb20",
+    "l3_m8": "afbd4b9378abb5e8f5c9f50bbf03180753b7c680558ab06ff4b2efdcfd7d9d38",
+    "mixed": "055a82797f8de2dad9e6dc924183557c29e7ba60446fb573e88ccfac11aceadd",
+}
+
+
+@pytest.mark.parametrize("quiver", sorted(RELATIONS_DIGESTS))
+def test_verify_relations_json_is_pinned(capsys, quiver):
+    code, out, _ = run(
+        capsys, "verify", "--quiver", DATA / f"{quiver}.quiver", "--suite", "relations", "--json"
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == RELATIONS_DIGESTS[quiver]
+
+
 def test_verify_reports_skips_per_suite(capsys):
     # every suite reports its own count, and a check over the bound is
     # skipped on its own.  At total dimension 3, four of the ten random
@@ -315,9 +335,12 @@ def test_verify_reports_skips_per_suite(capsys):
 
 def test_verify_reports_a_failing_check(capsys, monkeypatch):
     # a wrong F prefactor breaks the two [E_i, F_i] relations
-    monkeypatch.setattr(
-        hallq.cli, "RelationVerifier", functools.partial(RelationVerifier, f_prefactor=-1)
-    )
+    def bad_verifier(cat, **kwargs):
+        verifier = RelationVerifier(cat, **kwargs)
+        verifier.gen.f_pref = -1
+        return verifier
+
+    monkeypatch.setattr(hallq.cli, "RelationVerifier", bad_verifier)
     args = ("verify", "--quiver", DATA / "a2.quiver", "--suite", "relations")
     code, out, _ = run(capsys, *args)
     assert code == 1

@@ -183,7 +183,7 @@ def test_half_split_and_hom_basis_run_once_per_content(monkeypatch):
     # kronecker oracle at max dim 1: a half split that adds an echelon memo
     # entry makes exactly 3n eliminations, one that only adds a raw-key
     # entry exactly 2n and a raw-key hit none, with no subquotient, solve
-    # or inverse in any of them; the hom_basis nullspace runs once per
+    # or inverse in any of them; the hom_rows nullspace runs once per
     # distinct (A key, B key)
     inside = []
     calls = {"half": Counter(), "hom": Counter()}
@@ -204,7 +204,7 @@ def test_half_split_and_hom_basis_run_once_per_content(monkeypatch):
                 assert not made, made
         return wrapped
 
-    def hom_basis(orig):
+    def hom_rows(orig):
         def wrapped(self, a, b):
             before = calls["hom"]["nullspace"]
             inside.append("hom")
@@ -226,7 +226,7 @@ def test_half_split_and_hom_basis_run_once_per_content(monkeypatch):
 
     cat, cpx = run_oracle_suite("kronecker", 1, monkeypatch, {
         (ComplexCategory, "_half_split"): half_split,
-        (RepCategory, "hom_basis"): hom_basis,
+        (RepCategory, "hom_rows"): hom_rows,
         (RepCategory, "sub_quotient"): counted("sub_quotient"),
         (fplin, "nullspace"): counted("nullspace"),
         (fplin, "rref"): counted("rref"),
@@ -248,6 +248,7 @@ def test_memoized_split_and_hom_basis_match_cold(name, monkeypatch):
     # every complex the oracle suite's products split (resolutions,
     # daggers, cones), and every Hom basis they read, equals its
     # recomputation with an empty memo; the shared arrays are read-only
+    # (the suite reads each Hom basis through hom_rows)
     built, pairs = {}, {}
 
     def decompose(orig):
@@ -256,7 +257,7 @@ def test_memoized_split_and_hom_basis_match_cold(name, monkeypatch):
             return orig(self, cx)
         return wrapped
 
-    def hom_basis(orig):
+    def hom_rows(orig):
         def wrapped(self, a, b):
             pairs.setdefault((a.key, b.key), (a, b))
             return orig(self, a, b)
@@ -264,7 +265,7 @@ def test_memoized_split_and_hom_basis_match_cold(name, monkeypatch):
 
     cat, cpx = run_oracle_suite(name, 2, monkeypatch, {
         (ComplexCategory, "decompose"): decompose,
-        (RepCategory, "hom_basis"): hom_basis,
+        (RepCategory, "hom_rows"): hom_rows,
     })
     assert len(cpx._halves) < 2 * len(built)
     cold = ComplexCategory(cat)
@@ -284,6 +285,7 @@ def test_memoized_split_and_hom_basis_match_cold(name, monkeypatch):
                 [cold.proj_rank_vector(r) for r in (src0, tgt0)]
             assert not any(m.flags.writeable for m in f)
     cold_cat = RepCategory(cat.quiver)
+    assert pairs
     for a, b in pairs.values():
         warm, fresh = cat.hom_basis(a, b), cold_cat.hom_basis(a, b)
         assert len(warm) == len(fresh)

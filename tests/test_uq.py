@@ -86,12 +86,40 @@ def test_serre_cap_skips(kronecker):
 
 def test_negative_control_prefactor(a1):
     ring = a1.quiver.scalar_ring()
-    bad = RelationVerifier(a1, f_prefactor=ring.rational(-1))
+    bad = RelationVerifier(a1)
+    bad.gen.f_pref = ring.rational(-1)
     checks = bad.check_ef_commutators()
     assert any(c["ok"] is False for c in checks)
     # and the honest prefactor passes the same family
     good = RelationVerifier(a1)
     assert all(c["ok"] for c in good.check_ef_commutators())
+
+
+@pytest.mark.parametrize("prefactor", [None, -1])
+def test_a_check_renders_once_if_it_passes_and_thrice_if_it_fails(a1, prefactor):
+    # a passing check's sides are equal, so one rendering of lhs fills lhs,
+    # rhs and the residual "0"; a failing check renders all three
+    ver = RelationVerifier(a1)
+    if prefactor is not None:
+        ver.gen.f_pref = prefactor
+    render, inner, renders, calls = ver.dh.render, ver._try, [], {}
+    ver.dh.render = lambda x: renders.append(x) or render(x)
+
+    def counted(cid, compute):
+        before = len(renders)
+        row = inner(cid, compute)
+        calls[cid] = len(renders) - before
+        return row
+
+    ver._try = counted
+    rows = ver.verify_all()
+    assert {row["ok"] for row in rows} == ({True} if prefactor is None else {True, False})
+    for row in rows:
+        assert calls[row["id"]] == (1 if row["ok"] else 3), row["id"]
+        if row["ok"]:
+            assert row["lhs"] == row["rhs"] and row["residual"] == "0"
+        else:
+            assert row["lhs"] != row["rhs"] and row["residual"] != "0"
 
 
 def test_report_shape(a1):
