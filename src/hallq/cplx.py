@@ -12,6 +12,7 @@ are infinite dimensional and none of this applies.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -84,6 +85,8 @@ class ComplexCategory:
         self._raw_halves: dict[tuple, tuple] = {}
         self._halves: dict[tuple, tuple] = {}
         self._product_cache: dict[tuple, LocElement] = {}
+        # right factor key -> its dagger, the target of _mono_product's maps
+        self._daggers: dict[str, Complex] = {}
         # (A key, alpha, B key, beta) -> normal_monomial's shared value
         self._monomials: dict[tuple, LocElement] = {}
         self._zero_rep = cat.zero_rep()
@@ -202,29 +205,6 @@ class ComplexCategory:
             self.p,
         )
 
-    def direct_sum(self, a: Complex, b: Complex) -> Complex:
-        q = self.quiver
-        m1 = self.cat.direct_sum(a.m1, b.m1)
-        m0 = self.cat.direct_sum(a.m0, b.m0)
-        d1 = []
-        d0 = []
-        for i in range(q.n):
-            blk1 = np.zeros((m0.dim[i], m1.dim[i]), dtype=np.int64)
-            blk1[: a.m0.dim[i], : a.m1.dim[i]] = a.d1[i]
-            blk1[a.m0.dim[i] :, a.m1.dim[i] :] = b.d1[i]
-            d1.append(blk1)
-            blk0 = np.zeros((m1.dim[i], m0.dim[i]), dtype=np.int64)
-            blk0[: a.m1.dim[i], : a.m0.dim[i]] = a.d0[i]
-            blk0[a.m1.dim[i] :, a.m0.dim[i] :] = b.d0[i]
-            d0.append(blk0)
-        return Complex(m1, m0, d1, d0, self.p)
-
-    def k_complex(self, ranks) -> Complex:
-        """K_P for the projective with the given multiplicities."""
-        pr = self.proj_sum(ranks)
-        ident = tuple(np.eye(pr.dim[i], dtype=np.int64) for i in range(self.quiver.n))
-        return Complex(pr, pr, ident, mor_zero(pr, pr), self.p)
-
     # ------------------------------------------------------------------
     # homology and decomposition
 
@@ -242,18 +222,6 @@ class ComplexCategory:
         so it is shared and callers only read it.
         """
         return self._half_split(cx.m0, cx.d1, cx.d0), self._half_split(cx.m1, cx.d0, cx.d1)
-
-    def split_summands(self, cx: Complex):
-        """The summand complexes (C_f, C_g-dagger) themselves.
-
-        Their direct sum is isomorphic to cx; the test suite verifies this
-        with the brute-force chain isomorphism search.
-        """
-        c_f, c_g = (
-            Complex(src, tgt, f, mor_zero(tgt, src), self.p)
-            for src, tgt, f, _h in self.decompose(cx)
-        )
-        return c_f, self.dagger(c_g)
 
     def _half_split(self, dst: Rep, d, d_back):
         """(im d, ker d_back, the inclusion, ker d_back / im d) for one differential.
@@ -324,19 +292,29 @@ class ComplexCategory:
         minus-part degree-zero term.  The term ranks alone would conflate
         K_P with its shift (same terms, both acyclic, not isomorphic); the
         split ranks pin the acyclic summands of each half, which by unique
-        decomposition and Krull-Schmidt determines the class.  The first
-        complex with a key is registered with the record
-        (H0 class, H1 class, M1+, M0-) that every other invariant reads.
+        decomposition and Krull-Schmidt determines the class.
         """
         if cx._key not in self._registry:
             plus, minus = self.decompose(cx)
-            h0, h1 = self.cat.class_of(plus[3]), self.cat.class_of(minus[3])
-            m1p, m0m = self.proj_rank_vector(plus[0]), self.proj_rank_vector(minus[0])
-            cx._key = " / ".join(
-                [h0.key, h1.key, ",".join(map(str, m1p)), ",".join(map(str, m0m))]
-            )
-            self._registry.setdefault(cx._key, (cx, h0, h1, m1p, m0m))
+            self._register(cx, self.cat.class_of(plus[3]), self.cat.class_of(minus[3]),
+                           self.proj_rank_vector(plus[0]), self.proj_rank_vector(minus[0]))
         return cx._key
+
+    def _register(self, cx: Complex, h0, h1, m1p, m0m) -> str:
+        """Key cx by its record (H0 class, H1 class, M1+, M0-), which every
+        other invariant reads; the first complex with a key is registered."""
+        cx._key = " / ".join([h0.key, h1.key, ",".join(map(str, m1p)), ",".join(map(str, m0m))])
+        self._registry.setdefault(cx._key, (cx, h0, h1, m1p, m0m))
+        return cx._key
+
+    def _sum_key(self, cx: Complex, kb: str, ka: str) -> str:
+        """Key of cx = B + A, read off the records of B and A without a split:
+        homology is additive on direct sums, and so are M1+ and M0-."""
+        _b, bh0, bh1, bm1p, bm0m = self._registry[kb]
+        _a, ah0, ah1, am1p, am0m = self._registry[ka]
+        h0, h1 = (self.cat.class_of(self.cat.direct_sum(x.rep, y.rep))
+                  for x, y in ((bh0, ah0), (bh1, ah1)))
+        return self._register(cx, h0, h1, kv_add(bm1p, am1p), kv_add(bm0m, am0m))
 
     def by_key(self, key: str) -> Complex:
         return self._registry[key][0]
@@ -486,22 +464,33 @@ class ComplexCategory:
         out = LocElement.zero(self.ring)
         for (ka, ga, da), ca in x.terms.items():
             for (kb, gb, db), cb in y.terms.items():
-                base = self._mono_product(ka, kb)
-                tw = self.ring.v_pow(
-                    self.quiver.sym_form(kv_sub(ga, da), self.kclass(self.by_key(kb)))
+                _b, h0, h1, _m1p, _m0m = self._registry[kb]
+                scale = ca * cb * self.ring.v_pow(
+                    self.quiver.sym_form(kv_sub(ga, da), kv_sub(h0.kclass, h1.kclass))
                 )
                 gamma = kv_add(ga, gb)
                 delta = kv_add(da, db)
-                for (pk, g0, d0), c in base.terms.items():
-                    out.add_term(
-                        (pk, kv_add(g0, gamma), kv_add(d0, delta)), ca * cb * c * tw
-                    )
+                for (pk, g0, d0), c in self._mono_product(ka, kb).terms.items():
+                    out.add_term((pk, kv_add(g0, gamma), kv_add(d0, delta)), c * scale)
         return out
 
     def _mono_product(self, ka: str, kb: str) -> LocElement:
+        """<A> o <B> for two complex keys, memoized: the value is shared.
+
+        One cone per homotopy class of maps A -> B-dagger, each weighted by
+        the twist over h(A, B).  The zero complex is the unit (twist and h
+        are 1 and the one cone is B + 0 or 0 + A), and the first class is
+        the zero map, whose cone B + A is keyed by `_sum_key` without a
+        split; only the other cones go through `complex_key`.
+        """
         memo = (ka, kb)
         if memo in self._product_cache:
             return self._product_cache[memo]
+        z = self.quiver.zero_kvector()
+        if self.zero_key in memo:
+            out = LocElement.basis(self.ring, (kb if ka == self.zero_key else ka, z, z))
+            self._product_cache[memo] = out
+            return out
         a, b = self.by_key(ka), self.by_key(kb)
         # the terms: M1 = M1+ + M1-, M0 = M0+ + M0-
         (a1p, a0p, a1m, a0m), (b1p, b0p, b1m, b0m) = map(self.plus_minus_classes, (a, b))
@@ -509,16 +498,14 @@ class ComplexCategory:
             self.quiver.euler_form(kv_add(a0p, a0m), kv_add(b0p, b0m))
             + self.quiver.euler_form(kv_add(a1p, a1m), kv_add(b1p, b1m))
         )
-        hval = self.h_value(a, b)
-        out = LocElement.zero(self.ring)
-        bshift = self.dagger(b)
-        for s in self.homotopy_classes(a, bshift):
-            cone = self.cone(s, a, bshift)
-            key = self.complex_key(cone)
-            out.add_term(
-                (key, self.quiver.zero_kvector(), self.quiver.zero_kvector()),
-                tw * (1 / hval),
-            )
+        coeff = tw * (1 / self.h_value(a, b))
+        bshift = self._daggers.get(kb)
+        if bshift is None:
+            bshift = self._daggers[kb] = self.dagger(b)
+        zero_map, *rest = self.homotopy_classes(a, bshift)
+        counts = Counter([self._sum_key(self.cone(zero_map, a, bshift), kb, ka)])
+        counts.update(self.complex_key(self.cone(s, a, bshift)) for s in rest)
+        out = LocElement(self.ring, {(key, z, z): coeff * n for key, n in counts.items()})
         self._product_cache[memo] = out
         return out
 
@@ -618,24 +605,6 @@ class ComplexCategory:
             for term, d in contrib.terms.items():
                 out.add_term(term, c * d)
         return out
-
-    # ------------------------------------------------------------------
-    # isomorphism testing (used by the test suite)
-
-    def isomorphic(self, a: Complex, b: Complex) -> bool:
-        """Brute-force search for an invertible chain map a -> b."""
-        if a.m1.dim != b.m1.dim or a.m0.dim != b.m0.dim:
-            return False
-        basis = self._chain_map_rows(a, b)
-        if len(basis) == 0:
-            return a.m1.total_dim == 0 and a.m0.total_dim == 0
-        if self.p ** len(basis) > self.cat.bounds.max_aut_candidates:
-            raise EnumerationTooLarge("chain-map space too large for brute force")
-        for coeffs in product(range(self.p), repeat=len(basis)):
-            s1, s0 = self._chain_map(np.array(coeffs) @ basis % self.p, a, b)
-            if all(fplin.is_invertible(m, self.p) for m in s1 + s0):
-                return True
-        return False
 
     def render(self, x: Combination) -> str:
         return x.render(str)

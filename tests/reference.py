@@ -1,10 +1,12 @@
 """Slow reference routes the engine's readings are cross-checked against."""
 
+from itertools import product
+
 import numpy as np
 
-from hallq import fplin
-from hallq.cplx import mor_zero
-from hallq.quiver import kv_sub
+from hallq import EnumerationTooLarge, fplin
+from hallq.cplx import Complex, LocElement, mor_zero
+from hallq.quiver import kv_add, kv_sub
 
 
 def is_stable(cat, rep, bases):
@@ -90,3 +92,73 @@ def homotopy_image(cpx, a, b):
     if not rows:
         size = cpx._chain_map_vector(mor_zero(a.m1, b.m1), mor_zero(a.m0, b.m0)).shape[0]
     return np.stack(rows) if rows else np.zeros((0, size), dtype=np.int64)
+
+
+def direct_sum(cpx, a, b):
+    """The complex a + b, block diagonal."""
+    m1 = cpx.cat.direct_sum(a.m1, b.m1)
+    m0 = cpx.cat.direct_sum(a.m0, b.m0)
+    d1, d0 = [], []
+    for i in range(cpx.quiver.n):
+        blk1 = np.zeros((m0.dim[i], m1.dim[i]), dtype=np.int64)
+        blk1[: a.m0.dim[i], : a.m1.dim[i]] = a.d1[i]
+        blk1[a.m0.dim[i] :, a.m1.dim[i] :] = b.d1[i]
+        d1.append(blk1)
+        blk0 = np.zeros((m1.dim[i], m0.dim[i]), dtype=np.int64)
+        blk0[: a.m1.dim[i], : a.m0.dim[i]] = a.d0[i]
+        blk0[a.m1.dim[i] :, a.m0.dim[i] :] = b.d0[i]
+        d0.append(blk0)
+    return Complex(m1, m0, d1, d0, cpx.p)
+
+
+def k_complex(cpx, ranks):
+    """K_P for the projective with the given multiplicities."""
+    pr = cpx.proj_sum(ranks)
+    ident = tuple(np.eye(pr.dim[i], dtype=np.int64) for i in range(cpx.quiver.n))
+    return Complex(pr, pr, ident, mor_zero(pr, pr), cpx.p)
+
+
+def split_summands(cpx, cx):
+    """The summand complexes (C_f, C_g-dagger) of cx's split; their direct
+    sum is isomorphic to cx."""
+    c_f, c_g = (
+        Complex(src, tgt, f, mor_zero(tgt, src), cpx.p)
+        for src, tgt, f, _h in cpx.decompose(cx)
+    )
+    return c_f, cpx.dagger(c_g)
+
+
+def isomorphic(cpx, a, b):
+    """Brute-force search for an invertible chain map a -> b."""
+    if a.m1.dim != b.m1.dim or a.m0.dim != b.m0.dim:
+        return False
+    basis = cpx._chain_map_rows(a, b)
+    if len(basis) == 0:
+        return a.m1.total_dim == 0 and a.m0.total_dim == 0
+    if cpx.p ** len(basis) > cpx.cat.bounds.max_aut_candidates:
+        raise EnumerationTooLarge("chain-map space too large for brute force")
+    for coeffs in product(range(cpx.p), repeat=len(basis)):
+        s1, s0 = cpx._chain_map(np.array(coeffs) @ basis % cpx.p, a, b)
+        if all(fplin.is_invertible(m, cpx.p) for m in s1 + s0):
+            return True
+    return False
+
+
+def mono_product(cpx, ka, kb):
+    """<A> o <B> for two registered complex keys, with no fast path: one
+    cone per homotopy class of maps A -> B-dagger, the unit and the
+    zero-map cone included, each keyed through `complex_key`'s split, and
+    one twist over h(A, B) added per cone."""
+    a, b = cpx.by_key(ka), cpx.by_key(kb)
+    (a1p, a0p, a1m, a0m), (b1p, b0p, b1m, b0m) = map(cpx.plus_minus_classes, (a, b))
+    tw = cpx.ring.v_pow(
+        cpx.quiver.euler_form(kv_add(a0p, a0m), kv_add(b0p, b0m))
+        + cpx.quiver.euler_form(kv_add(a1p, a1m), kv_add(b1p, b1m))
+    )
+    hval = cpx.h_value(a, b)
+    out = LocElement.zero(cpx.ring)
+    bshift = cpx.dagger(b)
+    for s in cpx.homotopy_classes(a, bshift):
+        key = cpx.complex_key(cpx.cone(s, a, bshift))
+        out.add_term((key, cpx.quiver.zero_kvector(), cpx.quiver.zero_kvector()), tw * (1 / hval))
+    return out

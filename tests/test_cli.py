@@ -224,9 +224,15 @@ def test_verify_drinfeld_json_is_pinned(capsys, quiver):
 
 
 # sha256 of `verify --suite oracle --json` as the oracle printed it before
-# its per-monomial and raw-differential memos: the rows must not move
+# its per-monomial and raw-differential memos (a2, kronecker) and before
+# products read the unit and the zero-map cone off the factors' records
+# (a1, a1p3, a1p5, a3): the rows must not move
 ORACLE_DIGESTS = {
+    "a1": "62a459dc10653a5a4437bbf18733537481bdeeec1c6769417ebbe594e1c0f9e5",
+    "a1p3": "eb0e140180635bc3e8197e21f5989d6de7b7e64974fc127cc0f16a80a9811285",
+    "a1p5": "b4c7b56b481b6cbd0b654728e85c4f3d372938a741c22a32f40ba6ad77832b32",
     "a2": "3bd43c8d6e2ebfd7b612aaa0af88152e889c8740a720631de59d4bc4b3bc9cfd",
+    "a3": "b170cbe01c22c68b648f656af0c83239cca26c08654220206d3c3e9e9c1d4209",
     "kronecker": "1fdaa63fcae085e4f442cfea4c2d7087172906cdcdea776daa218210e0d37db2",
 }
 
