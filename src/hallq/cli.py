@@ -85,8 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     common(p)
-    p.add_argument("--suite", default="all",
-                   choices=["relations", "serre", "drinfeld", "assoc", "oracle", "all"])
+    p.add_argument("--suite", default="all", choices=[*SUITES, "all"])
     p.add_argument("--max-dim", type=_count, default=2,
                    help="dimension cap for drinfeld/assoc/oracle suites")
     p.add_argument("--serre-cap", type=_count, default=4,
@@ -261,83 +260,71 @@ def cmd_product(args) -> int:
 # verify
 
 def cmd_verify(args) -> int:
+    """Write each row as its suite yields it; only the counts and times are kept."""
     cat = _load_context(args)
-    suites = _build_suites(args, cat)
-    results = {}
-    timings = {}
-    for name, fn in suites:
+    names = [n for n in SUITES if n != "serre"] if args.suite == "all" else [args.suite]
+    status_names = {True: "pass", False: "fail", None: "skipped"}
+    counts, timings, sep = {}, {}, ""
+    # json.dumps(row, sort_keys=True), without building an encoder per row
+    encode = json.JSONEncoder(sort_keys=True).encode
+    if args.json:
+        sys.stdout.write('{"checks": [')
+    for name in names:
         t0 = time.monotonic()
         try:
-            results[name] = fn()
+            rows = SUITES[name](cat, args)
         except EnumerationTooLarge as exc:
-            results[name] = [skipped(name, exc)]
+            rows = [skipped(name, exc)]
+        n = counts[name] = Counter()  # True passed, False failed, None skipped
+        for result in rows:
+            n[result["ok"]] += 1
+            if args.json:
+                row = {"suite": name, "status": status_names[result["ok"]], **result}
+                sys.stdout.write(sep + encode(row))
+                sep = ", "
+                continue
+            status = {True: "PASS", False: "FAIL", None: "SKIP"}[result["ok"]]
+            print(f"{status}  [{name}] {result['id']}")
+            if result["ok"] is False:
+                print(f"      lhs: {result['lhs']}")
+                print(f"      rhs: {result['rhs']}")
+                print(f"      residual: {result['residual']}")
+            elif result["ok"] is None and result["residual"]:
+                print(f"      {result['residual']}")
         timings[name] = time.monotonic() - t0
-
-    report = {"suite": args.suite, "config": {
-        "quiver": cat.quiver.content_key(),
-        "max_dim": args.max_dim, "seed": args.seed, "serre_cap": args.serre_cap,
-    }, "checks": []}
-    status_names = {True: "pass", False: "fail", None: "skipped"}
-    for name, _fn in suites:
-        for result in results[name]:
-            row = {"suite": name, "status": status_names[result["ok"]], **result}
-            report["checks"].append(row)
-    n = Counter(row["ok"] for row in report["checks"])  # True passed, False failed, None skipped
+    total = sum(counts.values(), Counter())
     if args.json:
-        print(json.dumps(report, sort_keys=True))
+        config = {"quiver": cat.quiver.content_key(), "max_dim": args.max_dim,
+                  "seed": args.seed, "serre_cap": args.serre_cap}
+        print(f'], "config": {encode(config)}, '
+              f'"suite": {json.dumps(args.suite)}}}')
     else:
-        for row in report["checks"]:
-            status = {True: "PASS", False: "FAIL", None: "SKIP"}[row["ok"]]
-            print(f"{status}  [{row['suite']}] {row['id']}")
-            if row["ok"] is False:
-                print(f"      lhs: {row['lhs']}")
-                print(f"      rhs: {row['rhs']}")
-                print(f"      residual: {row['residual']}")
-            elif row["ok"] is None and row["residual"]:
-                print(f"      {row['residual']}")
-        for name, _fn in suites:
-            c = Counter(row["ok"] for row in results[name])
+        for name, c in counts.items():
             print(f"[{name}] {c[True]} passed, {c[False]} failed, {c[None]} skipped"
-                  f" of {len(results[name])}")
-        print(f"{n[True]} passed, {n[False]} failed, {n[None]} skipped")
+                  f" of {c.total()}")
+        print(f"{total[True]} passed, {total[False]} failed, {total[None]} skipped")
         if args.timing:
-            for name, _fn in suites:
-                print(f"time[{name}] = {timings[name]:.3f}s")
-    return EXIT_FAIL if n[False] else EXIT_OK
+            for name, t in timings.items():
+                print(f"time[{name}] = {t:.3f}s")
+    return EXIT_FAIL if total[False] else EXIT_OK
 
 
-def _build_suites(args, cat):
-    suites = []
-    want = args.suite
-
-    if want in ("relations", "all"):
-        suites.append((
-            "relations",
-            lambda: RelationVerifier(cat, serre_cap=args.serre_cap).verify_all(),
-        ))
-    if want == "serre":
-        suites.append((
-            "serre",
-            lambda: RelationVerifier(cat, serre_cap=args.serre_cap).check_serre(),
-        ))
-    if want in ("drinfeld", "all"):
-        suites.append(("drinfeld", lambda: _drinfeld_suite(cat, args.max_dim)))
-    if want in ("assoc", "all"):
-        suites.append((
-            "assoc", lambda: _assoc_suite(cat, args.max_dim, args.seed, args.random)
-        ))
-    if want in ("oracle", "all"):
-        suites.append(("oracle", lambda: _oracle_suite(cat, args.max_dim)))
-    return suites
+# suite name -> runner(cat, args), which returns the suite's rows; `all`
+# runs every suite but serre, in this order
+SUITES = {
+    "relations": lambda cat, args: RelationVerifier(cat, serre_cap=args.serre_cap).verify_all(),
+    "serre": lambda cat, args: RelationVerifier(cat, serre_cap=args.serre_cap).check_serre(),
+    "drinfeld": lambda cat, args: _drinfeld_suite(cat, args.max_dim),
+    "assoc": lambda cat, args: _assoc_suite(cat, args.max_dim, args.seed, args.random),
+    "oracle": lambda cat, args: _oracle_suite(cat, args.max_dim),
+}
 
 
 def _drinfeld_suite(cat, max_dim):
     hall = HallAlgebra(cat)
     dh = DHAlgebra(cat)
     classes = cat.classes_up_to_total_dim(max_dim)
-    return [
-        hall.check_dd_identity(a, b, dh) for a in classes for b in classes
-    ]
+    return (hall.check_dd_identity(a, b, dh) for a in classes for b in classes)
 
 
 def _generator_elements(cat, dh, max_dim):
@@ -368,12 +355,12 @@ def _assoc_suite(cat, max_dim, seed, n_random):
     for t in range(n_random):
         (na, xa), (nb, xb), (nc, xc) = (rng.choice(pool) for _ in range(3))
         triples.append((f"assoc random#{t} {na} {nb} {nc}", xa, xb, xc))
-    return [
+    return (
         run_check(cid, lambda xa=xa, xb=xb, xc=xc: (
             dh.product(dh.product(xa, xb), xc), dh.product(xa, dh.product(xb, xc))
         ), dh.render)
         for cid, xa, xb, xc in triples
-    ]
+    )
 
 
 def _oracle_suite(cat, max_dim):
@@ -388,10 +375,10 @@ def _oracle_suite(cat, max_dim):
         direct = cpx.normalize(cpx.product(_loc_of(cpx, dh, xa), _loc_of(cpx, dh, xb)))
         return direct, cpx.eval_dh_element(product_dh)
 
-    return [
+    return (
         run_check(f"oracle {na} o {nb}", lambda xa=xa, xb=xb: sides(xa, xb), cpx.render)
         for na, xa in gens for nb, xb in gens
-    ]
+    )
 
 
 def _loc_of(cpx, dh, x):

@@ -136,9 +136,10 @@ class ComplexCategory:
                 out = self.cat.direct_sum(out, self.projectives[i])
         return out
 
-    def proj_rank_vector(self, rep: Rep):
-        """Multiplicities n_i with rep isomorphic to the sum of P_i^{n_i}."""
-        ranks, remaining = [0] * self.quiver.n, rep.dim
+    def proj_rank_vector(self, dim):
+        """Multiplicities n_i with a projective of dimension vector dim
+        isomorphic to the sum of P_i^{n_i}."""
+        ranks, remaining = [0] * self.quiver.n, dim
         for i in self.quiver.topo_order:
             n = ranks[i] = remaining[i]
             if n < 0:
@@ -210,28 +211,26 @@ class ComplexCategory:
 
     def homology(self, cx: Complex):
         """(H0, H1) = (coker f, coker g), read off the split of decompose."""
-        return tuple(half[3] for half in self.decompose(cx))
+        return tuple(h for _ranks, h in self.decompose(cx))
 
     def decompose(self, cx: Complex):
-        """Split data of the two injective-differential summands.
-
-        Returns (plus, minus): plus = (source, target, f, H0) gives the C_f
-        summand (f the inclusion of im d1 into ker d0, H0 = coker f);
-        minus = (source, target, g, H1) the shifted summand (g: im d0 into
-        ker d1, H1 = coker g).  Each half comes from the _half_split memo,
-        so it is shared and callers only read it.
+        """What complex_key reads of the split into injective-differential
+        summands C_f + C_g-dagger: (plus, minus), with plus = (rank vector of
+        M1+, H0) for f: im d1 into ker d0 and minus = (rank vector of M0-,
+        H1) for g: im d0 into ker d1.  Each half comes from the _half_split
+        memo, so it is shared and callers only read it.
         """
         return self._half_split(cx.m0, cx.d1, cx.d0), self._half_split(cx.m1, cx.d0, cx.d1)
 
     def _half_split(self, dst: Rep, d, d_back):
-        """(im d, ker d_back, the inclusion, ker d_back / im d) for one differential.
+        """(rank vector of im d, ker d_back / im d) for one differential.
 
         Read by `RepCategory.sub_quotient`'s two parts: with K, free =
         `fplin.nullspace_free(d_back)` and I, pivots the rows and pivots of
-        rref(d^T), ker d_back is sub_rep(dst, K, free), im d is
-        sub_rep(dst, I, pivots), the inclusion is coords^T with
-        coords = I[:, free], and the homology is quotient_rep of ker d_back
-        on rref(coords).
+        rref(d^T), ker d_back is sub_rep(dst, K, free), and the homology is
+        quotient_rep of it on rref(coords), coords = I[:, free] being im d
+        in ker d_back's coordinates.  im d is projective, with dimension
+        vector the pivot counts.
 
         Memoized at two levels.  The first is keyed on dst and the raw
         differentials, which catches the same differentials met again (a
@@ -239,8 +238,8 @@ class ComplexCategory:
         a miss are K and I computed; keyed on dst and those, the second
         level is the real memo, so complexes whose differentials differ but
         span the same spaces (a complex and its dagger, d and 2d) share
-        their halves.  Both levels hold the same tuple: it is shared and
-        callers only read it (every array in it is read-only).
+        their halves.  Both levels hold the same pair: it is shared and
+        callers only read it (the homology's matrices are read-only).
         """
         # dst's and the source's dimensions fix every shape, so one byte
         # string of all the blocks is an exact key
@@ -258,16 +257,15 @@ class ComplexCategory:
         memo = (dst.key,) + tuple((b.shape, b.tobytes()) for b in kers + tuple(ims))
         half = self._halves.get(memo)
         if half is None:
-            coords = [im[:, free] for im, free in zip(ims, frees)]
-            reduced = [fplin.rref(c, p) for c in coords]
-            im_sub, ker_sub = cat.sub_rep(dst, ims, pivots), cat.sub_rep(dst, kers, frees)
-            assert im_sub is not None and ker_sub is not None, "subspace tuple is not stable"
+            reduced = [fplin.rref(im[:, free], p) for im, free in zip(ims, frees)]
+            ker_sub = cat.sub_rep(dst, kers, frees)
+            assert ker_sub is not None, "subspace tuple is not stable"
             hom = cat.quotient_rep(ker_sub, [r[: len(piv)] for r, piv in reduced],
                                    [piv for _r, piv in reduced])
-            f = tuple(c.T % p for c in coords)
-            for m in f + im_sub.mats + ker_sub.mats + hom.mats:
+            for m in hom.mats:
                 m.setflags(write=False)
-            half = self._halves[memo] = (im_sub, ker_sub, f, hom)
+            ranks = self.proj_rank_vector([len(piv) for piv in pivots])
+            half = self._halves[memo] = (ranks, hom)
         self._raw_halves[raw] = half
         return half
 
@@ -295,9 +293,8 @@ class ComplexCategory:
         decomposition and Krull-Schmidt determines the class.
         """
         if cx._key not in self._registry:
-            plus, minus = self.decompose(cx)
-            self._register(cx, self.cat.class_of(plus[3]), self.cat.class_of(minus[3]),
-                           self.proj_rank_vector(plus[0]), self.proj_rank_vector(minus[0]))
+            (m1p, h0), (m0m, h1) = self.decompose(cx)
+            self._register(cx, self.cat.class_of(h0), self.cat.class_of(h1), m1p, m0m)
         return cx._key
 
     def _register(self, cx: Complex, h0, h1, m1p, m0m) -> str:
@@ -321,10 +318,6 @@ class ComplexCategory:
 
     # ------------------------------------------------------------------
     # morphism spaces
-
-    def hom_complex_basis(self, a: Complex, b: Complex):
-        """Basis of chain maps a -> b, each a pair (s1, s0) of morphisms."""
-        return [self._chain_map(row, a, b) for row in self._chain_map_rows(a, b)]
 
     def _chain_map_rows(self, a: Complex, b: Complex):
         """Basis of chain maps a -> b as the rows of a matrix of entry vectors.

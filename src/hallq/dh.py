@@ -129,23 +129,13 @@ class DHAlgebra:
         ek = self._kcls(ekey)
         for (a, al, b, be), c in x.terms.items():
             tw = self.ring.v_pow(-self.quiver.sym_form(be, ek))
-            middle = self._fe_expand(b, ekey)
-            for (a2, al2, b2, be2), c2 in middle.terms.items():
-                pref = self._prefix(a, al, a2, al2, b2, be2)
-                for mono, c3 in pref.terms.items():
-                    out.add_term(
-                        (mono[0], mono[1], mono[2], kv_add(mono[3], be)),
-                        c * tw * c2 * c3,
-                    )
-        return out
-
-    def _prefix(self, a, al, a2, al2, b2, be2) -> DHElement:
-        """E_a K_al times the normal monomial (a2, al2, b2, be2)."""
-        out = self.zero()
-        tw = self._v_sym(al, self._kcls(a2))
-        alpha = kv_add(al, al2)
-        for ckey, coeff in self._ee_coeffs(a, a2):
-            out.add_term((ckey, alpha, b2, be2), tw * coeff)
+            # E_a K_al times each normal monomial of F_b E_ekey: K_al moves
+            # right past E_a2 (rule R2), then E_a E_a2 (rule R3)
+            for (a2, al2, b2, be2), c2 in self._fe_expand(b, ekey).terms.items():
+                c_mid = c * tw * c2 * self._v_sym(al, self._kcls(a2))
+                alpha, beta = kv_add(al, al2), kv_add(be2, be)
+                for ckey, coeff in self._ee_coeffs(a, a2):
+                    out.add_term((ckey, alpha, b2, beta), c_mid * coeff)
         return out
 
     # ------------------------------------------------------------------

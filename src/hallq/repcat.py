@@ -310,16 +310,6 @@ class RepCategory:
             kernel.setflags(write=False)
         return kernel
 
-    def hom_basis(self, a: Rep, b: Rep) -> list:
-        """The basis `hom_rows(a, b)` as tuples of per-vertex matrices f_i,
-        read-only views into its rows."""
-        offs = np.cumsum([0] + [b.dim[i] * a.dim[i] for i in range(self.quiver.n)])
-        return [
-            tuple(vec[offs[i] : offs[i + 1]].reshape(b.dim[i], a.dim[i])
-                  for i in range(self.quiver.n))
-            for vec in self.hom_rows(a, b)
-        ]
-
     def hom_dim(self, a: Rep, b: Rep) -> int:
         memo_key = (a.key, b.key)
         val = self._stored("homdim", memo_key, lambda: len(self.hom_rows(a, b)))
@@ -336,31 +326,6 @@ class RepCategory:
         if val < 0:
             raise AssertionError("negative ext dimension: hereditary identity broken")
         return val
-
-    def aut_order(self, a: Rep) -> int:
-        """|Aut(a)| by brute force over the endomorphism space."""
-        basis = self.hom_basis(a, a)
-        h = len(basis)
-        if self.p**h > self.bounds.max_aut_candidates:
-            raise EnumerationTooLarge(
-                f"q^{h} endomorphism candidates exceed the configured bound"
-            )
-        count = 0
-        for coeffs in product(range(self.p), repeat=h):
-            good = True
-            for i in range(self.quiver.n):
-                if a.dim[i] == 0:
-                    continue
-                m = np.zeros((a.dim[i], a.dim[i]), dtype=np.int64)
-                for c, f in zip(coeffs, basis):
-                    if c:
-                        m = m + c * f[i]
-                if not fplin.is_invertible(m % self.p, self.p):
-                    good = False
-                    break
-            if good:
-                count += 1
-        return count
 
     # ------------------------------------------------------------------
     # isomorphism classification
@@ -670,16 +635,6 @@ class RepCategory:
                     out.append((c, Fraction(g * a.aut_order * b.aut_order, c.aut_order)))
             self._middle[memo] = out
         return self._middle[memo]
-
-    def ext_count_with_middle(self, a: IsoClass, b: IsoClass, c: IsoClass) -> int:
-        """|Ext^1(a,b)_c| recovered from the Hall number identity."""
-        g = self.hall_number(a, b, c)
-        val = Fraction(
-            g * a.aut_order * b.aut_order * self.hom_count(a.rep, b.rep), c.aut_order
-        )
-        if val.denominator != 1:
-            raise AssertionError("non-integral extension count")
-        return int(val)
 
     # ------------------------------------------------------------------
     # persistent cache plumbing

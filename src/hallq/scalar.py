@@ -92,13 +92,6 @@ class ScalarRing:
             out = self._v_pows[r] = self.from_terms({r: 1})
         return out
 
-    def quantum_integer(self, n: int) -> "Scalar":
-        """[n] = (v^n - v^-n)/(v - v^-1) = v^(n-1) + v^(n-3) + ... + v^(1-n)."""
-        sign = 1 if n >= 0 else -1
-        return self.from_terms(
-            {Fraction(sign * (abs(n) - 1 - 2 * k)): Fraction(sign) for k in range(abs(n))}
-        )
-
     def quantum_binomial(self, n: int, k: int) -> "Scalar":
         """Gaussian binomial [n; k], by the v-Pascal recursion (no division)."""
         if k < 0 or k > n:

@@ -67,10 +67,42 @@ def test_traced_names_without_an_engine_caller(monkeypatch):
     assert callers["inverse"] == {"_gl_stack"}
 
 
+def test_engine_defs_without_an_engine_caller():
+    # every def in src/hallq that no engine function calls by name, leaving
+    # out dunders, properties and functions passed as values (an argparse
+    # `type=`, a `key=`, a compute callback); code only tests read lives in
+    # tests/reference.py, so these are all the exceptions
+    callers, passed, defs = engine_callers(), set(), []
+    for path in (ROOT / "src" / "hallq").glob("*.py"):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                for arg in node.args + [kw.value for kw in node.keywords]:
+                    passed.add(arg.attr if isinstance(arg, ast.Attribute) else getattr(arg, "id", None))
+        for scope in [tree] + [n for n in tree.body if isinstance(n, ast.ClassDef)]:
+            owner = path.stem if scope is tree else f"{path.stem}.{scope.name}"
+            for fn in scope.body:
+                if not isinstance(fn, ast.FunctionDef) or fn.name.endswith("__"):
+                    continue
+                if any(getattr(d, "id", None) == "property" for d in fn.decorator_list):
+                    continue
+                if fn.name not in callers and fn.name not in passed:
+                    defs.append(f"{owner}.{fn.name}")
+    assert sorted(defs) == sorted([
+        # traced in perfbench/tracer.py FUNCS; they move into tests/ when
+        # the benchmark next changes (ROADMAP item 8)
+        "fplin.solve", "fplin.row_space", "fplin.in_row_space", "quiver.Quiver.simple_coords",
+        # acceptance criterion 6 reads them (tests/test_acceptance.py)
+        "repcat.RepCategory.ext_dim", "repcat.RepCategory.hom_count",
+        # the coproduct family, which ROADMAP item 10 makes production code
+        "hall.HallAlgebra.coproduct_square", "hall.HallAlgebra.pair_with_tensor",
+    ])
+
+
 def test_one_runner_skips_on_a_bound():
     # only `combo.run_check` turns a blown enumeration bound into a skipped
-    # check row; `cli` catches it only in `main` (exit 3) and around a whole
-    # suite in `cmd_verify`
+    # check row; `cli` catches it only in `main` (exit 3) and around a
+    # suite's setup in `cmd_verify`
     catchers = set()
     for path in (ROOT / "src" / "hallq").glob("*.py"):
         tree = ast.parse(path.read_text())

@@ -384,6 +384,49 @@ def test_verify_reports_a_skipped_suite_and_its_timing(capsys):
     assert re.fullmatch(r"time\[drinfeld\] = \d+\.\d{3}s", timed.splitlines()[-1])
 
 
+def passing_row(cid):
+    return {"id": cid, "ok": True, "lhs": "0", "rhs": "0", "residual": "0"}
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+def test_verify_writes_each_row_before_the_next_is_made(capsys, monkeypatch, as_json):
+    # a suite's rows are written as it yields them: when the suite makes a
+    # row, the one before it is already on stdout
+    written = []
+
+    def rows(cat, args):
+        for i in range(3):
+            written.append(capsys.readouterr().out)
+            if i:
+                assert f"stream#{i - 1}" in written[-1]
+            yield passing_row(f"stream#{i}")
+
+    monkeypatch.setitem(hallq.cli.SUITES, "oracle", rows)
+    args = ("verify", "--quiver", DATA / "a2.quiver", "--suite", "oracle")
+    code = main([str(a) for a in args + (("--json",) if as_json else ())])
+    rest = capsys.readouterr().out
+    assert code == 0 and len(written) == 3
+    out = "".join(written) + rest
+    if as_json:
+        assert [c["id"] for c in json.loads(out)["checks"]] == ["stream#0", "stream#1", "stream#2"]
+    else:
+        assert out.splitlines()[:3] == [f"PASS  [oracle] stream#{i}" for i in range(3)]
+
+
+def test_verify_error_after_a_row_leaves_that_row(capsys, monkeypatch):
+    # a usage error raised while a suite runs exits 2, and the rows written
+    # before it stay on stdout
+    def rows(cat, args):
+        yield passing_row("first")
+        raise hallq.cli.QuiverError("broken after one row")
+
+    monkeypatch.setitem(hallq.cli.SUITES, "oracle", rows)
+    code, out, err = run(capsys, "verify", "--quiver", DATA / "a2.quiver", "--suite", "oracle")
+    assert code == 2
+    assert out == "PASS  [oracle] first\n"
+    assert err == "error: broken after one row\n"
+
+
 def test_verify_serre_suite(capsys):
     code, out, _ = run(
         capsys, "verify", "--quiver", DATA / "kronecker.quiver", "--suite", "serre"
