@@ -296,8 +296,9 @@ def cmd_verify(args) -> int:
     if args.json:
         config = {"quiver": cat.quiver.content_key(), "max_dim": args.max_dim,
                   "seed": args.seed, "serre_cap": args.serre_cap}
-        print(f'], "config": {encode(config)}, '
-              f'"suite": {json.dumps(args.suite)}}}')
+        # with --timing, per-suite seconds close the report (keys stay sorted)
+        timing = f', "timings": {encode(timings)}' if args.timing else ""
+        print(f'], "config": {encode(config)}, "suite": {json.dumps(args.suite)}{timing}}}')
     else:
         for name, c in counts.items():
             print(f"[{name}] {c[True]} passed, {c[False]} failed, {c[None]} skipped"

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import product
 
 import numpy as np
 
@@ -87,6 +86,8 @@ class ComplexCategory:
         self._product_cache: dict[tuple, LocElement] = {}
         # right factor key -> its dagger, the target of _mono_product's maps
         self._daggers: dict[str, Complex] = {}
+        # complex content -> the chain automorphisms _orbit_labels acts by
+        self._auts: dict[tuple, np.ndarray] = {}
         # (A key, alpha, B key, beta) -> normal_monomial's shared value
         self._monomials: dict[tuple, LocElement] = {}
         self._zero_rep = cat.zero_rep()
@@ -376,15 +377,13 @@ class ComplexCategory:
         return self._chain_map_vector(t1, t0) % self.p
 
     def homotopy_classes(self, a: Complex, b: Complex):
-        """One representative chain map per homotopy class of maps a -> b.
-
-        The representatives are all combinations of a complement of the
-        homotopy image in the chain maps, in `itertools.product` order of
-        their coefficients, built as one matrix product.
-        """
+        """[(chain map, orbit size)] over the orbits of homotopy classes a -> b
+        under `_orbit_labels`, each represented by its least class code (the
+        coefficients on a complement of the homotopy image in the chain maps,
+        in `itertools.product` order): the zero map comes first, alone."""
         basis = self._chain_map_rows(a, b)
         if not len(basis):
-            return [(mor_zero(a.m1, b.m1), mor_zero(a.m0, b.m0))]
+            return [((mor_zero(a.m1, b.m1), mor_zero(a.m0, b.m0)), 1)]
         # d^2 = 0 on cone(s) is linear in s, so checking the basis maps
         # checks the cone of every class `cone` builds for this pair
         if self._conditions(basis, a, b).any():
@@ -401,8 +400,65 @@ class ComplexCategory:
             raise EnumerationTooLarge(
                 f"{count} homotopy classes exceed max_aut_candidates={bound}"
             )
-        coeffs = np.array(list(product(range(self.p), repeat=len(complement))), dtype=np.int64)
-        return [self._chain_map(row, a, b) for row in coeffs @ complement % self.p]
+        codes = np.arange(count)[:, None] // self.p ** np.arange(len(complement))[::-1] % self.p
+        # with at most one nonzero class there is nothing to merge
+        labels = (self._orbit_labels(a, b, null_rows, complement, codes) if count > 2
+                  else np.arange(count))
+        reps, sizes = np.unique(labels, return_counts=True)
+        return [(self._chain_map(row, a, b), int(n))
+                for row, n in zip(codes[reps] @ complement % self.p, sizes)]
+
+    def _orbit_labels(self, a: Complex, b: Complex, null_rows, complement, codes):
+        """Per class code, the least code in its orbit under s -> g s h, g and h
+        in `_automorphisms` of b and a: the cones of s and g s h are isomorphic,
+        as are those of homotopic maps.  g C and C h for the complement rows C,
+        read in C modulo the homotopy image, give the matrix each one acts by."""
+        p, n, k = self.p, range(self.quiver.n), len(complement)
+        c1, c0 = self._chain_map(complement, a, b)
+        (g1, g0), (h1, h0) = (self._chain_map(self._automorphisms(x), x, x) for x in (b, a))
+        left = [[g[i][:, None] @ c[i] for i in n] for g, c in ((g1, c1), (g0, c0))]
+        right = [[c[i] @ h[i][:, None] for i in n] for h, c in ((h1, c1), (h0, c0))]
+        moved = np.concatenate([self._chain_map_vector(*left), self._chain_map_vector(*right)]) % p
+        coords = fplin.solve(np.concatenate([null_rows, complement]).T,
+                             moved.reshape(-1, moved.shape[-1]).T, p)
+        assert coords is not None, "an automorphism moved a chain map out of the chain maps"
+        images = [np.ravel_multi_index((codes @ act % p).T, (p,) * k)
+                  for act in coords[len(null_rows):].T.reshape(-1, k, k)]
+        # edges hook larger labels onto smaller ones, compressed, until none move
+        labels = np.arange(len(codes))
+        while True:
+            before = labels.copy()
+            for image in images:
+                ends = labels[image]
+                np.minimum.at(labels, np.maximum(labels, ends), np.minimum(labels, ends))
+            while (labels[labels] != labels).any():
+                labels = labels[labels]
+            if np.array_equal(labels, before):
+                return labels
+
+    def _automorphisms(self, cx: Complex):
+        """Chain automorphisms id + r of cx, r a row of the chain-map basis
+        cx -> cx, whose vertex blocks are invertible; memoized per content of
+        cx.  Any automorphisms give orbits no coarser than the true ones."""
+        memo = (cx.m1.key, cx.m0.key, b"".join(m.tobytes() for m in cx.d1 + cx.d0))
+        if memo not in self._auts:
+            ident = self._chain_map_vector(*(
+                [np.eye(d, dtype=np.int64) for d in term.dim] for term in (cx.m1, cx.m0)))
+            rows = (ident + self._chain_map_rows(cx, cx)) % self.p
+            self._auts[memo] = rows[self._invertible(rows, cx)]
+            self._check_automorphisms(self._auts[memo], cx)
+        return self._auts[memo]
+
+    def _invertible(self, rows, cx: Complex):
+        """Per row, whether every vertex block of the map cx -> cx it encodes is
+        invertible."""
+        blocks = sum(self._chain_map(rows, cx, cx), ())
+        return [all(fplin.is_invertible(m[j], self.p) for m in blocks) for j in range(len(rows))]
+
+    def _check_automorphisms(self, gens, cx: Complex):
+        """Refuse, naming cx, a generator that is not a chain automorphism."""
+        if self._conditions(gens, cx, cx).any() or not all(self._invertible(gens, cx)):
+            raise AssertionError(f"not a chain automorphism of {self.complex_key(cx)}")
 
     # ------------------------------------------------------------------
     # cones
@@ -410,7 +466,7 @@ class ComplexCategory:
     def cone(self, s, src: Complex, tgt: Complex) -> Complex:
         """Cone of a chain map src -> tgt; extension of src by tgt-dagger.
 
-        s is one of `homotopy_classes(src, tgt)`, reduced mod p.  The cone
+        s is a map from `homotopy_classes(src, tgt)`, reduced mod p.  The cone
         squares to zero because s is a chain map (its off-diagonal blocks of
         d^2 are s's chain-map conditions), which `homotopy_classes` checks
         once per pair, so `Complex.__init__`'s check is not run again.
@@ -471,9 +527,10 @@ class ComplexCategory:
         """<A> o <B> for two complex keys, memoized: the value is shared.
 
         One cone per homotopy class of maps A -> B-dagger, each weighted by
-        the twist over h(A, B).  The zero complex is the unit (twist and h
-        are 1 and the one cone is B + 0 or 0 + A), and the first class is
-        the zero map, whose cone B + A is keyed by `_sum_key` without a
+        the twist over h(A, B); one cone is keyed per orbit of classes, and
+        counted with the orbit's size.  The zero complex is the unit (twist
+        and h are 1 and the one cone is B + 0 or 0 + A), and the first class
+        is the zero map, whose cone B + A is keyed by `_sum_key` without a
         split; only the other cones go through `complex_key`.
         """
         memo = (ka, kb)
@@ -495,9 +552,10 @@ class ComplexCategory:
         bshift = self._daggers.get(kb)
         if bshift is None:
             bshift = self._daggers[kb] = self.dagger(b)
-        zero_map, *rest = self.homotopy_classes(a, bshift)
-        counts = Counter([self._sum_key(self.cone(zero_map, a, bshift), kb, ka)])
-        counts.update(self.complex_key(self.cone(s, a, bshift)) for s in rest)
+        (zero_map, _one), *rest = self.homotopy_classes(a, bshift)
+        counts = Counter({self._sum_key(self.cone(zero_map, a, bshift), kb, ka): 1})
+        for s, n in rest:
+            counts[self.complex_key(self.cone(s, a, bshift))] += n
         out = LocElement(self.ring, {(key, z, z): coeff * n for key, n in counts.items()})
         self._product_cache[memo] = out
         return out

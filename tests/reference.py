@@ -234,9 +234,27 @@ def isomorphic(cpx, a, b):
     return False
 
 
+def homotopy_class_listing(cpx, a, b):
+    """One representative chain map per homotopy class of maps a -> b, with
+    no orbits: every combination of a complement of the homotopy image in
+    the chain maps, in `itertools.product` order of the coefficients, which
+    is the order of `ComplexCategory.homotopy_classes`' class codes."""
+    basis = cpx._chain_map_rows(a, b)
+    if not len(basis):
+        return [(mor_zero(a.m1, b.m1), mor_zero(a.m0, b.m0))]
+    null_rows = cpx.homotopy_image(a, b)
+    _r, pivots = fplin.rref(np.concatenate([null_rows, basis]).T, cpx.p)
+    complement = basis[[pc - len(null_rows) for pc in pivots if pc >= len(null_rows)]]
+    if cpx.p ** len(complement) > cpx.cat.bounds.max_aut_candidates:
+        raise EnumerationTooLarge("homotopy classes exceed max_aut_candidates")
+    coeffs = np.array(list(product(range(cpx.p), repeat=len(complement))), dtype=np.int64)
+    return [cpx._chain_map(row, a, b) for row in coeffs @ complement % cpx.p]
+
+
 def mono_product(cpx, ka, kb):
     """<A> o <B> for two registered complex keys, with no fast path: one
-    cone per homotopy class of maps A -> B-dagger, the unit and the
+    cone per homotopy class of maps A -> B-dagger (`homotopy_class_listing`,
+    with no orbits), the unit and the
     zero-map cone included, each keyed through `complex_key`'s split, and
     one twist over h(A, B) added per cone."""
     a, b = cpx.by_key(ka), cpx.by_key(kb)
@@ -248,7 +266,7 @@ def mono_product(cpx, ka, kb):
     hval = cpx.h_value(a, b)
     out = LocElement.zero(cpx.ring)
     bshift = cpx.dagger(b)
-    for s in cpx.homotopy_classes(a, bshift):
+    for s in homotopy_class_listing(cpx, a, bshift):
         key = cpx.complex_key(cpx.cone(s, a, bshift))
         out.add_term((key, cpx.quiver.zero_kvector(), cpx.quiver.zero_kvector()), tw * (1 / hval))
     return out

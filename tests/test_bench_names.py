@@ -61,8 +61,7 @@ def test_traced_names_without_an_engine_caller(monkeypatch):
         for path in fns.values()
         if not path.endswith("__") and path.split()[0].rsplit(".", 1)[1] not in callers
     }
-    assert uncalled == {"fplin.solve", "fplin.row_space", "fplin.in_row_space",
-                        "quiver.Quiver.simple_coords"}
+    assert uncalled == {"fplin.row_space", "fplin.in_row_space", "quiver.Quiver.simple_coords"}
     # the engine inverts matrices only to list the base-change group
     assert callers["inverse"] == {"_gl_stack"}
 
@@ -91,7 +90,7 @@ def test_engine_defs_without_an_engine_caller():
     assert sorted(defs) == sorted([
         # traced in perfbench/tracer.py FUNCS; they move into tests/ when
         # the benchmark next changes (ROADMAP item 8)
-        "fplin.solve", "fplin.row_space", "fplin.in_row_space", "quiver.Quiver.simple_coords",
+        "fplin.row_space", "fplin.in_row_space", "quiver.Quiver.simple_coords",
         # acceptance criterion 6 reads them (tests/test_acceptance.py)
         "repcat.RepCategory.ext_dim", "repcat.RepCategory.hom_count",
         # the coproduct family, which ROADMAP item 10 makes production code

@@ -246,6 +246,42 @@ def test_verify_oracle_json_is_pinned(capsys, quiver):
     assert hashlib.sha256(out.encode()).hexdigest() == ORACLE_DIGESTS[quiver]
 
 
+# sha256 of `verify --suite oracle --max-dim 3 --json` as the oracle printed
+# it when it keyed one cone per homotopy class, not per orbit; on a2 the 16
+# pairs whose products need GL5(F_2) are skipped rows
+ORACLE_MAX_DIM_3_DIGESTS = {
+    "a2": "628016e330f2629de74d3dc306b09d2c1935d340a4512f1f72cbb1727ac1889e",
+}
+
+
+@pytest.mark.parametrize("quiver", sorted(ORACLE_MAX_DIM_3_DIGESTS))
+def test_verify_oracle_max_dim_3_json_is_pinned(capsys, quiver):
+    code, out, _ = run(capsys, "verify", "--quiver", DATA / f"{quiver}.quiver",
+                       "--suite", "oracle", "--max-dim", "3", "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ORACLE_MAX_DIM_3_DIGESTS[quiver]
+    assert out.count('"status": "skipped"') == 16
+
+
+def test_verify_json_closes_with_timings_only_under_timing(capsys):
+    # without --timing the report is the pinned bytes; with it, the same
+    # report closes with per-suite seconds, its keys still sorted
+    verify = ("verify", "--quiver", DATA / "a2.quiver", "--json", "--suite")
+    code, plain, _ = run(capsys, *verify, "relations")
+    assert code == 0
+    assert hashlib.sha256(plain.encode()).hexdigest() == RELATIONS_DIGESTS["a2"]
+    code, timed, _ = run(capsys, *verify, "relations", "--timing")
+    assert code == 0 and timed.startswith(plain[: -len("}\n")] + ', "timings": {')
+    report = json.loads(timed)
+    assert set(report.pop("timings")) == {"relations"} and report == json.loads(plain)
+    code, timed, _ = run(capsys, *verify, "all", "--timing")
+    assert code == 0
+    timings = json.loads(timed)["timings"]
+    assert list(timings) == sorted(["relations", "drinfeld", "assoc", "oracle"])
+    assert all(isinstance(t, float) and t >= 0 for t in timings.values())
+    assert timed == json.dumps(json.loads(timed), sort_keys=True) + "\n"
+
+
 # sha256 of `verify --suite assoc --json` as straightening printed it before
 # `DHAlgebra.mono_product` was memoized: the rows must not move
 ASSOC_DIGESTS = {

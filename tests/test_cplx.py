@@ -5,16 +5,20 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from hallq import EnumerationTooLarge, QuiverError, RepCategory, fplin
+from hallq import EnumerationTooLarge, QuiverError, RepCategory, fplin, parse_quiver
 from hallq.cplx import Complex, ComplexCategory, mor_zero
 from hallq.dh import DHAlgebra
 from hallq.quiver import kv_sub
 
 from .reference import change_of_basis_sub_quotient, direct_sum, isomorphic, k_complex
-from .reference import hom_basis, hom_complex_basis
+from .reference import hom_basis, hom_complex_basis, homotopy_class_listing
 from .reference import homotopy_image as reference_homotopy_image
 from .reference import mono_product as reference_mono_product
 from .reference import split_halves, split_summands
+
+
+# A2 over F_3, which no quiver file covers
+A2P3 = "field p=3\nvertex 1 loops=0\nvertex 2 loops=0\nedge 1 2\n"
 
 
 @pytest.fixture(scope="module")
@@ -88,7 +92,7 @@ def test_decompose_random_cones(ca2, a2):
         a, b = rng.choice(classes), rng.choice(classes)
         src = ca2.resolution(a.rep)
         tgt = ca2.dagger(ca2.resolution(b.rep))
-        for s in ca2.homotopy_classes(src, ca2.dagger(tgt)):
+        for s in homotopy_class_listing(ca2, src, ca2.dagger(tgt)):
             cone = ca2.cone(s, src, ca2.dagger(tgt))
             c_f, c_g_dag = split_summands(ca2, cone)
             assert isomorphic(ca2, direct_sum(ca2, c_f, c_g_dag), cone)
@@ -155,7 +159,8 @@ def test_invariants_computed_once_per_complex(name, request, monkeypatch):
 
 
 def run_oracle_suite(name, max_dim, monkeypatch, wrap):
-    """Run the `hallq verify --suite oracle` checks on a fresh category and
+    """Run the `hallq verify --suite oracle` checks on a fresh category (or
+    on name, when it is a RepCategory) and
     return (category, the suite's ComplexCategory); for each (owner, method)
     key of wrap, the method is replaced by wrap[owner, method](original)
     for the run.  Every check must pass.
@@ -164,7 +169,7 @@ def run_oracle_suite(name, max_dim, monkeypatch, wrap):
 
     from .conftest import load
 
-    cat = RepCategory(load(name))
+    cat = name if isinstance(name, RepCategory) else RepCategory(load(name))
     made = []
     init = ComplexCategory.__init__
 
@@ -451,6 +456,172 @@ def test_oracle_splits_no_unit_pair_and_no_zero_map_cone(monkeypatch):
     assert len(cpx._registry) == 203
 
 
+def test_oracle_keys_one_cone_per_orbit(monkeypatch):
+    # the Kronecker oracle suite at max dim 2 builds one cone per orbit of
+    # homotopy classes (1,168 cones and 2,370 half splits when it built one
+    # per class), for the same 256 pairs and 203 keys
+    calls = Counter()
+
+    def counted(name):
+        def wrap(orig):
+            def wrapped(*args):
+                calls[name] += 1
+                return orig(*args)
+            return wrapped
+        return wrap
+
+    _cat, cpx = run_oracle_suite("kronecker", 2, monkeypatch, {
+        (ComplexCategory, name): counted(name)
+        for name in ("homotopy_classes", "cone", "_half_split")
+    })
+    assert calls == {"homotopy_classes": 256, "cone": 468, "_half_split": 970}
+    assert len(cpx._registry) == 203
+
+
+def oracle_orbits(cat, monkeypatch):
+    """Run the oracle suite at max dim 2 on cat; return its ComplexCategory
+    and, per `homotopy_classes` call, (a, b, its orbits, the labels
+    `_orbit_labels` gave them or None when the step was skipped)."""
+    calls, labels = [], []
+
+    def orbit_labels(orig):
+        def wrapped(self, *args):
+            labels.append(orig(self, *args))
+            return labels[-1]
+        return wrapped
+
+    def homotopy_classes(orig):
+        def wrapped(self, a, b):
+            labels.clear()
+            out = orig(self, a, b)
+            calls.append((a, b, out, labels[0] if labels else None))
+            return out
+        return wrapped
+
+    _cat, cpx = run_oracle_suite(cat, 2, monkeypatch, {
+        (ComplexCategory, "_orbit_labels"): orbit_labels,
+        (ComplexCategory, "homotopy_classes"): homotopy_classes,
+    })
+    return cpx, calls
+
+
+def check_orbits(cpx, a, b, orbits, labels):
+    """The orbits of homotopy_classes(a, b) against the per-class listing:
+    their sizes sum to the number of classes, each representative is the
+    listing's map at the least code of its orbit, every class has its
+    representative's key, and the per-key counts agree."""
+    listing = homotopy_class_listing(cpx, a, b)
+    labels = np.arange(len(listing)) if labels is None else labels
+    keys = [cpx.complex_key(cpx.cone(s, a, b)) for s in listing]
+    assert sum(n for _s, n in orbits) == len(listing)
+    reps = sorted(set(labels.tolist()))
+    assert same_maps([s for s, _n in orbits], [listing[r] for r in reps])
+    assert all(keys[x] == keys[r] for x, r in enumerate(labels.tolist()))
+    counts = Counter()
+    for s, n in orbits:
+        counts[cpx.complex_key(cpx.cone(s, a, b))] += n
+    assert counts == Counter(keys)
+
+
+@pytest.mark.parametrize("name", ["a1", "a1p3", "a1p5", "a2", "a3", "kronecker", "a2p3"])
+def test_orbits_match_the_per_class_listing(name, monkeypatch):
+    # on every pair the oracle suite meets at max dim 2, the orbits are
+    # exact: sizes, representatives, keys and per-key counts as the
+    # listing gives them; and orbits do merge classes on some pairs
+    from .conftest import load
+
+    cat = RepCategory(parse_quiver(A2P3) if name == "a2p3" else load(name))
+    cpx, calls = oracle_orbits(cat, monkeypatch)
+    assert calls
+    merged = 0
+    for a, b, orbits, labels in calls:
+        check_orbits(cpx, a, b, orbits, labels)
+        merged += any(n > 1 for _s, n in orbits)
+    assert merged or name in ("a1", "a1p3", "a1p5")
+
+
+def test_automorphisms_refuse_a_forged_generator(kronecker, monkeypatch):
+    # every generator is a chain automorphism; one with an entry flipped
+    # that is no longer one, or a chain map with a singular block, is
+    # refused naming the complex, by the check the memo's build runs
+    cpx = ComplexCategory(kronecker)
+    p, cx = kronecker.p, cpx.resolution(kronecker.class_by_key("2,0|;").rep)
+    key, gens = cpx.complex_key(cx), cpx._automorphisms(cx)
+    assert len(gens)
+    refused = 0
+    for j in range(gens.shape[1]):
+        bad = gens.copy()
+        bad[0, j] = (bad[0, j] + 1) % p
+        blocks = sum(cpx._chain_map(bad[0], cx, cx), ())
+        cone = cpx.cone(cpx._chain_map(bad[0], cx, cx), cx, cx)
+        try:
+            Complex(cone.m1, cone.m0, cone.d1, cone.d0, p)
+        except QuiverError:
+            pass
+        else:
+            if all(fplin.is_invertible(m, p) for m in blocks):
+                cpx._check_automorphisms(bad, cx)
+                continue
+        with pytest.raises(AssertionError, match="not a chain automorphism") as exc:
+            cpx._check_automorphisms(bad, cx)
+        assert key in str(exc.value)
+        refused += 1
+    assert refused
+    # id + r for every chain endomorphism r of the basis: some have a
+    # singular block, and are dropped by the build but refused by the check
+    ident = cpx._chain_map_vector(*(
+        [np.eye(d, dtype=np.int64) for d in term.dim] for term in (cx.m1, cx.m0)))
+    rows = (ident + cpx._chain_map_rows(cx, cx)) % p
+    singular = rows[[not ok for ok in cpx._invertible(rows, cx)]]
+    assert len(singular) and not cpx._conditions(singular, cx, cx).any()
+    with pytest.raises(AssertionError, match="not a chain automorphism") as exc:
+        cpx._check_automorphisms(singular, cx)
+    assert key in str(exc.value)
+    # and through the memo's build, from a basis with one entry flipped
+    basis, raised = cpx._chain_map_rows(cx, cx), 0
+    for i, j in np.ndindex(basis.shape):
+        flipped = basis.copy()
+        flipped[i, j] = (flipped[i, j] + 1) % p
+        monkeypatch.setattr(cpx, "_chain_map_rows", lambda x, y, rows=flipped: rows)
+        cpx._auts.clear()
+        try:
+            cpx._automorphisms(cx)
+        except AssertionError as exc:
+            assert key in str(exc)
+            raised += 1
+    assert raised
+
+
+def test_a_forged_generator_that_merges_keys_fails_the_cross_check(monkeypatch):
+    # with the zero chain map added to each factor's generators, every class
+    # joins the zero map's orbit, and the cross-check refuses the orbits of
+    # the pairs whose classes have more than one key
+    from .conftest import load
+
+    cpx, calls = oracle_orbits(RepCategory(load("kronecker")), monkeypatch)
+    real, orbit_labels, labels = ComplexCategory._automorphisms, ComplexCategory._orbit_labels, []
+
+    def forged(self, cx):
+        gens = real(self, cx)
+        return np.concatenate([gens, np.zeros((1, gens.shape[1]), dtype=np.int64)])
+
+    monkeypatch.setattr(ComplexCategory, "_automorphisms", forged)
+    monkeypatch.setattr(ComplexCategory, "_orbit_labels",
+                        lambda self, *args: labels.append(orbit_labels(self, *args)) or labels[-1])
+    failed = 0
+    for a, b, _orbits, _labels in calls:
+        labels.clear()
+        orbits = cpx.homotopy_classes(a, b)
+        if not labels:
+            continue
+        assert len(orbits) == 1
+        try:
+            check_orbits(cpx, a, b, orbits, labels[0])
+        except AssertionError:
+            failed += 1
+    assert failed
+
+
 def test_each_echelon_miss_builds_one_sub_and_one_quotient(monkeypatch):
     # on the Kronecker oracle suite, a half split that adds an echelon memo
     # entry builds ker d_back and its quotient by im d, and no Rep for im d;
@@ -538,7 +709,7 @@ def test_split_matches_cokernel_route(name, request):
         for b in classes[:3]:
             pool.append(direct_sum(cpx, res, cpx.dagger(cpx.resolution(b.rep))))
             shifted = cpx.resolution(b.rep)
-            pool += [cpx.cone(s, res, shifted) for s in cpx.homotopy_classes(res, shifted)]
+            pool += [cpx.cone(s, res, shifted) for s in homotopy_class_listing(cpx, res, shifted)]
     for cx in pool:
         halves = split_halves(cpx, cx)
         routes = (cokernel_route(cat, cx.m0, cx.d1, cx.d0),
@@ -565,7 +736,7 @@ def test_classes_read_off_key_match_rank_vectors(name, request):
         for b in classes[:3]:
             pool.append(direct_sum(cpx, res, cpx.dagger(cpx.resolution(b.rep))))
             shifted = cpx.resolution(b.rep)
-            pool += [cpx.cone(s, res, shifted) for s in cpx.homotopy_classes(res, shifted)]
+            pool += [cpx.cone(s, res, shifted) for s in homotopy_class_listing(cpx, res, shifted)]
     seen = set()
     for cx in pool:
         seen.add(cpx.complex_key(cx))
@@ -593,8 +764,9 @@ def test_homology_in_both_degrees(name, request):
 
 @pytest.mark.parametrize("name", ["a2", "kronecker"])
 def test_homotopy_classes_one_per_class(name, request):
-    # the representatives are p^(dim chain maps - dim null-homotopic maps)
-    # chain maps, pairwise not homotopic
+    # the per-class listing the orbits are checked against has
+    # p^(dim chain maps - dim null-homotopic maps) chain maps, pairwise not
+    # homotopic
     cat = request.getfixturevalue(name)
     cpx = ComplexCategory(cat)
     pool = [k_complex(cpx, (1,) + (0,) * (cat.quiver.n - 1))]
@@ -603,7 +775,7 @@ def test_homotopy_classes_one_per_class(name, request):
         pool += [res, cpx.dagger(res)]
     for a in pool:
         for b in map(cpx.dagger, pool):
-            reps = cpx.homotopy_classes(a, b)
+            reps = homotopy_class_listing(cpx, a, b)
             null, pivots = fplin.rref(cpx.homotopy_image(a, b), cat.p)
             assert len(reps) == cat.p ** (len(hom_complex_basis(cpx, a, b)) - len(pivots))
             vecs = [cpx._chain_map_vector(s1, s0) for s1, s0 in reps]
@@ -661,14 +833,13 @@ def same_maps(got, want):
 
 @pytest.mark.parametrize("name", ["a2", "kronecker", "a3", "a2p3"])
 def test_homotopy_classes_match_the_combine_loop(name, request):
-    # hom_complex_basis and homotopy_classes, built as one matrix product of
-    # flat vectors, equal map for map and in order the per-map loop they
-    # replaced, including pairs with no chain maps and pairs with one class;
-    # so does the homotopy image, built per vertex as stacked products
+    # hom_complex_basis and the per-class listing, built as one matrix
+    # product of flat vectors, equal map for map and in order the per-map
+    # loop they replaced, including pairs with no chain maps and pairs with
+    # one class; so does the homotopy image, built per vertex as stacked
+    # products
     if name == "a2p3":
-        from hallq import parse_quiver
-
-        cat = RepCategory(parse_quiver("field p=3\nvertex 1 loops=0\nvertex 2 loops=0\nedge 1 2\n"))
+        cat = RepCategory(parse_quiver(A2P3))
     else:
         cat = request.getfixturevalue(name)
     cpx = ComplexCategory(cat)
@@ -685,7 +856,7 @@ def test_homotopy_classes_match_the_combine_loop(name, request):
             basis = hom_complex_basis(cpx, a, b)
             assert same_maps(basis, reference_hom_complex_basis(cpx, a, b))
             assert np.array_equal(cpx.homotopy_image(a, b), reference_homotopy_image(cpx, a, b))
-            classes = cpx.homotopy_classes(a, b)
+            classes = homotopy_class_listing(cpx, a, b)
             assert same_maps(classes, reference_homotopy_classes(cpx, a, b))
             kinds["empty hom" if not basis else "one class" if len(classes) == 1 else "many"] += 1
     assert set(kinds) == {"empty hom", "one class", "many"}, kinds
