@@ -62,6 +62,14 @@ class Complex:
         # differentials are never changed after construction
         self._key = None
 
+    @classmethod
+    def _unchecked(cls, m1: Rep, m0: Rep, d1, d0) -> "Complex":
+        """A complex whose differentials the caller knows are reduced mod p,
+        fit the terms and square to zero, so none of that is checked."""
+        cx = cls.__new__(cls)
+        cx.m1, cx.m0, cx.d1, cx.d0, cx._key = m1, m0, tuple(d1), tuple(d0), None
+        return cx
+
 
 class ComplexCategory:
     def __init__(self, cat: RepCategory):
@@ -84,8 +92,6 @@ class ComplexCategory:
         self._raw_halves: dict[tuple, tuple] = {}
         self._halves: dict[tuple, tuple] = {}
         self._product_cache: dict[tuple, LocElement] = {}
-        # right factor key -> its dagger, the target of _mono_product's maps
-        self._daggers: dict[str, Complex] = {}
         # complex content -> the chain automorphisms _orbit_labels acts by
         self._auts: dict[tuple, np.ndarray] = {}
         # (A key, alpha, B key, beta) -> normal_monomial's shared value
@@ -200,12 +206,10 @@ class ComplexCategory:
     # basic complex constructions
 
     def dagger(self, cx: Complex) -> Complex:
-        return Complex(
-            cx.m0, cx.m1,
-            tuple((-m) % self.p for m in cx.d0),
-            tuple((-m) % self.p for m in cx.d1),
-            self.p,
-        )
+        """The shift of cx: terms swapped, differentials negated, so it is a
+        complex because cx is."""
+        return Complex._unchecked(cx.m0, cx.m1, [(-m) % self.p for m in cx.d0],
+                                  [(-m) % self.p for m in cx.d1])
 
     # ------------------------------------------------------------------
     # homology and decomposition
@@ -487,9 +491,7 @@ class ComplexCategory:
             blk[: tgt.m0.dim[i], tgt.m1.dim[i] :] = s0[i]
             blk[tgt.m0.dim[i] :, tgt.m1.dim[i] :] = src.d0[i]
             d0.append(blk)
-        cx = Complex.__new__(Complex)
-        cx.m1, cx.m0, cx.d1, cx.d0, cx._key = m1, m0, tuple(d1), tuple(d0), None
-        return cx
+        return Complex._unchecked(m1, m0, d1, d0)
 
     # ------------------------------------------------------------------
     # Hall structure
@@ -549,9 +551,7 @@ class ComplexCategory:
             + self.quiver.euler_form(kv_add(a1p, a1m), kv_add(b1p, b1m))
         )
         coeff = tw * (1 / self.h_value(a, b))
-        bshift = self._daggers.get(kb)
-        if bshift is None:
-            bshift = self._daggers[kb] = self.dagger(b)
+        bshift = self.dagger(b)
         (zero_map, _one), *rest = self.homotopy_classes(a, bshift)
         counts = Counter({self._sum_key(self.cone(zero_map, a, bshift), kb, ka): 1})
         for s, n in rest:

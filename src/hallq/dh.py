@@ -48,7 +48,6 @@ class DHAlgebra:
         self.cat = cat
         self.quiver = cat.quiver
         self.ring = cat.quiver.scalar_ring()
-        self._fe: dict[tuple, DHElement] = {}
         self._eab: dict[tuple, DHElement] = {}
         self._mono: dict[tuple, DHElement] = {}
         self._zero_key = cat.zero_class().key
@@ -148,16 +147,17 @@ class DHAlgebra:
         return [(c.key, tw * coeff) for c, coeff in self.cat.middle_terms(a, b)]
 
     def _fe_expand(self, bkey: str, akey: str) -> DHElement:
-        """Normal form of F_B o E_A (rule R4, then the E(A1,B1) table)."""
-        memo = (bkey, akey)
-        if memo in self._fe:
-            return self._fe[memo]
+        """Normal form of F_B o E_A (rule R4, then the E(A1,B1) table).
+
+        Not memoized: it is one join-sum over the memoized `eab` entries,
+        products read it through the `mono_product` memo, and the Drinfeld
+        check reads each pair about once.
+        """
         out, z = self.zero(), self.quiver.zero_kvector()
         b_minus_a = kv_sub(self._cls(bkey).dim, self._cls(akey).dim)
         for m, a1k, b1k, n in self._join(akey, bkey):
             tw = self.ring.v_pow(self.quiver.euler_dimvec(m.dim, b_minus_a))
             out.add_scaled(self._k_left(tuple(m.kclass), z, self.eab(a1k, b1k)), tw * n)
-        self._fe[memo] = out
         return out
 
     def eab(self, akey: str, bkey: str) -> DHElement:
@@ -247,16 +247,7 @@ class DHAlgebra:
         return self.product(x, y) - self.product(y, x)
 
     # ------------------------------------------------------------------
-    # involution and reduction
-
-    def dagger(self, x: DHElement) -> DHElement:
-        """The shift involution: E <-> F, K <-> Kd, re-straightened."""
-        out = self.zero()
-        z = self.quiver.zero_kvector()
-        for (a, al, b, be), c in x.terms.items():
-            word = self.times_e(self.times_k(self.f_elem(a), z, al), b)
-            out.add_scaled(self.times_k(word, be, z), c)
-        return out
+    # reduction
 
     def reduce(self, x: DHElement) -> ReducedDHElement:
         """Image in the reduced algebra: fold Kd_b to K_{-b}.

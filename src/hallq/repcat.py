@@ -223,14 +223,13 @@ class RepCategory:
         self.store = store
         head = (CANONICAL_FORM, quiver.content_hash(), str(self.p))
         self._key_heads = {
-            op: CacheStore.key_head(*head, op) for op in ("classify", "subquot", "homdim")
+            op: CacheStore.key_head(*head, op) for op in ("classify", "subquot")
         }
         # the key of the zero class (as `zero_rep().key`, with no Rep built)
         self._zero_key = ",".join("0" * quiver.n) + "|" + ";" * (len(quiver.arrows) - 1)
         self._classify: dict[tuple, list[IsoClass]] = {}
         # every Rep key met, canonical or not -> its class
         self._class: dict[str, IsoClass] = {}
-        self._kclass: dict[tuple, tuple] = {}
         self._hom_rows: dict[tuple, np.ndarray] = {}
         self._sums: dict[tuple, Rep] = {}
         self._subquot: dict[str, dict] = {}
@@ -311,12 +310,7 @@ class RepCategory:
         return kernel
 
     def hom_dim(self, a: Rep, b: Rep) -> int:
-        memo_key = (a.key, b.key)
-        val = self._stored("homdim", memo_key, lambda: len(self.hom_rows(a, b)))
-        if not (type(val) is int and val >= 0):
-            key = CacheStore.key(self._key_heads["homdim"], memo_key)
-            raise QuiverError(f"cached record {key} holds {val!r}, not an int >= 0")
-        return val
+        return len(self.hom_rows(a, b))
 
     def hom_count(self, a: Rep, b: Rep) -> int:
         return self.p ** self.hom_dim(a, b)
@@ -429,7 +423,7 @@ class RepCategory:
 
         rows = self._stored("classify", d, compute)
         self._check_class_rows(d, rows)
-        kclass = self._kclass_of(d)
+        kclass = self.quiver.class_of_dimvec(d)
         classes = self._classify[d] = [self._register(key, d, aut, kclass) for key, aut in rows]
         return classes
 
@@ -465,12 +459,6 @@ class RepCategory:
             mats.append(np.array(digits, dtype=np.int64).reshape(d[h], d[t]))
         return mats
 
-    def _kclass_of(self, dim: tuple) -> tuple:
-        kclass = self._kclass.get(dim)
-        if kclass is None:
-            kclass = self._kclass[dim] = self.quiver.class_of_dimvec(dim)
-        return kclass
-
     def _register(self, key: str, dim: tuple, aut: int, kclass=None, rep: Rep | None = None):
         """The class of canonical key `key`, registered on first sight.
 
@@ -480,7 +468,7 @@ class RepCategory:
         cls = self._class.get(key)
         if cls is None:
             if kclass is None:
-                kclass = self._kclass_of(dim)
+                kclass = self.quiver.class_of_dimvec(dim)
             cls = self._class[key] = IsoClass(self.quiver, key, dim, aut, kclass, rep)
         return cls
 

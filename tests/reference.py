@@ -127,6 +127,17 @@ def all_pairs_join(dh, xkey, ykey):
                 yield m, x1k, y1k, gx * gy * m.aut_order, tw
 
 
+def dagger(dh, x):
+    """The shift involution of the localized algebra: E <-> F, K <-> Kd,
+    re-straightened by `dh`."""
+    out = dh.zero()
+    z = dh.quiver.zero_kvector()
+    for (a, al, b, be), c in x.terms.items():
+        word = dh.times_e(dh.times_k(dh.f_elem(a), z, al), b)
+        out.add_scaled(dh.times_k(word, be, z), c)
+    return out
+
+
 def homotopy_image(cpx, a, b):
     """Chain maps a -> b homotopic to zero, as entry vectors (rows), built
     one generator of Hom(a.m1, b.m0) and Hom(a.m0, b.m1) at a time."""

@@ -27,24 +27,43 @@ def test_traced_functions_resolve(monkeypatch):
 
 
 def engine_callers():
-    """name -> the engine functions that call it by that name (`f(...)` or
-    `x.f(...)`), over every module of `src/hallq`."""
+    """callee -> the engine functions that call it, over every module of
+    `src/hallq`.  A call `self.f(...)` in a method of class C calls `C.f`;
+    any other `f(...)` or `x.f(...)` calls `f`, whatever its owner."""
     callers = {}
 
-    def visit(node, scope):
+    def visit(node, scope, cls):
         for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, scope, child.name)
+                continue
             if isinstance(child, ast.FunctionDef):
-                visit(child, child.name)
+                visit(child, child.name, cls)
                 continue
             if isinstance(child, ast.Call):
                 func = child.func
-                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if isinstance(func, ast.Attribute):
+                    on_self = isinstance(func.value, ast.Name) and func.value.id == "self"
+                    name = f"{cls}.{func.attr}" if on_self and cls else func.attr
+                else:
+                    name = getattr(func, "id", None)
                 callers.setdefault(name, set()).add(scope)
-            visit(child, scope)
+            visit(child, scope, cls)
 
     for path in (ROOT / "src" / "hallq").glob("*.py"):
-        visit(ast.parse(path.read_text()), path.stem)
+        visit(ast.parse(path.read_text()), path.stem, None)
     return callers
+
+
+def is_called(callers, path):
+    """Whether some engine function calls the def at `module[.Class].name`."""
+    _module, *owner, name = path.split(".")
+    return name in callers or (bool(owner) and f"{owner[0]}.{name}" in callers)
+
+
+def callers_of(callers, name):
+    """The engine functions that call a def called `name`, on `self` or not."""
+    return set().union(*(s for k, s in callers.items() if k and k.rsplit(".", 1)[-1] == name))
 
 
 def test_traced_names_without_an_engine_caller(monkeypatch):
@@ -59,7 +78,7 @@ def test_traced_names_without_an_engine_caller(monkeypatch):
         path
         for fns in tracer.FUNCS.values()
         for path in fns.values()
-        if not path.endswith("__") and path.split()[0].rsplit(".", 1)[1] not in callers
+        if not path.endswith("__") and not is_called(callers, path.split()[0])
     }
     assert uncalled == {"fplin.row_space", "fplin.in_row_space", "quiver.Quiver.simple_coords"}
     # the engine inverts matrices only to list the base-change group
@@ -67,9 +86,10 @@ def test_traced_names_without_an_engine_caller(monkeypatch):
 
 
 def test_engine_defs_without_an_engine_caller():
-    # every def in src/hallq that no engine function calls by name, leaving
-    # out dunders, properties and functions passed as values (an argparse
-    # `type=`, a `key=`, a compute callback); code only tests read lives in
+    # every def in src/hallq that no engine function calls, leaving out
+    # dunders, properties and functions passed as values (an argparse
+    # `type=`, a `key=`, a compute callback); a `self.f(...)` call counts
+    # only for its own class's `f`.  Code only tests read lives in
     # tests/reference.py, so these are all the exceptions
     callers, passed, defs = engine_callers(), set(), []
     for path in (ROOT / "src" / "hallq").glob("*.py"):
@@ -85,7 +105,7 @@ def test_engine_defs_without_an_engine_caller():
                     continue
                 if any(getattr(d, "id", None) == "property" for d in fn.decorator_list):
                     continue
-                if fn.name not in callers and fn.name not in passed:
+                if fn.name not in passed and not is_called(callers, f"{owner}.{fn.name}"):
                     defs.append(f"{owner}.{fn.name}")
     assert sorted(defs) == sorted([
         # traced in perfbench/tracer.py FUNCS; they move into tests/ when
@@ -120,8 +140,8 @@ def test_one_subobject_table_join():
     # the Hall numbers, the coproduct and one join read the subobject
     # tables; rules R4, R5 and both sides of the Drinfeld check share it
     callers = engine_callers()
-    assert callers["subquot_table"] == {"hall_number", "_join", "coproduct"}
-    assert callers["_join"] == {"_fe_expand", "eab", "check_dd_identity"}
+    assert callers_of(callers, "subquot_table") == {"hall_number", "_join", "coproduct"}
+    assert callers_of(callers, "_join") == {"_fe_expand", "eab", "check_dd_identity"}
 
 
 def test_workload_imports_resolve():
