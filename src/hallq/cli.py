@@ -45,15 +45,19 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (QuiverError, ExprError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except EnumerationTooLarge as exc:
-        print(f"enumeration bound exceeded: {exc}", file=sys.stderr)
-        return EXIT_BOUNDS
-    except CacheCorruption as exc:
-        print(f"cache audit failed: {exc}", file=sys.stderr)
-        return EXIT_FAIL
+    except (QuiverError, ExprError, EnumerationTooLarge, CacheCorruption) as exc:
+        message, code = _failure(exc)
+        print(message, file=sys.stderr)
+        return code
+
+
+def _failure(exc) -> tuple:
+    """The stderr message and exit code main gives an error it reports."""
+    if isinstance(exc, EnumerationTooLarge):
+        return f"enumeration bound exceeded: {exc}", EXIT_BOUNDS
+    if isinstance(exc, CacheCorruption):
+        return f"cache audit failed: {exc}", EXIT_FAIL
+    return f"error: {exc}", EXIT_USAGE
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -269,33 +273,40 @@ def cmd_verify(args) -> int:
     encode = json.JSONEncoder(sort_keys=True).encode
     if args.json:
         sys.stdout.write('{"checks": [')
-    for name in names:
-        t0 = time.monotonic()
-        try:
-            rows = SUITES[name](cat, args)
-        except EnumerationTooLarge as exc:
-            rows = [skipped(name, exc)]
-        n = counts[name] = Counter()  # True passed, False failed, None skipped
-        for result in rows:
-            n[result["ok"]] += 1
-            if args.json:
-                row = {"suite": name, "status": status_names[result["ok"]], **result}
-                sys.stdout.write(sep + encode(row))
-                sep = ", "
-                continue
-            status = {True: "PASS", False: "FAIL", None: "SKIP"}[result["ok"]]
-            print(f"{status}  [{name}] {result['id']}")
-            if result["ok"] is False:
-                print(f"      lhs: {result['lhs']}")
-                print(f"      rhs: {result['rhs']}")
-                print(f"      residual: {result['residual']}")
-            elif result["ok"] is None and result["residual"]:
-                print(f"      {result['residual']}")
-        timings[name] = time.monotonic() - t0
+    config = {"quiver": cat.quiver.content_key(), "max_dim": args.max_dim,
+              "seed": args.seed, "serre_cap": args.serre_cap}
+    try:
+        for name in names:
+            t0 = time.monotonic()
+            try:
+                rows = SUITES[name](cat, args)
+            except EnumerationTooLarge as exc:
+                rows = [skipped(name, exc)]
+            n = counts[name] = Counter()  # True passed, False failed, None skipped
+            for result in rows:
+                n[result["ok"]] += 1
+                if args.json:
+                    row = {"suite": name, "status": status_names[result["ok"]], **result}
+                    sys.stdout.write(sep + encode(row))
+                    sep = ", "
+                    continue
+                status = {True: "PASS", False: "FAIL", None: "SKIP"}[result["ok"]]
+                print(f"{status}  [{name}] {result['id']}")
+                if result["ok"] is False:
+                    print(f"      lhs: {result['lhs']}")
+                    print(f"      rhs: {result['rhs']}")
+                    print(f"      residual: {result['residual']}")
+                elif result["ok"] is None and result["residual"]:
+                    print(f"      {result['residual']}")
+            timings[name] = time.monotonic() - t0
+    except (QuiverError, ExprError, EnumerationTooLarge, CacheCorruption) as exc:
+        if args.json:
+            # close the report an error cut short, so it stays valid JSON
+            print(f'], "config": {encode(config)}, "error": {encode(_failure(exc)[0])}, '
+                  f'"suite": {json.dumps(args.suite)}}}')
+        raise
     total = sum(counts.values(), Counter())
     if args.json:
-        config = {"quiver": cat.quiver.content_key(), "max_dim": args.max_dim,
-                  "seed": args.seed, "serre_cap": args.serre_cap}
         # with --timing, per-suite seconds close the report (keys stay sorted)
         timing = f', "timings": {encode(timings)}' if args.timing else ""
         print(f'], "config": {encode(config)}, "suite": {json.dumps(args.suite)}{timing}}}')

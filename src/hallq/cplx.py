@@ -15,9 +15,8 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 
-import numpy as np
-
 from . import fplin
+from .fplin import np
 from .combo import Combination
 from .quiver import QuiverError, kv_add, kv_neg, kv_sub
 from .repcat import EnumerationTooLarge, Rep, RepCategory

@@ -7,13 +7,39 @@ eliminates on Python int rows (lists) and converts back once: at these sizes
 (nine in ten calls of a Kronecker `verify` see at most 24 entries) indexing a
 numpy scalar costs more than the arithmetic it feeds.  Empty shapes like
 (0, n) and (n, 0) are legal everywhere.
+
+This module decides when numpy loads, for the whole package: `repcat` and
+`cplx` take `np` from here.  `np` is bound lazily, so numpy loads on the
+first matrix operation and a command answered entirely from the cache never
+loads it; a missing numpy still fails `import hallq`.  After its first
+attribute access `np` is the numpy module itself.  `importlib.util.LazyLoader`
+takes no lock before Python 3.12, which is fine: one context is used by one
+thread.
 """
 
 from __future__ import annotations
 
+import importlib.util
+import sys
 from itertools import combinations, product
 
-import numpy as np
+
+def _lazy_import(name: str):
+    """The module `name`: as loaded, if it is; else executed on first attribute access."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    if spec is None:
+        raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+    loader = importlib.util.LazyLoader(spec.loader)
+    spec.loader = loader
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    loader.exec_module(module)
+    return module
+
+
+np = _lazy_import("numpy")
 
 
 def inv_mod(x, p):

@@ -16,9 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-import numpy as np
-
 from . import fplin
+from .fplin import np
 from .cache import CacheStore
 from .quiver import Quiver, QuiverError
 
@@ -488,7 +487,8 @@ class RepCategory:
         return cls
 
     def zero_class(self) -> IsoClass:
-        return self.class_of(self.zero_rep())
+        """The class of `zero_rep()`, registered from its key: no matrix is built."""
+        return self._register(self._zero_key, (0,) * self.quiver.n, 1)
 
     def classes_with_total_dim(self, total: int) -> list:
         """All classes of total dimension exactly `total`, sorted."""

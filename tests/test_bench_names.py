@@ -120,8 +120,8 @@ def test_engine_defs_without_an_engine_caller():
 
 def test_one_runner_skips_on_a_bound():
     # only `combo.run_check` turns a blown enumeration bound into a skipped
-    # check row; `cli` catches it only in `main` (exit 3) and around a
-    # suite's setup in `cmd_verify`
+    # check row; `cli` catches it only in `main` (exit 3) and in `cmd_verify`,
+    # around a suite's setup and to close a `--json` report it cuts short
     catchers = set()
     for path in (ROOT / "src" / "hallq").glob("*.py"):
         tree = ast.parse(path.read_text())

@@ -463,6 +463,27 @@ def test_verify_error_after_a_row_leaves_that_row(capsys, monkeypatch):
     assert err == "error: broken after one row\n"
 
 
+def test_verify_json_error_after_a_row_closes_the_report(capsys, monkeypatch):
+    # the same error under --json: the report keeps the row and closes with
+    # the message main prints, so it stays valid JSON
+    def rows(cat, args):
+        yield passing_row("first")
+        raise hallq.cli.QuiverError("broken after one row")
+
+    monkeypatch.setitem(hallq.cli.SUITES, "oracle", rows)
+    code, out, err = run(
+        capsys, "verify", "--quiver", DATA / "a2.quiver", "--suite", "oracle", "--json"
+    )
+    assert code == 2
+    assert err == "error: broken after one row\n"
+    report = json.loads(out)
+    assert list(report) == ["checks", "config", "error", "suite"]
+    assert [row["id"] for row in report["checks"]] == ["first"]
+    assert report["error"] == "error: broken after one row"
+    assert report["suite"] == "oracle"
+    assert out == json.dumps(report, sort_keys=True) + "\n"
+
+
 def test_verify_serre_suite(capsys):
     code, out, _ = run(
         capsys, "verify", "--quiver", DATA / "kronecker.quiver", "--suite", "serre"

@@ -31,3 +31,62 @@ def test_memo_inventory(kronecker):
     }
     memos = README.read_text().partition("\n## Memos\n")[2].partition("\n## ")[0]
     assert [n for names in dicts.values() for n in names if f"`{n}`" not in memos] == []
+
+
+# one session up to total dimension 2: cache file argv[1], quiver file argv[2]
+SESSION = """
+import json, sys, types
+
+def numpy_modules():
+    return sorted(name for name in sys.modules if name.startswith("numpy."))
+
+import hallq
+from hallq import CacheStore, DHAlgebra, RepCategory, parse_quiver
+
+after_import = numpy_modules()
+quiver = parse_quiver(open(sys.argv[2], encoding="utf-8").read())
+cat = RepCategory(quiver, store=CacheStore(sys.argv[1]))
+classes = cat.classes_up_to_total_dim(2)
+tables = [sorted([qk, sk, n] for (qk, sk), n in cat.subquot_table(c).items()) for c in classes]
+DHAlgebra(cat)
+numpy = sys.modules["numpy"]
+print(json.dumps({
+    "after_import": after_import,
+    "after_session": numpy_modules(),
+    "classes": [[c.key, c.aut_order, list(c.kclass)] for c in classes],
+    "tables": tables,
+    "bindings": [[getattr(hallq, m).np is numpy, type(getattr(hallq, m).np) is types.ModuleType]
+                 for m in ("fplin", "repcat", "cplx")],
+}))
+"""
+
+
+def test_numpy_loads_on_first_matrix_use(tmp_path):
+    # `import hallq` loads no numpy module; a cold session loads numpy and
+    # binds it in every module that uses it; a warm session reads the same
+    # classes and tables back from the cache and never loads numpy
+    import json
+    import os
+    import subprocess
+    import sys
+
+    src = str(pathlib.Path(hallq.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    quiver = pathlib.Path(__file__).parent / "data" / "mixed.quiver"
+
+    def session():
+        proc = subprocess.run(
+            [sys.executable, "-c", SESSION, str(tmp_path / "c.jsonl"), str(quiver)],
+            capture_output=True, env=env, check=True,
+        )
+        return json.loads(proc.stdout)
+
+    cold = session()
+    warm = session()
+    assert cold["after_import"] == warm["after_import"] == []
+    assert cold["after_session"]
+    assert cold["bindings"] == [[True, True]] * 3
+    assert warm["after_session"] == []
+    assert (warm["classes"], warm["tables"]) == (cold["classes"], cold["tables"])
+    assert len(cold["classes"]) > 1

@@ -333,6 +333,20 @@ def test_rep_key_round_trip():
                     assert cat.class_of(rep) is c
 
 
+def test_zero_class_is_the_class_of_the_zero_rep():
+    # zero_class registers the class from its key; on every fixture it is
+    # the class the orbit enumeration gives the zero representation
+    for path in sorted(DATA.glob("*.quiver")):
+        q = load(path.stem)
+        zero = RepCategory(q).zero_class()
+        assert zero.rep._mats is None
+        other = RepCategory(q)
+        orbit = other.class_of(other.zero_rep())
+        assert (zero.key, zero.dim, zero.aut_order, zero.kclass) == (
+            orbit.key, orbit.dim, orbit.aut_order, orbit.kclass
+        )
+
+
 @pytest.mark.parametrize(
     "key",
     [
