@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring_ascii
+from json.scanner import make_scanner
 
 try:
     import fcntl
@@ -40,7 +41,9 @@ except ImportError:  # non-posix; advisory locking degrades to nothing
 
 FORMAT = "hallq-cache/2"
 
-_decode = json.JSONDecoder().raw_decode  # json.loads's parse, without its checks
+# json.loads's parse, without its checks; it raises StopIteration where no
+# value starts (JSONDecoder.raw_decode's own frame only renames that error)
+_scan = make_scanner(json.JSONDecoder())
 
 
 class CacheStore:
@@ -79,8 +82,8 @@ class CacheStore:
         if text is None:
             return None
         try:
-            value, end = _decode(text)
-        except json.JSONDecodeError:
+            value, end = _scan(text, 0)
+        except (json.JSONDecodeError, StopIteration):
             end = None
         if end != len(text) - 1 or value is None:
             # torn, corrupt or a JSON null: a miss, recomputed and appended
@@ -91,7 +94,8 @@ class CacheStore:
     def put(self, key: str, value):
         if key in self._mem:
             return
-        text = self._mem[key] = json.dumps(value, sort_keys=True)
+        # kept as _load keeps a line's value, newline included, so it reads back
+        text = self._mem[key] = json.dumps(value, sort_keys=True) + "\n"
         with open(self.path, "a+b") as fh:
             if fcntl is not None:
                 fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
@@ -100,7 +104,7 @@ class CacheStore:
                 fh.seek(max(end - 1, 0))
                 # close a torn last line with a NUL, which no JSON text holds
                 head = b"" if fh.read(1) in (b"", b"\n") else b"\x00\n"
-                fh.write(head + f"{key}\t{text}\n".encode())
+                fh.write(head + f"{key}\t{text}".encode())
                 fh.flush()
             finally:
                 if fcntl is not None:

@@ -403,7 +403,10 @@ class ComplexCategory:
             raise EnumerationTooLarge(
                 f"{count} homotopy classes exceed max_aut_candidates={bound}"
             )
-        codes = np.arange(count)[:, None] // self.p ** np.arange(len(complement))[::-1] % self.p
+        # int8 digits (p <= 10): _orbit_labels' float64 copy is then the one
+        # full-size array that outlives a product
+        codes = (np.arange(count)[:, None] // self.p ** np.arange(len(complement))[::-1]
+                 % self.p).astype(np.int8)
         # with at most one nonzero class there is nothing to merge
         labels = (self._orbit_labels(a, b, null_rows, complement, codes) if count > 2
                   else np.arange(count))
@@ -425,8 +428,13 @@ class ComplexCategory:
         coords = fplin.solve(np.concatenate([null_rows, complement]).T,
                              moved.reshape(-1, moved.shape[-1]).T, p)
         assert coords is not None, "an automorphism moved a chain map out of the chain maps"
-        images = [np.ravel_multi_index((codes @ act % p).T, (p,) * k)
-                  for act in coords[len(null_rows):].T.reshape(-1, k, k)]
+        # one float64 product per generator (BLAS; numpy has none for int64),
+        # exact while every dot product of k terms below p^2 stays below 2^53;
+        # reduced mod p back in int64, where % is cheaper than on floats
+        assert k * (p - 1) ** 2 < 2**53, "an orbit-label product would round"
+        fcodes = codes.astype(np.float64)
+        images = [np.ravel_multi_index(((fcodes @ act).astype(np.int64) % p).T, (p,) * k)
+                  for act in coords[len(null_rows):].T.reshape(-1, k, k).astype(np.float64)]
         # edges hook larger labels onto smaller ones, compressed, until none move
         labels = np.arange(len(codes))
         while True:
@@ -495,7 +503,7 @@ class ComplexCategory:
     # ------------------------------------------------------------------
     # Hall structure
 
-    def mu(self, a: Complex, b: Complex) -> Fraction:
+    def mu(self, a: Complex, b: Complex) -> int | Fraction:
         am1p, am0p, am1m, am0m = self.plus_minus_classes(a)
         bm1p, bm0p, bm1m, bm0m = self.plus_minus_classes(b)
         e = self.quiver.euler_form

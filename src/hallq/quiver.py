@@ -55,6 +55,11 @@ def kv_neg(x: KVector) -> KVector:
     return tuple(-a for a in x)
 
 
+def _ratio(num: int, den: int) -> int | Fraction:
+    """num/den, as an int when den divides num and a Fraction otherwise."""
+    return num // den if num % den == 0 else Fraction(num, den)
+
+
 @dataclass(frozen=True)
 class Quiver:
     p: int
@@ -221,12 +226,14 @@ class Quiver:
                 num += xi * sum(yj * g for yj, g in zip(y, row))
         return num
 
-    def euler_form(self, x: KVector, y: KVector) -> Fraction:
-        """Generalized Euler form on K(R), rational-valued."""
-        return Fraction(self._gram_num(x, y), self._gram_den)
+    def euler_form(self, x: KVector, y: KVector) -> int | Fraction:
+        """Generalized Euler form on K(R), rational-valued: an int when the
+        value is integral and a Fraction only when it is not, as Scalar
+        coefficients are kept."""
+        return _ratio(self._gram_num(x, y), self._gram_den)
 
-    def sym_form(self, x: KVector, y: KVector) -> Fraction:
-        return Fraction(self._gram_num(x, y) + self._gram_num(y, x), self._gram_den)
+    def sym_form(self, x: KVector, y: KVector) -> int | Fraction:
+        return _ratio(self._gram_num(x, y) + self._gram_num(y, x), self._gram_den)
 
     def borcherds_cartan(self):
         """Symmetric matrix a_ij = (S_i, S_j); diagonal 2 - 2 c_i."""

@@ -520,9 +520,17 @@ class RepCategory:
         table = self._subquot.get(c.key)
         if table is None:
             rows = self._stored("subquot", (c.key,), self._subquot_rows, c)
-            zero = self._zero_key
+            zero, get, table = self._zero_key, self._class.get, {}
             try:
-                table = {(qk, sk): n for qk, sk, n in rows if type(n) is int and n > 0}
+                # a key that is its registered class's own key is held as the
+                # registry's string, so a table read back copies no such key;
+                # any other key (unregistered, or a Rep key of another class's
+                # key) stays as it was read
+                for qk, sk, n in rows:
+                    if type(n) is int and n > 0:
+                        a, b = get(qk), get(sk)
+                        table[a.key if a is not None and a.key == qk else qk,
+                              b.key if b is not None and b.key == sk else sk] = n
                 ok = len(table) == len(rows) and (
                     table.get((c.key, zero)) == table.get((zero, c.key)) == 1
                 )

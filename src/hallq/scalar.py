@@ -42,7 +42,7 @@ class ScalarRing:
             raise ValueError("N must be positive")
         self.p = p
         self.n_denom = n_denom
-        self._v_pows: dict[Fraction, Scalar] = {}
+        self._v_pows: dict[int | Fraction, Scalar] = {}
         # shared: Scalars are never mutated
         self.zero = Scalar(self, {})
         self.one = Scalar(self, {0: 1})

@@ -281,3 +281,29 @@ def mono_product(cpx, ka, kb):
         key = cpx.complex_key(cpx.cone(s, a, bshift))
         out.add_term((key, cpx.quiver.zero_kvector(), cpx.quiver.zero_kvector()), tw * (1 / hval))
     return out
+
+
+def orbit_labels_int64(cpx, a, b, null_rows, complement, codes):
+    """`ComplexCategory._orbit_labels` with every generator's image of the
+    class codes taken by an int64 product, `codes @ act`, in place of the
+    engine's float64 one."""
+    p, n, k = cpx.p, range(cpx.quiver.n), len(complement)
+    c1, c0 = cpx._chain_map(complement, a, b)
+    (g1, g0), (h1, h0) = (cpx._chain_map(cpx._automorphisms(x), x, x) for x in (b, a))
+    left = [[g[i][:, None] @ c[i] for i in n] for g, c in ((g1, c1), (g0, c0))]
+    right = [[c[i] @ h[i][:, None] for i in n] for h, c in ((h1, c1), (h0, c0))]
+    moved = np.concatenate([cpx._chain_map_vector(*left), cpx._chain_map_vector(*right)]) % p
+    coords = fplin.solve(np.concatenate([null_rows, complement]).T,
+                         moved.reshape(-1, moved.shape[-1]).T, p)
+    images = [np.ravel_multi_index((codes @ act % p).T, (p,) * k)
+              for act in coords[len(null_rows):].T.reshape(-1, k, k)]
+    labels = np.arange(len(codes))
+    while True:
+        before = labels.copy()
+        for image in images:
+            ends = labels[image]
+            np.minimum.at(labels, np.maximum(labels, ends), np.minimum(labels, ends))
+        while (labels[labels] != labels).any():
+            labels = labels[labels]
+        if np.array_equal(labels, before):
+            return labels

@@ -14,6 +14,7 @@ from .reference import change_of_basis_sub_quotient, direct_sum, isomorphic, k_c
 from .reference import hom_basis, hom_complex_basis, homotopy_class_listing
 from .reference import homotopy_image as reference_homotopy_image
 from .reference import mono_product as reference_mono_product
+from .reference import orbit_labels_int64
 from .reference import split_halves, split_summands
 
 
@@ -538,6 +539,29 @@ def test_orbits_match_the_per_class_listing(name, monkeypatch):
         check_orbits(cpx, a, b, orbits, labels)
         merged += any(n > 1 for _s, n in orbits)
     assert merged or name in ("a1", "a1p3", "a1p5")
+
+
+def test_orbit_labels_match_the_int64_route(monkeypatch):
+    # every product of the Kronecker oracle suite at max dim 2 with more than
+    # two homotopy classes labels its classes as the int64 product did
+    seen = []
+
+    def orbit_labels(orig):
+        def wrapped(self, a, b, null_rows, complement, codes):
+            labels = orig(self, a, b, null_rows, complement, codes)
+            seen.append((len(codes), labels,
+                         orbit_labels_int64(self, a, b, null_rows, complement, codes)))
+            return labels
+        return wrapped
+
+    run_oracle_suite("kronecker", 2, monkeypatch, {
+        (ComplexCategory, "_orbit_labels"): orbit_labels,
+    })
+    assert seen and all(n > 2 for n, _labels, _ref in seen)
+    for _n, labels, ref in seen:
+        assert labels.dtype == ref.dtype and np.array_equal(labels, ref)
+    # and some of them merge classes
+    assert any(len(set(labels.tolist())) < n for n, labels, _ref in seen)
 
 
 def test_automorphisms_refuse_a_forged_generator(kronecker, monkeypatch):

@@ -10,6 +10,7 @@ from hallq import (
     QuiverError,
     parse_quiver,
 )
+from hallq.quiver import Quiver
 
 from .conftest import DATA, load
 
@@ -84,6 +85,24 @@ def test_euler_form_values():
     s1, s2 = a2.simple_class(0), a2.simple_class(1)
     assert a2.euler_form(s1, s2) == -1
     assert a2.euler_form(s2, s1) == 0
+
+
+def test_euler_forms_are_ints_exactly_when_integral():
+    # on every fixture, for every pair of simple or projective classes, both
+    # forms are the Gram quotient num/den, an int when den divides num and a
+    # Fraction only when it does not; l3's projective has half-integral ones
+    halves = 0
+    for path in sorted(DATA.glob("*.quiver")):
+        q = load(path.stem)
+        classes = [f(q, i) for i in range(q.n) for f in (Quiver.simple_class, proj_class)]
+        for x, y in product(classes, repeat=2):
+            nums = (q._gram_num(x, y), q._gram_num(x, y) + q._gram_num(y, x))
+            for value, num in zip((q.euler_form(x, y), q.sym_form(x, y)), nums):
+                exact = Fraction(num, q._gram_den)
+                assert value == exact, (path.stem, x, y)
+                assert type(value) is (int if exact.denominator == 1 else Fraction)
+                halves += exact.denominator == 2
+    assert halves
 
 
 def proj_class(q, i):

@@ -797,6 +797,55 @@ def test_warm_session_builds_no_rep_and_runs_no_enumeration(tmp_path, l2m2, monk
 
 
 @pytest.mark.parametrize("name", ["a2", "kronecker", "l2m2", "mixed"])
+def test_warm_tables_hold_the_registry_keys(tmp_path, name):
+    # up to total dimension 3, a warm table equals the cold one and holds
+    # each key as the string its registered class holds, as a cold one does
+    q, path = load(name), tmp_path / "c.jsonl"
+    sessions, files = [], []
+    for _ in ("cold", "warm"):
+        cat = RepCategory(q, store=CacheStore(path))
+        tables = [cat.subquot_table(c) for c in cat.classes_up_to_total_dim(3)]
+        assert all(k is cat.class_by_key(k).key for t in tables for pair in t for k in pair)
+        sessions.append(tables)
+        files.append(path.read_bytes())
+    cold, warm = sessions
+    # the warm session read every table back, and wrote nothing
+    assert warm == cold and len(warm) > 1 and files[1] == files[0]
+
+
+def test_a_stored_key_registered_only_as_a_rep_key_stays_as_decoded(tmp_path, l2m2):
+    # a key met as a non-canonical Rep key is in the registry, under a class
+    # of another key: a stored row naming it keeps the key as decoded
+    probe = RepCategory(l2m2.quiver)
+    digits = ("".join(d) for d in itertools.product("01", repeat=8))
+    rep = next(r for r in (Rep.from_key(l2m2.quiver, f"2|{d[:4]};{d[4:]}") for d in digits)
+               if probe.class_of(r).key != r.key)
+    rows = l2m2_table_rows(l2m2, "1|0;0") + [[rep.key, "0|;", 1]]
+    corrupt_record(tmp_path / "c.jsonl", l2m2.quiver, ["subquot", "1|0;0"], rows)
+    cat = RepCategory(l2m2.quiver, store=CacheStore(tmp_path / "c.jsonl"))
+    c, zero = cat.class_by_key("1|0;0"), cat.class_by_key("0|;")
+    canon = cat.class_of(Rep.from_key(l2m2.quiver, rep.key))
+    assert canon.key != rep.key and cat._class[rep.key] is canon
+    table = cat.subquot_table(c)
+    assert sorted([qk, sk, n] for (qk, sk), n in table.items()) == sorted(rows)
+    (stored,) = [qk for qk, sk in table if qk not in (c.key, zero.key)]
+    assert stored == rep.key
+    assert all(k is cat._class[k].key for pair in table for k in pair if k != stored)
+
+
+def test_a_store_reads_back_what_it_put(tmp_path, l2m2, monkeypatch):
+    # a second session on the same store object reads every record the
+    # first one put, and appends nothing
+    path = tmp_path / "c.jsonl"
+    store = CacheStore(path)
+    cold = cache_session(l2m2.quiver, store)
+    written = path.read_bytes()
+    monkeypatch.setattr(RepCategory, "_subquot_rows", lambda self, c: pytest.fail("recomputed"))
+    assert cache_session(l2m2.quiver, store) == cold
+    assert path.read_bytes() == written
+
+
+@pytest.mark.parametrize("name", ["a2", "kronecker", "l2m2", "mixed"])
 def test_classes_decode_their_rep_on_first_use(tmp_path, name, monkeypatch):
     q = load(name)
     cold = RepCategory(q)
