@@ -3,7 +3,8 @@
 Everything here is exhaustive and exact over F_p: intertwiner spaces by
 linear algebra, isomorphism classes by full base-change orbit enumeration
 (`_orbit`) with lexicographic minima as canonical forms, Hall numbers by
-enumerating edge-stable subspace tuples.  Every sub and quotient, here and
+enumerating edge-stable subspace tuples, and the E·E constants by counting
+Ext^1 cocycles (`middle_terms`).  Every sub and quotient, here and
 in `cplx`, is read off an echelon basis by `RepCategory.sub_quotient`.
 Deliberately correctness-first; the hard bounds below keep runs at desk
 scale.
@@ -283,28 +284,44 @@ class RepCategory:
     # ------------------------------------------------------------------
     # hom / ext / aut
 
+    def _coboundary(self, a: Rep, b: Rep):
+        """The map (f_i) -> (f_h x_e - y_e f_t) from sum_i Hom_k(a_i, b_i) to
+        Z^1 = sum_e Hom_k(a_t, b_h), as one matrix.
+
+        One column per unknown entry, each f_i row by row; one block of rows
+        per arrow e = (t, h), its (b_h x a_t) entries row by row.  Its kernel
+        is Hom(a, b) and its image is B^1, so Ext^1(a, b) = Z^1 / image.
+        """
+        q, p = self.quiver, self.p
+        offs = np.cumsum([0] + [b.dim[i] * a.dim[i] for i in range(q.n)])
+        blocks = [np.zeros((0, offs[-1]), dtype=np.int64)]
+        for (t, h), x, y in zip(q.arrows, a.mats, b.mats):
+            rows = b.dim[h] * a.dim[t]
+            block = np.zeros((rows, offs[-1]), dtype=np.int64)
+            # kron(1, x^T) and kron(y, 1), broadcast: np.kron costs more
+            # than the product at these sizes
+            block[:, offs[h] : offs[h + 1]] += (
+                np.eye(b.dim[h], dtype=np.int64)[:, None, :, None] * x.T[None, :, None, :]
+            ).reshape(rows, offs[h + 1] - offs[h])
+            block[:, offs[t] : offs[t + 1]] -= (
+                y[:, None, :, None] * np.eye(a.dim[t], dtype=np.int64)[None, :, None, :]
+            ).reshape(rows, offs[t + 1] - offs[t])
+            blocks.append(block % p)
+        return np.concatenate(blocks)
+
     def hom_rows(self, a: Rep, b: Rep):
         """A basis of the intertwiner space Hom(a, b), as the rows of one
         read-only matrix: each row lists f_1, ..., f_n one after another,
         each row by row, with f_h x_e = y_e f_t for every arrow e = (t, h).
-        Memoized per (A, B), so the matrix is shared and callers only read it.
+        It is the nullspace of `_coboundary(a, b)`.  Memoized per (A, B), so
+        the matrix is shared and callers only read it.
         """
         if a.quiver is not self.quiver or b.quiver is not self.quiver:
             raise QuiverError("representations from a different context")
         memo = (a.key, b.key)
         kernel = self._hom_rows.get(memo)
         if kernel is None:
-            q, p = self.quiver, self.p
-            # unknowns: each f_i flattened row by row; equations: the entries
-            # of f_h x - y f_t, row by row, one block of rows per arrow
-            offs = np.cumsum([0] + [b.dim[i] * a.dim[i] for i in range(q.n)])
-            blocks = [np.zeros((0, offs[-1]), dtype=np.int64)]
-            for (t, h), x, y in zip(q.arrows, a.mats, b.mats):
-                block = np.zeros((b.dim[h] * a.dim[t], offs[-1]), dtype=np.int64)
-                block[:, offs[h] : offs[h + 1]] += np.kron(np.eye(b.dim[h], dtype=np.int64), x.T)
-                block[:, offs[t] : offs[t + 1]] -= np.kron(y, np.eye(a.dim[t], dtype=np.int64))
-                blocks.append(block % p)
-            kernel = self._hom_rows[memo] = fplin.nullspace(np.concatenate(blocks), p)
+            kernel = self._hom_rows[memo] = fplin.nullspace(self._coboundary(a, b), self.p)
             kernel.setflags(write=False)
         return kernel
 
@@ -398,15 +415,8 @@ class RepCategory:
             raise QuiverError("dimension vector must be nonnegative, one per vertex")
         if d in self._classify:
             return self._classify[d]
-        if sum(d) > self.bounds.max_total_dim:
-            raise EnumerationTooLarge(
-                f"total dimension {sum(d)} exceeds bound {self.bounds.max_total_dim}"
-            )
-        q, p = self.quiver, self.p
-        entry_counts = [d[t] * d[h] for t, h in q.arrows]
-        n_tuples = p ** sum(entry_counts)
-        if n_tuples > self.bounds.max_tuples:
-            raise EnumerationTooLarge(f"{n_tuples} candidate matrix tuples")
+        entry_counts = self._entry_counts(d)
+        n_tuples = self.p ** sum(entry_counts)
 
         def compute():
             # one orbit per class, from the least matrix tuple no orbit has met
@@ -425,6 +435,21 @@ class RepCategory:
         kclass = self.quiver.class_of_dimvec(d)
         classes = self._classify[d] = [self._register(key, d, aut, kclass) for key, aut in rows]
         return classes
+
+    def _entry_counts(self, d: tuple) -> list:
+        """The matrix entries of d per arrow, once d passes the bounds on
+        enumerating it: its total dimension, then its p^entries candidate
+        matrix tuples.  `classify` and `middle_terms` check them alike.
+        """
+        if sum(d) > self.bounds.max_total_dim:
+            raise EnumerationTooLarge(
+                f"total dimension {sum(d)} exceeds bound {self.bounds.max_total_dim}"
+            )
+        entry_counts = [d[t] * d[h] for t, h in self.quiver.arrows]
+        n_tuples = self.p ** sum(entry_counts)
+        if n_tuples > self.bounds.max_tuples:
+            raise EnumerationTooLarge(f"{n_tuples} candidate matrix tuples")
+        return entry_counts
 
     def _check_class_rows(self, d: tuple, rows):
         """Refuse rows unless they are distinct [class key of d, aut >= 1] pairs, at least one.
@@ -615,21 +640,55 @@ class RepCategory:
     def middle_terms(self, a: IsoClass, b: IsoClass) -> list:
         """The E_A E_B structure constants, without the v-twist: [(C, coeff)].
 
-        coeff = g^C_{A,B} a_A a_B / a_C = |Ext^1(A,B)_C| / |Hom(A,B)|
-        (Riedtmann), a Fraction, for each C of `classify(dim A + dim B)`
-        with g^C_{A,B} != 0, in that order.  Memoized per (A, B), so the
-        list is shared and callers only read it; the algebras that call
+        coeff = |Ext^1(A,B)_C| / |Hom(A,B)| (Riedtmann), a Fraction, for
+        each class C of the middle terms of extensions 0 -> B -> C -> A -> 0,
+        sorted as `classify` sorts.  kQ is hereditary, so Ext^1(A,B) is
+        Z^1 / B^1 for the map `_coboundary(A, B)`: its classes are the
+        cocycles eta on the unit vectors off the pivots of B^1's echelon
+        basis, and hom = unknowns - rank.  The middle terms
+        [[B_e, eta_e], [0, A_e]] are coded as `_orbit` codes them and
+        counted one orbit per class, as `classify` scans.  The bounds
+        `classify(dim A + dim B)` checks come first, in its order; no
+        subobject table or cache record is read.  Memoized per (A, B), so
+        the list is shared and callers only read it; the algebras that call
         this apply their own twists.
         """
         memo = (a.key, b.key)
         if memo not in self._middle:
-            dim_c = tuple(x + y for x, y in zip(a.dim, b.dim))
-            out = []
-            for c in self.classify(dim_c):
-                g = self.hall_number(a, b, c)
-                if g:
-                    out.append((c, Fraction(g * a.aut_order * b.aut_order, c.aut_order)))
-            self._middle[memo] = out
+            q, p = self.quiver, self.p
+            d = tuple(x + y for x, y in zip(a.dim, b.dim))
+            entry_counts = self._entry_counts(d)
+            system = self._coboundary(a.rep, b.rep)
+            pivots = fplin.rref(system.T, p)[1]
+            free = [j for j in range(len(system)) if j not in pivots]
+            assert len(free) == self.ext_dim(a.rep, b.rep), "hereditary identity broken"
+            # the code of the split middle term, and the place of each Z^1
+            # entry in a code: arrow by arrow, each matrix row by row
+            pows = p ** np.arange(sum(entry_counts), dtype=np.int64)
+            codes, places, at = np.zeros(1, dtype=np.int64), [], 0
+            for k, (t, h) in enumerate(q.arrows):
+                m = np.zeros((d[h], d[t]), dtype=np.int64)
+                m[: b.dim[h], : b.dim[t]] = b.rep.mats[k]
+                m[b.dim[h] :, b.dim[t] :] = a.rep.mats[k]
+                codes += m.ravel() @ pows[at : at + m.size]
+                places += [at + r * d[t] + b.dim[t] + s
+                           for r in range(b.dim[h]) for s in range(a.dim[t])]
+                at += m.size
+            for j in free:
+                codes = (codes[:, None] + pows[places[j]] * np.arange(p)).ravel()
+            # one orbit per class, from the least code no orbit has met
+            codes, counts = np.sort(codes), {}
+            seen = np.zeros(len(codes), dtype=bool)
+            for i in range(len(codes)):
+                if not seen[i]:
+                    orbit, c = self._orbit(self.rep(d, self._decode(int(codes[i]), d, entry_counts)))
+                    hit = np.searchsorted(codes, orbit).clip(max=len(codes) - 1)
+                    hit = hit[codes[hit] == orbit]
+                    seen[hit] = True
+                    counts[c] = len(hit)
+            hom = system.shape[1] - len(pivots)
+            self._middle[memo] = [(c, Fraction(counts[c], p**hom))
+                                  for c in sorted(counts, key=_sort_key)]
         return self._middle[memo]
 
     # ------------------------------------------------------------------

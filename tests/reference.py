@@ -99,6 +99,19 @@ def ext_count_with_middle(cat, a, b, c):
     return int(val)
 
 
+def subobject_middle_terms(cat, a, b):
+    """`RepCategory.middle_terms(a, b)` read off subobject tables: every
+    class C of dimension dim a + dim b with g^C_{a,b} != 0, with coefficient
+    g^C_{a,b} a_a a_b / a_C, in `classify` order."""
+    dim_c = tuple(x + y for x, y in zip(a.dim, b.dim))
+    out = []
+    for c in cat.classify(dim_c):
+        g = cat.hall_number(a, b, c)
+        if g:
+            out.append((c, Fraction(g * a.aut_order * b.aut_order, c.aut_order)))
+    return out
+
+
 def quantum_integer(ring, n):
     """[n] = (v^n - v^-n)/(v - v^-1) = v^(n-1) + v^(n-3) + ... + v^(1-n)."""
     sign = 1 if n >= 0 else -1

@@ -613,6 +613,19 @@ def test_max_total_dim_override(capsys):
     assert code == 3
 
 
+def test_max_total_dim_bounds_e_times_e(capsys):
+    # E·E checks the total dimension of its middle terms, as `classify` does
+    args = ("product", "--quiver", DATA / "l2m2.quiver", "--expr", "E[1|0;0] E[1|0;0]")
+    code, out, _ = run(capsys, *args)
+    assert code == 0 and out.count("E[2|") == 4
+    code, _, err = run(capsys, *args, "--max-total-dim", "1")
+    assert code == 3 and "total dimension 2 exceeds bound 1" in err
+    args = ("product", "--quiver", DATA / "l2m2.quiver", "--expr",
+            "E[2|0000;0000] E[2|0000;0000]")
+    code, _, err = run(capsys, *args, "--max-total-dim", "3")
+    assert code == 3 and "total dimension 4 exceeds bound 3" in err
+
+
 def test_cross_process_determinism(tmp_path):
     # byte-identical output under different hash seeds
     import os

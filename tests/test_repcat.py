@@ -27,6 +27,7 @@ from .reference import (
     ext_count_with_middle,
     hom_basis,
     is_stable,
+    subobject_middle_terms,
 )
 
 
@@ -244,7 +245,7 @@ def test_middle_terms_memoized(l2, monkeypatch):
              for b in l2.classes_up_to_total_dim(2)]
     first = [l2.middle_terms(a, b) for a, b in pairs]
     calls = Counter()
-    for meth in ("classify", "hall_number"):
+    for meth in ("classify", "hall_number", "_coboundary", "_orbit"):
         def counting(self, *args, _orig=getattr(RepCategory, meth), _meth=meth):
             calls[_meth] += 1
             return _orig(self, *args)
@@ -252,6 +253,59 @@ def test_middle_terms_memoized(l2, monkeypatch):
     assert [l2.middle_terms(a, b) for a, b in pairs] == first
     assert not calls
     assert any(len(m) > 1 for m in first)
+
+
+@pytest.mark.parametrize(
+    "name,max_total",
+    [("a2", 4), ("a3", 4), ("kronecker", 4), ("l2", 2), ("l2m2", 2), ("mixed", 2),
+     ("l2_plus_a1", 2), ("l3", 2)],
+)
+def test_middle_terms_match_the_subobject_route(name, max_total):
+    # the Ext^1 cocycle count equals g^C_{A,B} a_A a_B / a_C read off the
+    # subobject tables, class for class and in the same order, on every
+    # ordered pair of total dimension at most max_total
+    cat = RepCategory(load(name))
+    classes = cat.classes_up_to_total_dim(max_total)
+    pairs = [(a, b) for a in classes for b in classes
+             if a.total_dim + b.total_dim <= max_total]
+    for a, b in pairs:
+        assert cat.middle_terms(a, b) == subobject_middle_terms(cat, a, b), (a, b)
+    assert any(len(cat.middle_terms(a, b)) > 1 for a, b in pairs)
+
+
+@pytest.mark.parametrize(
+    "name, bounds, dims, message",
+    [
+        ("l2m2", Bounds(), ((2,), (2,)), "4294967296 candidate matrix tuples"),
+        ("l2m2", Bounds(max_total_dim=3), ((2,), (2,)), "total dimension 4 exceeds bound 3"),
+        # |GL_2(F_2) x GL_1(F_2)| = 6
+        ("kronecker", Bounds(max_group=5), ((1, 0), (1, 1)),
+         "base-change group of size 6 too large"),
+    ],
+)
+def test_middle_terms_raise_the_bound_classify_raises(name, bounds, dims, message):
+    # E·E checks the bounds `classify(dim A + dim B)` checks, in its order,
+    # so a product skipped on a bound names the bound the subobject route names
+    quiver = load(name)
+    cat = RepCategory(quiver)
+    a, b = (cat.classify(d)[-1] for d in dims)
+    for route in (RepCategory.middle_terms, subobject_middle_terms):
+        with pytest.raises(EnumerationTooLarge) as exc:
+            route(RepCategory(quiver, bounds=bounds), a, b)
+        assert str(exc.value) == message
+
+
+def test_middle_terms_never_touch_the_store(tmp_path, mixed, monkeypatch):
+    cat = RepCategory(mixed.quiver, store=CacheStore(tmp_path / "c.jsonl"))
+    classes = cat.classes_up_to_total_dim(2)
+    calls = []
+    monkeypatch.setattr(CacheStore, "get", lambda self, key: calls.append(key))
+    monkeypatch.setattr(CacheStore, "put", lambda self, key, value: calls.append(key))
+    for a in classes:
+        for b in classes:
+            if a.total_dim + b.total_dim <= 3:
+                assert cat.middle_terms(a, b) == mixed.middle_terms(a, b)
+    assert calls == []
 
 
 def test_subobject_enumeration_finite(l2):
@@ -626,9 +680,8 @@ def test_cached_subobject_tables_must_be_tables_of_their_class(tmp_path, l2m2, v
     assert l2m2_table_rows(l2m2, "1|0;0") == [["0|;", "1|0;0", 1], ["1|0;0", "0|;", 1]]
     key = corrupt_record(path, l2m2.quiver, ["subquot", "1|0;0"], value)
     cat = RepCategory(l2m2.quiver, store=CacheStore(path))
-    c, zero = cat.class_by_key("1|0;0"), cat.class_by_key("0|;")
     with pytest.raises(QuiverError, match=r"of dimension vector \(1,\)") as exc:
-        cat.middle_terms(zero, c)
+        cat.subquot_table(cat.class_by_key("1|0;0"))
     assert key in str(exc.value)
     # the other tables still read
     assert l2m2_table_rows(cat, "1|1;1") == l2m2_table_rows(l2m2, "1|1;1")
