@@ -26,6 +26,11 @@ class LocElement(Combination):
     """Terms are (complex class key, gamma, delta)."""
 
 
+def _record_key(h0, h1, m1p, m0m) -> str:
+    """The complex key of the record (H0 class, H1 class, M1+, M0-)."""
+    return " / ".join([h0.key, h1.key, ",".join(map(str, m1p)), ",".join(map(str, m0m))])
+
+
 def _stack_gens(first, second):
     """The rows (x, 0) for x in first, then (0, y) for y in second."""
     out = np.zeros((len(first) + len(second), first.shape[1] + second.shape[1]), dtype=np.int64)
@@ -304,7 +309,7 @@ class ComplexCategory:
     def _register(self, cx: Complex, h0, h1, m1p, m0m) -> str:
         """Key cx by its record (H0 class, H1 class, M1+, M0-), which every
         other invariant reads; the first complex with a key is registered."""
-        cx._key = " / ".join([h0.key, h1.key, ",".join(map(str, m1p)), ",".join(map(str, m0m))])
+        cx._key = _record_key(h0, h1, m1p, m0m)
         self._registry.setdefault(cx._key, (cx, h0, h1, m1p, m0m))
         return cx._key
 
@@ -316,6 +321,18 @@ class ComplexCategory:
         h0, h1 = (self.cat.class_of(self.cat.direct_sum(x.rep, y.rep))
                   for x, y in ((bh0, ah0), (bh1, ah1)))
         return self._register(cx, h0, h1, kv_add(bm1p, am1p), kv_add(bm0m, am0m))
+
+    def _shift_key(self, key: str, register: bool = False) -> str:
+        """Key of the shift of the complexes keyed `key`, read off their record
+        without a split: cx-dagger's H0 is ker d1 / im d0 = H1 of cx, and its
+        M1+ is im d0 = M0- of cx, so the record is (H1, H0, M0-, M1+).  With
+        `register`, a new shift key is registered with the dagger of key's
+        first complex."""
+        cx, h0, h1, m1p, m0m = self._registry[key]
+        shift = _record_key(h1, h0, m0m, m1p)
+        if register and shift not in self._registry:
+            self._register(self.dagger(cx), h1, h0, m0m, m1p)
+        return shift
 
     def by_key(self, key: str) -> Complex:
         return self._registry[key][0]
@@ -541,6 +558,13 @@ class ComplexCategory:
         and h are 1 and the one cone is B + 0 or 0 + A), and the first class
         is the zero map, whose cone B + A is keyed by `_sum_key` without a
         split; only the other cones go through `complex_key`.
+
+        The pair of shifts is computed once.  The shift is an exact
+        autoequivalence, so <A-dagger> o <B-dagger>, when memoized, gives
+        <A> o <B> with each key replaced by its `_shift_key` and no cone
+        built.  The coefficient is shift-invariant: mu's four Euler-form
+        terms permute among themselves, and the twist's two summands and
+        Hom(H a, H b)'s two summands each swap.
         """
         memo = (ka, kb)
         if memo in self._product_cache:
@@ -548,6 +572,12 @@ class ComplexCategory:
         z = self.quiver.zero_kvector()
         if self.zero_key in memo:
             out = LocElement.basis(self.ring, (kb if ka == self.zero_key else ka, z, z))
+            self._product_cache[memo] = out
+            return out
+        shifted = self._product_cache.get((self._shift_key(ka), self._shift_key(kb)))
+        if shifted is not None:
+            out = LocElement(self.ring, {(self._shift_key(key, register=True), z, z): c
+                                         for (key, _g, _d), c in shifted.terms.items()})
             self._product_cache[memo] = out
             return out
         a, b = self.by_key(ka), self.by_key(kb)
