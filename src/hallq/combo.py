@@ -56,12 +56,20 @@ class Combination:
         return type(self)(self.ring, {t: c * s for t, c in self.terms.items()})
 
     def add_term(self, term, coeff):
-        """In-place accumulate; used while building sums."""
-        s = self.terms.get(term, self.ring.zero) + coeff
+        """In-place accumulate a Scalar; used while building sums.
+
+        A new term keeps `coeff` itself: Scalars are never mutated.
+        """
+        old = self.terms.get(term)
+        if old is None:
+            if coeff.terms:
+                self.terms[term] = coeff
+            return
+        s = old + coeff
         if s:
             self.terms[term] = s
         else:
-            self.terms.pop(term, None)
+            del self.terms[term]
 
     def add_scaled(self, other, s):
         """In place: self += other * s.

@@ -49,6 +49,7 @@ class DHAlgebra:
         self.quiver = cat.quiver
         self.ring = cat.quiver.scalar_ring()
         self._eab: dict[tuple, DHElement] = {}
+        self._ee: dict[tuple, list] = {}
         self._mono: dict[tuple, DHElement] = {}
         self._zero_key = cat.zero_class().key
 
@@ -141,10 +142,19 @@ class DHAlgebra:
     # structure constants
 
     def _ee_coeffs(self, akey: str, bkey: str):
-        """E_A o E_B = sum coeff E_C; returns [(C key, Scalar coeff)]."""
-        a, b = self._cls(akey), self._cls(bkey)
-        tw = self.ring.v_pow(self.quiver.euler_dimvec(a.dim, b.dim))
-        return [(c.key, tw * coeff) for c, coeff in self.cat.middle_terms(a, b)]
+        """E_A o E_B = sum coeff E_C; returns [(C key, Scalar coeff)].
+
+        Memoized per key pair: the list, twist included, is shared and
+        callers only read it.
+        """
+        memo = (akey, bkey)
+        out = self._ee.get(memo)
+        if out is None:
+            a, b = self._cls(akey), self._cls(bkey)
+            tw = self.ring.v_pow(self.quiver.euler_dimvec(a.dim, b.dim))
+            out = self._ee[memo] = [(c.key, tw * coeff)
+                                    for c, coeff in self.cat.middle_terms(a, b)]
+        return out
 
     def _fe_expand(self, bkey: str, akey: str) -> DHElement:
         """Normal form of F_B o E_A (rule R4, then the E(A1,B1) table).

@@ -11,7 +11,10 @@ a change of basis that is triangular for the path order with diagonal
 by expanding both arguments in simple classes; since its matrix on the
 simples is that same change of basis C, it is the bilinear form with
 matrix C^-T in projective coordinates, kept as an integer Gram matrix
-over one common denominator.
+over one common denominator.  Straightening and the oracle evaluate the
+form on a few hundred distinct pairs many times over, so each Quiver
+memoizes the Gram numerator per pair of K-vectors; the form on dimension
+vectors is that form at their classes, memoized in the same dict.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import hashlib
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add, mul, neg, sub
 
 from .scalar import ScalarRing
 
@@ -44,15 +48,15 @@ KVector = tuple  # integer coordinates in the projective basis {P_i}
 
 
 def kv_add(x: KVector, y: KVector) -> KVector:
-    return tuple(a + b for a, b in zip(x, y))
+    return tuple(map(add, x, y))
 
 
 def kv_sub(x: KVector, y: KVector) -> KVector:
-    return tuple(a - b for a, b in zip(x, y))
+    return tuple(map(sub, x, y))
 
 
 def kv_neg(x: KVector) -> KVector:
-    return tuple(-a for a in x)
+    return tuple(map(neg, x))
 
 
 def _ratio(num: int, den: int) -> int | Fraction:
@@ -77,6 +81,7 @@ class Quiver:
     _sinv: list = field(init=False, repr=False, compare=False)
     _gram: tuple = field(init=False, repr=False, compare=False)
     _gram_den: int = field(init=False, repr=False, compare=False)
+    _forms: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.p < 2 or any(self.p % k == 0 for k in range(2, math.isqrt(self.p) + 1)):
@@ -116,6 +121,7 @@ class Quiver:
         object.__setattr__(self, "_sinv", inv)
         object.__setattr__(self, "_gram", gram)
         object.__setattr__(self, "_gram_den", den)
+        object.__setattr__(self, "_forms", {})
 
     def _toposort(self):
         n = len(self.vertices)
@@ -162,10 +168,17 @@ class Quiver:
         return (0,) * self.n
 
     def euler_dimvec(self, a, b) -> int:
-        """Euler form on dimension vectors (hom minus ext for actual reps)."""
-        out = sum(x * y for x, y in zip(a, b))
-        for t, h in self.arrows:
-            out -= a[t] * b[h]
+        """Euler form on dimension vectors (hom minus ext for actual reps):
+        `euler_form` at the classes of a and b, integer vectors of any sign.
+
+        Memoized per pair in `_forms`, under a key ("dim", a, b) that no
+        pair of K-vectors shares.
+        """
+        key = ("dim", a, b)
+        out = self._forms.get(key)
+        if out is None:
+            out = self._forms[key] = self.euler_form(self._dimvec_class(a),
+                                                     self._dimvec_class(b))
         return out
 
     def _simple_matrix(self):
@@ -181,8 +194,11 @@ class Quiver:
         """Class of any representation with dimension vector d."""
         if len(d) != self.n or any(x < 0 for x in d):
             raise QuiverError("dimension vector must be nonnegative, one per vertex")
-        c = self._simples
-        return tuple(sum(d[i] * c[i][j] for i in range(self.n)) for j in range(self.n))
+        return self._dimvec_class(d)
+
+    def _dimvec_class(self, d) -> KVector:
+        """sum d_i S_i, linear in the integer vector d."""
+        return tuple(sum(map(mul, d, col)) for col in zip(*self._simples))
 
     def simple_class(self, i: int) -> KVector:
         return self.class_of_dimvec(tuple(1 if j == i else 0 for j in range(self.n)))
@@ -219,11 +235,12 @@ class Quiver:
         )
 
     def _gram_num(self, x: KVector, y: KVector) -> int:
-        """Numerator of the Euler form over the common denominator."""
-        num = 0
-        for xi, row in zip(x, self._gram):
-            if xi:
-                num += xi * sum(yj * g for yj, g in zip(y, row))
+        """Numerator of the Euler form over the common denominator,
+        memoized per pair of K-vectors (tuples of ints) in `_forms`."""
+        num = self._forms.get((x, y))
+        if num is None:
+            num = self._forms[(x, y)] = sum(
+                xi * sum(map(mul, y, row)) for xi, row in zip(x, self._gram))
         return num
 
     def euler_form(self, x: KVector, y: KVector) -> int | Fraction:
@@ -233,6 +250,8 @@ class Quiver:
         return _ratio(self._gram_num(x, y), self._gram_den)
 
     def sym_form(self, x: KVector, y: KVector) -> int | Fraction:
+        """(x, y) = <x, y> + <y, x>, from the two Gram numerators, so that
+        it is an int exactly when it is integral."""
         return _ratio(self._gram_num(x, y) + self._gram_num(y, x), self._gram_den)
 
     def borcherds_cartan(self):

@@ -9,7 +9,11 @@ x^(2N) - q is irreducible over Q for prime q, this canonical form is
 unique and the arithmetic is exact.
 
 Arithmetic works on the integer form directly: a product folds q into the
-coefficient as it goes.  Exponents from outside, e in (1/N)Z, enter only
+coefficient as it goes.  Most products in straightening are of one term by
+one term, and those build their one term directly, folded at most once.
+A Scalar operand of the same ring object is used as it is: `_coerce` runs
+only across ring objects (which must be equal) and for an int or Fraction
+operand of `+` and `-`.  Exponents from outside, e in (1/N)Z, enter only
 through `ScalarRing.from_terms`, `v_pow` and `parse_scalar`, which raise
 ScalarDomainError when N*e is not an integer; `render` writes k as the
 exponent k/N again.
@@ -129,9 +133,10 @@ class Scalar:
         return NotImplemented
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not Scalar or other.ring is not self.ring:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         if not other.terms:
             return self
         if not self.terms:
@@ -162,12 +167,14 @@ class Scalar:
     def __mul__(self, other):
         # `type(other) is Scalar` first, here and in __eq__: Fraction's
         # ABCMeta makes a Scalar fail isinstance(_, Fraction) slowly
-        if type(other) is not Scalar and isinstance(other, (int, Fraction)):
+        if type(other) is Scalar:
+            if other.ring is not self.ring:
+                other = self._coerce(other)
+        elif isinstance(other, (int, Fraction)):
             if not other:
                 return self.ring.zero
             return Scalar(self.ring, {k: _canon(c * other) for k, c in self.terms.items()})
-        other = self._coerce(other)
-        if other is NotImplemented:
+        else:
             return NotImplemented
         a, b = self.terms, other.terms
         if b == _ONE:
@@ -176,6 +183,13 @@ class Scalar:
             return other
         ring = self.ring
         p, two_n = ring.p, 2 * ring.n_denom
+        if len(a) == 1 and len(b) == 1:
+            # one term times one term, the common case: v^k1 v^k2, folded once
+            ((k1, c1),), ((k2, c2),) = a.items(), b.items()
+            k, c = k1 + k2, c1 * c2
+            if k >= two_n:
+                k, c = k - two_n, c * p
+            return Scalar(ring, {k: c if type(c) is int else _canon(c)})
         acc: dict = {}
         for k1, c1 in a.items():
             for k2, c2 in b.items():

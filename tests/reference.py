@@ -320,3 +320,26 @@ def orbit_labels_int64(cpx, a, b, null_rows, complement, codes):
             labels = labels[labels]
         if np.array_equal(labels, before):
             return labels
+
+
+def scalar_product(x, y):
+    """x * y through one `ScalarRing.from_terms` over the exponent sums of
+    every pair of terms: no one-term shortcut and no fold by hand."""
+    n = x.ring.n_denom
+    terms = {}
+    for k1, c1 in x.terms.items():
+        for k2, c2 in y.terms.items():
+            e = Fraction(k1 + k2, n)
+            terms[e] = terms.get(e, 0) + Fraction(c1) * c2
+    return x.ring.from_terms(terms)
+
+
+def gram_num(q, x, y):
+    """The Gram numerator of <x, y>, summed afresh over the Gram matrix."""
+    return sum(xi * yj * g for xi, row in zip(x, q._gram) for yj, g in zip(y, row))
+
+
+def euler_dimvec(q, a, b):
+    """The Euler form on dimension vectors as a sum over the arrows:
+    sum a_i b_i minus sum over arrows t -> h of a_t b_h."""
+    return sum(x * y for x, y in zip(a, b)) - sum(a[t] * b[h] for t, h in q.arrows)

@@ -293,8 +293,9 @@ ASSOC_DIGESTS = {
 
 @pytest.mark.parametrize("quiver", sorted(ASSOC_DIGESTS))
 def test_verify_assoc_json_is_pinned(capsys, monkeypatch, quiver):
-    # and every memoized monomial product the suite leaves behind equals the
-    # one a fresh algebra computes: no caller mutated a shared value
+    # and every memoized monomial product and E·E coefficient list the suite
+    # leaves behind equals the one a fresh algebra computes: no caller
+    # mutated a shared value
     made = []
 
     class Recording(hallq.cli.DHAlgebra):
@@ -313,6 +314,9 @@ def test_verify_assoc_json_is_pinned(capsys, monkeypatch, quiver):
     assert dh._mono
     for (m1, m2), value in dh._mono.items():
         assert fresh.mono_product(m1, m2) == value, (m1, m2)
+    assert dh._ee
+    for (akey, bkey), value in dh._ee.items():
+        assert fresh._ee_coeffs(akey, bkey) == value, (akey, bkey)
 
 
 # sha256 of `verify --suite relations --json` as the relation families

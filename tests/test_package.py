@@ -16,7 +16,7 @@ def test_memo_inventory(kronecker):
     # registries (`_class`, `_registry`) and the cache key heads.  A new
     # memo changes this list and the README's "Memos" section together
     cat = RepCategory(kronecker.quiver)
-    contexts = [cat, DHAlgebra(cat), ComplexCategory(cat), cat.quiver.scalar_ring()]
+    contexts = [cat, DHAlgebra(cat), ComplexCategory(cat), cat.quiver, cat.quiver.scalar_ring()]
     dicts = {
         type(obj).__name__: sorted(k for k, v in vars(obj).items() if isinstance(v, dict))
         for obj in contexts
@@ -24,9 +24,10 @@ def test_memo_inventory(kronecker):
     assert dicts == {
         "RepCategory": ["_class", "_classify", "_gl", "_hom_rows", "_key_heads", "_middle",
                         "_stacks", "_subquot", "_sums"],
-        "DHAlgebra": ["_eab", "_mono"],
+        "DHAlgebra": ["_eab", "_ee", "_mono"],
         "ComplexCategory": ["_auts", "_halves", "_monomials", "_product_cache", "_raw_halves",
                             "_registry", "_resolutions"],
+        "Quiver": ["_forms", "index"],
         "ScalarRing": ["_v_pows"],
     }
     memos = README.read_text().partition("\n## Memos\n")[2].partition("\n## ")[0]

@@ -13,6 +13,7 @@ from hallq import (
 from hallq.quiver import Quiver
 
 from .conftest import DATA, load
+from .reference import euler_dimvec, gram_num
 
 
 def test_parse_two_loop_vertex():
@@ -212,3 +213,50 @@ def test_euler_gram_matrix_matches_simple_expansion():
                 assert q.euler_form(x, y) == _euler_form_via_simples(q, r, c), (
                     path.stem, x, y,
                 )
+
+
+def test_memoized_gram_numerators_are_the_uncached_sums():
+    # after both forms on every pair of vectors in [-2, 2]^n, every Gram
+    # numerator a fixture's `_forms` holds is the sum computed afresh
+    for path in sorted(DATA.glob("*.quiver")):
+        q = load(path.stem)
+        vectors = list(product(range(-2, 3), repeat=q.n))
+        for x, y in product(vectors, repeat=2):
+            q.euler_form(x, y)
+            q.sym_form(x, y)
+        assert len(q._forms) == len(vectors) ** 2, path.stem
+        for (x, y), num in q._forms.items():
+            assert num == gram_num(q, x, y), (path.stem, x, y)
+
+
+def test_euler_dimvec_is_the_euler_form_at_the_classes():
+    # on every fixture: for dimension vectors with entries in [0, 3],
+    # <a, b> is the Euler form of their classes; for integer vectors of
+    # either sign in [-2, 3] (straightening passes differences), it is the
+    # sum over arrows, and an int
+    pairs = 0
+    for path in sorted(DATA.glob("*.quiver")):
+        q = load(path.stem)
+        dims = list(product(range(4), repeat=q.n))
+        for a, b in product(dims, repeat=2):
+            kform = q.euler_form(q.class_of_dimvec(a), q.class_of_dimvec(b))
+            assert q.euler_dimvec(a, b) == kform, (path.stem, a, b)
+            pairs += 1
+        for a, b in product(product(range(-2, 4), repeat=q.n), repeat=2):
+            value = q.euler_dimvec(a, b)
+            assert value == euler_dimvec(q, a, b) and type(value) is int, (path.stem, a, b)
+    assert pairs == 5248
+
+
+def test_dimension_vector_and_k_vector_pairs_keep_apart():
+    # on a2 the pair ((1, 0), (0, 1)) is a pair of dimension vectors, S_1 and
+    # S_2, with <S_1, S_2> = -1, and a pair of K-vectors, P_1 and P_2, with
+    # <P_1, P_2> = 0; both share one memo dict, and neither reads the other's
+    # entry, whichever is asked first
+    x, y = (1, 0), (0, 1)
+    for dim_first in (True, False):
+        q = load("a2")
+        if dim_first:
+            q.euler_dimvec(x, y)
+        assert (q.euler_form(x, y), q.euler_dimvec(x, y)) == (0, -1)
+        assert (q.euler_form(x, y), q.euler_dimvec(x, y)) == (0, -1)

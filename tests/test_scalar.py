@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hallq.combo import Combination
 from hallq.scalar import ScalarDomainError, ScalarRing, parse_scalar
 
-from .reference import quantum_integer
+from .reference import quantum_integer, scalar_product
 
 
 def ring(p=2, n=2):
@@ -309,3 +310,52 @@ def test_matches_fraction_exponent_reference(args):
     # equal values reached by different routes hash alike
     for x, y in ((a, r.from_terms(ra)), (a + b - b, a), (a * b, b * a), (a * b + a, a * (b + 1))):
         assert x == y and hash(x) == hash(y)
+
+
+# ----------------------------------------------------------------------
+# the fast paths of `*` and `Combination.add_term`
+
+
+def test_one_term_products_match_the_from_terms_reference():
+    # the one-term product against one `from_terms` over the exponent sums,
+    # on every p in {2, 3, 5} and N in {1, 2, 4}: equal terms, and a
+    # coefficient is an int exactly when it is integral.  Coefficients are
+    # ints and Fractions (1/p among them, so that a fold can make a product
+    # integral), and the exponent sums reach past 2N as well as below it
+    rng = random.Random(33)
+    seen = set()
+    for r in RINGS:
+        two_n = 2 * r.n_denom
+
+        def one_term():
+            c = rng.choice([rng.randint(-4, 4) or 1, Fraction(rng.randint(-7, 7) or 1, r.p),
+                            Fraction(rng.randint(-7, 7) or 1, rng.randint(2, 6))])
+            return r.from_terms({Fraction(rng.randint(-3 * two_n, 3 * two_n), r.n_denom): c})
+
+        for _ in range(300):
+            x, y = one_term(), one_term()
+            ((k1, c1),), ((k2, c2),) = x.terms.items(), y.terms.items()
+            z, ref = x * y, scalar_product(x, y)
+            assert z.terms == ref.terms, (r, x, y)
+            assert [type(c) for c in z.terms.values()] == [type(c) for c in ref.terms.values()]
+            seen.add((k1 + k2 >= two_n, type(c1), type(c2), type(ref.terms[(k1 + k2) % two_n])))
+    # every combination of a fold or none, int or Fraction factors and an
+    # int or Fraction product was met, but for two int factors making a Fraction
+    kinds = (int, Fraction)
+    assert seen == {(fold, t1, t2, t) for fold in (False, True) for t1 in kinds
+                    for t2 in kinds for t in kinds if (t1, t2, t) != (int, int, Fraction)}
+
+
+def test_add_term_new_existing_and_cancelling():
+    r = ring(3, 2)
+    x, y = r.v_pow(1) * Fraction(1, 3), r.v_pow(-1)
+    sum_ = Combination(r)
+    sum_.add_term("t", x)
+    assert sum_.terms == {"t": x} and sum_.terms["t"] is x  # a new term keeps coeff itself
+    sum_.add_term("t", y)
+    assert sum_.terms == {"t": x + y}
+    sum_.add_term("u", r.zero)
+    assert "u" not in sum_.terms  # a zero coefficient adds no term
+    sum_.add_term("t", -(x + y))
+    assert sum_.terms == {}  # a cancelling term is removed
+    assert x.terms == {2: Fraction(1, 3)} and y.terms == {2: Fraction(1, 3)}
