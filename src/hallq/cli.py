@@ -18,7 +18,6 @@ miss and is recomputed.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import random
@@ -60,7 +59,11 @@ def _failure(exc) -> tuple:
     return f"error: {exc}", EXIT_USAGE
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    """The `hallq` argument parser.  argparse is imported here, not with the
+    module: the library callers of this module's helpers never parse."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="hallq", description="Exact Hall-algebra computations for quivers"
     )
@@ -110,6 +113,8 @@ def _count(text: str) -> int:
     except ValueError:
         value = -1
     if value < 0:
+        import argparse
+
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
     return value
 

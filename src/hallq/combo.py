@@ -9,6 +9,8 @@ turns a blown enumeration bound into a skipped row.
 
 from __future__ import annotations
 
+import operator
+
 from .repcat import EnumerationTooLarge
 from .scalar import ScalarRing
 
@@ -25,35 +27,52 @@ class Combination:
                     self.terms[t] = c
 
     @classmethod
+    def _nonzero(cls, ring: ScalarRing, terms: dict):
+        """The combination of `terms`, a new dict the caller knows has no
+        zero coefficient, kept as given: no coefficient is tested."""
+        out = cls.__new__(cls)
+        out.ring, out.terms = ring, terms
+        return out
+
+    @classmethod
     def basis(cls, ring, term, coeff=None):
         c = ring.one if coeff is None else coeff
         return cls(ring, {term: c})
 
     @classmethod
     def zero(cls, ring):
-        return cls(ring, {})
+        return cls._nonzero(ring, {})
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for t, c in other.terms.items():
-            s = out.get(t, self.ring.zero) + c
-            if s:
-                out[t] = s
-            else:
-                out.pop(t, None)
-        return type(self)(self.ring, out)
+        return self._merge(other, operator.add)
 
     def __neg__(self):
-        return type(self)(self.ring, {t: -c for t, c in self.terms.items()})
+        return self._nonzero(self.ring, {t: -c for t, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-other)
+        """self + (-other), in one pass: no negated copy of other is built."""
+        return self._merge(other, operator.sub)
+
+    def _merge(self, other, op):
+        """self op other, term by term, for op `operator.add` or `operator.sub`.
+
+        A term of other alone gives op(0, c) = c or -c, never zero.
+        """
+        out, zero = dict(self.terms), self.ring.zero
+        for t, c in other.terms.items():
+            s = op(out.get(t, zero), c)
+            if s.terms:
+                out[t] = s
+            else:
+                del out[t]
+        return self._nonzero(self.ring, out)
 
     def scale(self, s):
-        """self * s, for s a Scalar, an int or a Fraction."""
+        """self * s, for s a Scalar, an int or a Fraction.  The ring is a
+        field, so a nonzero s keeps every term nonzero."""
         if not s:
-            return type(self)(self.ring, {})
-        return type(self)(self.ring, {t: c * s for t, c in self.terms.items()})
+            return self._nonzero(self.ring, {})
+        return self._nonzero(self.ring, {t: c * s for t, c in self.terms.items()})
 
     def add_term(self, term, coeff):
         """In-place accumulate a Scalar; used while building sums.

@@ -235,20 +235,22 @@ class ComplexCategory:
         """(rank vector of im d, ker d_back / im d) for one differential.
 
         Read by `RepCategory.sub_quotient`'s two parts: with K, free =
-        `fplin.nullspace_free(d_back)` and I, pivots the rows and pivots of
-        rref(d^T), ker d_back is sub_rep(dst, K, free), and the homology is
-        quotient_rep of it on rref(coords), coords = I[:, free] being im d
-        in ker d_back's coordinates.  im d is projective, with dimension
-        vector the pivot counts.
+        `fplin.nullspace_free(d_back)`, ker d_back is sub_rep(dst, K, free).
+        The rows of d^T lie in ker d_back, and K is the identity on the free
+        columns, so d^T[:, free] are those rows in ker d_back's coordinates:
+        with R, pivots its rref, the homology is quotient_rep of ker d_back
+        on R, and im d is projective, with dimension vector the pivot
+        counts.  That is one elimination per differential per vertex.
 
         Memoized at two levels.  The first is keyed on dst and the raw
         differentials, which catches the same differentials met again (a
         complex rebuilt from equal data) without any elimination.  Only on
-        a miss are K and I computed; keyed on dst and those, the second
-        level is the real memo, so complexes whose differentials differ but
-        span the same spaces (a complex and its dagger, d and 2d) share
-        their halves.  Both levels hold the same pair: it is shared and
-        callers only read it (the homology's matrices are read-only).
+        a miss are K and R computed; they are echelon bases of ker d_back
+        and im d, so keyed on dst and those, the second level is the real
+        memo, and complexes whose differentials differ but span the same
+        spaces (a complex and its dagger, d and 2d) share their halves.
+        Both levels hold the same pair: it is shared and callers only read
+        it (the homology's matrices are read-only).
         """
         # dst's and the source's dimensions fix every shape, so one byte
         # string of all the blocks is an exact key
@@ -259,18 +261,16 @@ class ComplexCategory:
         p, cat = self.p, self.cat
         kers, frees = zip(*(fplin.nullspace_free(m, p) for m in d_back))
         ims, pivots = [], []
-        for m in d:
-            r, piv = fplin.rref(m.T, p)
+        for m, free in zip(d, frees):
+            r, piv = fplin.rref(m.T[:, free], p)
             ims.append(r[: len(piv)])
             pivots.append(piv)
         memo = (dst.key,) + tuple((b.shape, b.tobytes()) for b in kers + tuple(ims))
         half = self._halves.get(memo)
         if half is None:
-            reduced = [fplin.rref(im[:, free], p) for im, free in zip(ims, frees)]
             ker_sub = cat.sub_rep(dst, kers, frees)
             assert ker_sub is not None, "subspace tuple is not stable"
-            hom = cat.quotient_rep(ker_sub, [r[: len(piv)] for r, piv in reduced],
-                                   [piv for _r, piv in reduced])
+            hom = cat.quotient_rep(ker_sub, ims, pivots)
             for m in hom.mats:
                 m.setflags(write=False)
             ranks = self.proj_rank_vector([len(piv) for piv in pivots])

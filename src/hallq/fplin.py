@@ -95,15 +95,18 @@ def nullspace_free(a, p):
     columns, so the basis is the identity on the free columns: a kernel
     vector's coordinates are its entries there.
     """
-    m, n = a.shape
+    n = a.shape[1]
     r, pivots = rref(a, p)
+    rows = r[: len(pivots)].tolist()
     free = [j for j in range(n) if j not in pivots]
-    basis = np.zeros((len(free), n), dtype=np.int64)
-    for bi, j in enumerate(free):
-        basis[bi, j] = 1
-        for ri, pc in enumerate(pivots):
-            basis[bi, pc] = (-r[ri, j]) % p
-    return basis, free
+    basis = []
+    for j in free:
+        vec = [0] * n
+        vec[j] = 1
+        for row, pc in zip(rows, pivots):
+            vec[pc] = -row[j] % p
+        basis.append(vec)
+    return np.array(basis, dtype=np.int64).reshape(len(free), n), free
 
 
 def row_space(a, p):
@@ -153,15 +156,39 @@ def in_row_space(v, basis_rref, pivots, p):
     return not w.any()
 
 
-def all_matrices(rows, cols, p):
-    """All (rows x cols) matrices mod p in a fixed lexicographic order."""
-    for entries in product(range(p), repeat=rows * cols):
-        yield np.array(entries, dtype=np.int64).reshape(rows, cols)
-
-
 def all_invertible(n, p):
-    """All of GL_n(F_p), lexicographically by entries."""
-    return [m for m in all_matrices(n, n, p) if is_invertible(m, p)]
+    """GL_n(F_p) and the inverses of its elements, as two (|GL_n|, n, n)
+    stacks in the same order: lexicographically by entries, row by row.
+
+    Full-rank row prefixes grow one row at a time, each by every row outside
+    its span in lexicographic order (the p^k vectors of a k-row span are
+    listed and masked out), so no singular matrix is held and memory stays
+    proportional to |GL_n|.  The inverses come from one Gauss-Jordan
+    elimination of [g | 1] over the whole stack.
+    """
+    vectors = np.array(list(product(range(p), repeat=n)), dtype=np.int64).reshape(p**n, n)
+    weights = p ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    prefixes = np.zeros((1, 0), dtype=np.int64)  # the rows of each prefix, by code
+    for k in range(n):
+        span = (vectors[: p**k, n - k :] @ vectors[prefixes] % p) @ weights
+        outside = np.ones((len(prefixes), p**n), dtype=bool)
+        outside[np.arange(len(prefixes))[:, None], span] = False
+        at, row = np.nonzero(outside)
+        prefixes = np.concatenate([prefixes[at], row[:, None]], axis=1)
+    group = vectors[prefixes]
+    aug = np.concatenate([group, np.broadcast_to(np.eye(n, dtype=np.int64), group.shape)], axis=2)
+    inv = np.array([0] + [inv_mod(x, p) for x in range(1, p)], dtype=np.int64)
+    at = np.arange(len(aug))
+    for col in range(n):
+        sel = col + np.argmax(aug[:, col:, col] != 0, axis=1)
+        top = aug[at, sel]
+        aug[at, sel] = aug[:, col]
+        top = top * inv[top[:, col], None] % p
+        factors = aug[:, :, col].copy()
+        factors[:, col] = 0
+        aug = (aug - factors[:, :, None] * top[:, None, :]) % p
+        aug[:, col] = top
+    return group, aug[:, :, n:].copy()
 
 
 def gl_order(n, p):

@@ -74,17 +74,31 @@ class Rep:
     """A representation: dimension vector plus one matrix per arrow.
 
     A Rep read from a class key (`Rep.from_key`) keeps the key as given and
-    decodes its matrices on first use of `mats`.
+    decodes its matrices on first use of `mats`.  The engine builds the
+    Reps whose matrices it already reduced through `Rep._reduced`.
     """
 
     __slots__ = ("quiver", "dim", "_mats", "_key")
 
     def __init__(self, quiver: Quiver, dim, mats):
+        self._fill(quiver, dim, mats, quiver.p)
+
+    @classmethod
+    def _reduced(cls, quiver: Quiver, dim, mats) -> "Rep":
+        """A Rep whose matrices the caller knows are int64 and reduced mod p,
+        and owns, so they are kept as given; the dimension vector and the
+        shapes are still checked, as `Rep(...)` checks them."""
+        rep = cls.__new__(cls)
+        rep._fill(quiver, dim, mats, None)
+        return rep
+
+    def _fill(self, quiver: Quiver, dim, mats, p):
+        """Set and check the fields; the matrices are reduced mod p unless p is None."""
         self.quiver = quiver
-        self.dim = tuple(int(x) for x in dim)
+        self.dim = tuple(map(int, dim))
         if len(self.dim) != quiver.n or any(x < 0 for x in self.dim):
             raise QuiverError("bad dimension vector")
-        mats = tuple(np.asarray(m, dtype=np.int64) % quiver.p for m in mats)
+        mats = tuple(mats if p is None else (np.asarray(m, dtype=np.int64) % p for m in mats))
         if len(mats) != len(quiver.arrows):
             raise QuiverError("one matrix per arrow required")
         for (t, h), m in zip(quiver.arrows, mats):
@@ -276,7 +290,7 @@ class RepCategory:
             m[: a.dim[h], : a.dim[t]] = a.mats[k]
             m[a.dim[h] :, a.dim[t] :] = b.mats[k]
             mats.append(m)
-        out = self._sums[memo] = self.rep(dim, mats)
+        out = self._sums[memo] = Rep._reduced(self.quiver, dim, mats)
         for m in out.mats:
             m.setflags(write=False)
         return out
@@ -320,9 +334,13 @@ class RepCategory:
             raise QuiverError("representations from a different context")
         memo = (a.key, b.key)
         kernel = self._hom_rows.get(memo)
-        if kernel is None:
-            kernel = self._hom_rows[memo] = fplin.nullspace(self._coboundary(a, b), self.p)
-            kernel.setflags(write=False)
+        return self._store_hom(memo, self._coboundary(a, b)) if kernel is None else kernel
+
+    def _store_hom(self, memo: tuple, system):
+        """The `hom_rows` basis of the pair keyed `memo`, stored from its
+        coboundary `system`: the read-only nullspace."""
+        kernel = self._hom_rows[memo] = fplin.nullspace(system, self.p)
+        kernel.setflags(write=False)
         return kernel
 
     def hom_dim(self, a: Rep, b: Rep) -> int:
@@ -342,10 +360,9 @@ class RepCategory:
 
     def _gl_stack(self, n: int):
         """GL_n(F_p) stacked into one (|GL_n|, n, n) array, and its inverses
-        stacked in the same order."""
+        stacked in the same order (`fplin.all_invertible`)."""
         if n not in self._gl:
-            group = fplin.all_invertible(n, self.p)
-            self._gl[n] = (np.stack(group), np.stack([fplin.inverse(g, self.p) for g in group]))
+            self._gl[n] = fplin.all_invertible(n, self.p)
         return self._gl[n]
 
     def _group_order(self, dim) -> int:
@@ -403,9 +420,12 @@ class RepCategory:
             imgs = np.matmul(stacks[h], np.matmul(rep.mats[k][None, :, :], inv_stacks[t]))
             pieces.append((imgs % self.p).reshape(size, -1))
         pows = self.p ** np.arange(entries, dtype=np.int64)
-        orbit = np.unique(np.concatenate(pieces, axis=1) @ pows)
+        # np.unique's sorted distinct codes, by a sort and a neighbour mask:
+        # np.unique itself imports numpy.ma on its first call
+        orbit = np.sort(np.concatenate(pieces, axis=1) @ pows)
+        orbit = orbit[np.concatenate(([True], orbit[1:] != orbit[:-1]))]
         assert size % len(orbit) == 0
-        canon = self.rep(d, self._decode(int(orbit.min()), d, entry_counts))
+        canon = Rep._reduced(self.quiver, d, self._decode(int(orbit[0]), d, entry_counts))
         return orbit, self._register(canon.key, d, size // len(orbit), rep=canon)
 
     def classify(self, d) -> list:
@@ -424,7 +444,8 @@ class RepCategory:
             classes = []
             for code in range(n_tuples):
                 if not seen[code]:
-                    orbit, cls = self._orbit(self.rep(d, self._decode(code, d, entry_counts)))
+                    orbit, cls = self._orbit(
+                        Rep._reduced(self.quiver, d, self._decode(code, d, entry_counts)))
                     seen[orbit] = True
                     classes.append(cls)
             classes.sort(key=_sort_key)
@@ -616,20 +637,21 @@ class RepCategory:
             if (rows[h].T @ y % p != imgs).any():
                 return None
             mats.append(y)
-        return self.rep([len(c) for c in cols], mats)
+        return Rep._reduced(self.quiver, [len(c) for c in cols], mats)
 
     def quotient_rep(self, rep: Rep, rows, cols):
         """The quotient of `sub_quotient`, for a stable span.
 
         The image y of each unit vector off cols_t is reduced by rows_h^T
-        y[cols_h], then read off the columns off cols_h.
+        y[cols_h], then read off the columns off cols_h, mod p.
         """
+        p = self.p
         comps = [[e for e in range(d) if e not in c] for d, c in zip(rep.dim, cols)]
         mats = []
         for k, (t, h) in enumerate(self.quiver.arrows):
             y = rep.mats[k][:, comps[t]]
-            mats.append(y[comps[h]] - rows[h][:, comps[h]].T @ y[cols[h]])
-        return self.rep([len(c) for c in comps], mats)
+            mats.append((y[comps[h]] - rows[h][:, comps[h]].T @ y[cols[h]]) % p)
+        return Rep._reduced(self.quiver, [len(c) for c in comps], mats)
 
     def hall_number(self, a: IsoClass, b: IsoClass, c: IsoClass) -> int:
         """g^c_{a,b}: subrepresentations of c isomorphic to b with quotient a."""
@@ -645,13 +667,14 @@ class RepCategory:
         sorted as `classify` sorts.  kQ is hereditary, so Ext^1(A,B) is
         Z^1 / B^1 for the map `_coboundary(A, B)`: its classes are the
         cocycles eta on the unit vectors off the pivots of B^1's echelon
-        basis, and hom = unknowns - rank.  The middle terms
-        [[B_e, eta_e], [0, A_e]] are coded as `_orbit` codes them and
-        counted one orbit per class, as `classify` scans.  The bounds
-        `classify(dim A + dim B)` checks come first, in its order; no
-        subobject table or cache record is read.  Memoized per (A, B), so
-        the list is shared and callers only read it; the algebras that call
-        this apply their own twists.
+        basis, and hom = unknowns - rank.  The nullspace of the same
+        coboundary is stored as `hom_rows(A, B)`, which the hereditary check
+        reads.  The middle terms [[B_e, eta_e], [0, A_e]] are coded as
+        `_orbit` codes them and counted one orbit per class, as `classify`
+        scans.  The bounds `classify(dim A + dim B)` checks come first, in
+        its order; no subobject table or cache record is read.  Memoized per
+        (A, B), so the list is shared and callers only read it; the algebras
+        that call this apply their own twists.
         """
         memo = (a.key, b.key)
         if memo not in self._middle:
@@ -659,6 +682,8 @@ class RepCategory:
             d = tuple(x + y for x, y in zip(a.dim, b.dim))
             entry_counts = self._entry_counts(d)
             system = self._coboundary(a.rep, b.rep)
+            if memo not in self._hom_rows:
+                self._store_hom(memo, system)
             pivots = fplin.rref(system.T, p)[1]
             free = [j for j in range(len(system)) if j not in pivots]
             assert len(free) == self.ext_dim(a.rep, b.rep), "hereditary identity broken"
@@ -681,7 +706,8 @@ class RepCategory:
             seen = np.zeros(len(codes), dtype=bool)
             for i in range(len(codes)):
                 if not seen[i]:
-                    orbit, c = self._orbit(self.rep(d, self._decode(int(codes[i]), d, entry_counts)))
+                    orbit, c = self._orbit(
+                        Rep._reduced(self.quiver, d, self._decode(int(codes[i]), d, entry_counts)))
                     hit = np.searchsorted(codes, orbit).clip(max=len(codes) - 1)
                     hit = hit[codes[hit] == orbit]
                     seen[hit] = True

@@ -47,6 +47,8 @@ class ScalarRing:
         self.p = p
         self.n_denom = n_denom
         self._v_pows: dict[int | Fraction, Scalar] = {}
+        # what `Scalar.render` writes after the coefficient of v^(k/N), by k
+        self._exp_text = [""] + [f"*v^({Fraction(k, n_denom)})" for k in range(1, 2 * n_denom)]
         # shared: Scalars are never mutated
         self.zero = Scalar(self, {})
         self.one = Scalar(self, {0: 1})
@@ -156,10 +158,21 @@ class Scalar:
         return Scalar(self.ring, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        """self + (-other), in one pass: no negated copy of other is built."""
+        if type(other) is not Scalar or other.ring is not self.ring:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        if not other.terms:
+            return self
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            s = out.get(k, 0) - c
+            if s:
+                out[k] = _canon(s)
+            else:
+                del out[k]
+        return Scalar(self.ring, out)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -226,14 +239,8 @@ class Scalar:
     def render(self) -> str:
         if not self.terms:
             return "0"
-        parts = []
-        for k in sorted(self.terms):
-            c = self.terms[k]
-            if k == 0:
-                parts.append(str(c))
-            else:
-                parts.append(f"{c}*v^({Fraction(k, self.ring.n_denom)})")
-        return " + ".join(parts)
+        terms, text = self.terms, self.ring._exp_text
+        return " + ".join(f"{terms[k]}{text[k]}" for k in sorted(terms))
 
     __repr__ = render
 

@@ -343,3 +343,44 @@ def euler_dimvec(q, a, b):
     """The Euler form on dimension vectors as a sum over the arrows:
     sum a_i b_i minus sum over arrows t -> h of a_t b_h."""
     return sum(x * y for x, y in zip(a, b)) - sum(a[t] * b[h] for t, h in q.arrows)
+
+
+def listed_invertible(n, p):
+    """GL_n(F_p) by rank-testing every n x n matrix, in lexicographic order
+    of its entries, and the inverse of each element by its own elimination:
+    the listing `fplin.all_invertible` replaced, as two lists."""
+    group = []
+    for entries in product(range(p), repeat=n * n):
+        m = np.array(entries, dtype=np.int64).reshape(n, n)
+        if fplin.is_invertible(m, p):
+            group.append(m)
+    return group, [fplin.inverse(g, p) for g in group]
+
+
+def orbit_codes(cat, rep):
+    """The codes of rep's base-change orbit, as `RepCategory._orbit` returns
+    them, by moving rep with every element of the listed group one at a time
+    and taking `np.unique` of the codes."""
+    d, p = rep.dim, cat.p
+    groups = [listed_invertible(x, p) for x in d]
+    codes = []
+    for elems in product(*[range(len(g)) for g, _ in groups]):
+        g = [groups[i][0][e] for i, e in enumerate(elems)]
+        g_inv = [groups[i][1][e] for i, e in enumerate(elems)]
+        digits = [x for k, (t, h) in enumerate(cat.quiver.arrows)
+                  for x in (g[h] @ rep.mats[k] @ g_inv[t] % p).ravel().tolist()]
+        codes.append(sum(x * p**i for i, x in enumerate(digits)))
+    return np.unique(np.array(codes, dtype=np.int64))
+
+
+def nullspace_by_entries(a, p):
+    """`fplin.nullspace(a, p)` written into a zero matrix one entry at a time."""
+    m, n = a.shape
+    r, pivots = fplin.rref(a, p)
+    free = [j for j in range(n) if j not in pivots]
+    basis = np.zeros((len(free), n), dtype=np.int64)
+    for bi, j in enumerate(free):
+        basis[bi, j] = 1
+        for ri, pc in enumerate(pivots):
+            basis[bi, pc] = (-r[ri, j]) % p
+    return basis

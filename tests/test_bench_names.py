@@ -84,9 +84,11 @@ def test_traced_names_without_an_engine_caller(monkeypatch):
         "fplin.row_space", "fplin.in_row_space", "quiver.Quiver.simple_coords",
         # E·E counts Ext^1 cocycles; only the tests' subobject route reads it
         "repcat.RepCategory.hall_number",
+        # the base-change group comes with its inverses from one batched
+        # elimination (`fplin.all_invertible`); no matrix is inverted alone
+        "fplin.inverse",
     }
-    # the engine inverts matrices only to list the base-change group
-    assert callers["inverse"] == {"_gl_stack"}
+    assert "inverse" not in callers
 
 
 def test_engine_defs_without_an_engine_caller():
@@ -114,8 +116,8 @@ def test_engine_defs_without_an_engine_caller():
     assert sorted(defs) == sorted([
         # traced in perfbench/tracer.py FUNCS; they move into tests/ when
         # the benchmark next changes (ROADMAP item 8)
-        "fplin.row_space", "fplin.in_row_space", "quiver.Quiver.simple_coords",
-        "repcat.RepCategory.hall_number",
+        "fplin.row_space", "fplin.in_row_space", "fplin.inverse",
+        "quiver.Quiver.simple_coords", "repcat.RepCategory.hall_number",
         # acceptance criterion 6 reads it (tests/test_acceptance.py)
         "repcat.RepCategory.hom_count",
         # the coproduct family, which ROADMAP item 10 makes production code

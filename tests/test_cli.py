@@ -652,3 +652,24 @@ def test_cross_process_determinism(tmp_path):
         )
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
+
+
+def test_argparse_loads_only_to_parse():
+    # library callers import the suites' helpers from `hallq.cli` and never
+    # parse a command line: the import leaves argparse unloaded, while
+    # `hallq --help` still builds the parser and exits 0
+    import os
+    import subprocess
+    import sys
+
+    src = str(pathlib.Path(hallq.cli.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = "import sys, hallq.cli; print(sorted(m for m in sys.modules if 'argparse' in m))"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, env=env,
+                          check=True, text=True)
+    assert proc.stdout.strip() == "[]"
+    proc = subprocess.run([sys.executable, "-m", "hallq.cli", "--help"], capture_output=True,
+                          env=env, text=True)
+    assert proc.returncode == 0 and proc.stdout.startswith("usage: hallq")
+    assert all(name in proc.stdout for name in ("classify", "product", "verify"))

@@ -189,14 +189,15 @@ def run_oracle_suite(name, max_dim, monkeypatch, wrap, passing=True):
 
 
 def test_half_split_and_hom_basis_run_once_per_content(monkeypatch):
-    # kronecker oracle at max dim 1: a half split that adds an echelon memo
-    # entry makes exactly 3n eliminations, one that only adds a raw-key
-    # entry exactly 2n and a raw-key hit none, with no subquotient, solve
-    # or inverse in any of them; the hom_rows nullspace runs once per
-    # distinct (A key, B key)
+    # kronecker oracle at max dim 1: a half split that adds a memo entry,
+    # echelon or raw-key only, makes exactly 2n eliminations (one per
+    # differential per vertex) and a raw-key hit none, with no subquotient, solve
+    # or inverse in any of them; the Hom basis nullspace runs once per
+    # distinct (A key, B key), stored by `hom_rows` or by `middle_terms`
+    # from the coboundary it already built
     inside = []
     calls = {"half": Counter(), "hom": Counter()}
-    halves, homs = [], []
+    halves, homs, stores = [], [], []
 
     def half_split(orig):
         def wrapped(self, *args):
@@ -215,13 +216,19 @@ def test_half_split_and_hom_basis_run_once_per_content(monkeypatch):
 
     def hom_rows(orig):
         def wrapped(self, a, b):
+            homs.append((a.key, b.key))
+            return orig(self, a, b)
+        return wrapped
+
+    def store_hom(orig):
+        def wrapped(self, memo, system):
             before = calls["hom"]["nullspace"]
             inside.append("hom")
             try:
-                return orig(self, a, b)
+                return orig(self, memo, system)
             finally:
                 inside.pop()
-                homs.append(((a.key, b.key), calls["hom"]["nullspace"] - before))
+                stores.append((memo, calls["hom"]["nullspace"] - before))
         return wrapped
 
     def counted(name):
@@ -236,6 +243,7 @@ def test_half_split_and_hom_basis_run_once_per_content(monkeypatch):
     cat, cpx = run_oracle_suite("kronecker", 1, monkeypatch, {
         (ComplexCategory, "_half_split"): half_split,
         (RepCategory, "hom_rows"): hom_rows,
+        (RepCategory, "_store_hom"): store_hom,
         (RepCategory, "sub_quotient"): counted("sub_quotient"),
         (fplin, "nullspace"): counted("nullspace"),
         (fplin, "rref"): counted("rref"),
@@ -243,13 +251,11 @@ def test_half_split_and_hom_basis_run_once_per_content(monkeypatch):
         (fplin, "inverse"): counted("inverse"),
     })
     n = cat.quiver.n
-    assert set(halves) == {(1, 1, 3 * n), (0, 1, 2 * n), (0, 0, 0)}
+    assert set(halves) == {(1, 1, 2 * n), (0, 1, 2 * n), (0, 0, 0)}
     assert set(calls["half"]) == {"rref"}
-    seen = set()
-    for pair, runs in homs:
-        assert runs == (pair not in seen), pair
-        seen.add(pair)
-    assert calls["hom"]["nullspace"] == len(seen) < len(homs)
+    stored = [memo for memo, runs in stores if runs == 1]
+    assert len(stored) == len(stores) == len(set(stored)) and set(stored) == set(homs)
+    assert calls["hom"]["nullspace"] == len(stored) < len(homs)
 
 
 @pytest.mark.parametrize("name", ["a2", "kronecker"])
@@ -304,8 +310,8 @@ def test_raw_key_hits_share_the_echelon_memo(monkeypatch):
     # over p = 3 on A2: a content-equal copy of a complex is a raw-key hit
     # with no elimination at all, and returns the tuple the echelon memo
     # holds; the complex with twice its differentials misses the raw key
-    # but still shares its halves through the echelon memo, at 2n
-    # eliminations per half against 3n for an echelon miss
+    # but still shares its halves through the echelon memo; either miss
+    # costs 2n eliminations per half
     from hallq import parse_quiver
 
     cat = RepCategory(parse_quiver("field p=3\nvertex 1 loops=0\nvertex 2 loops=0\nedge 1 2\n"))
@@ -332,7 +338,7 @@ def test_raw_key_hits_share_the_echelon_memo(monkeypatch):
         new_memo = len(cpx._halves) - n_memo
         new_raw_only = len(cpx._raw_halves) - n_raw - new_memo
         misses += new_memo
-        assert calls - before == Counter({"rref": 3 * n * new_memo + 2 * n * new_raw_only})
+        assert calls - before == Counter({"rref": 2 * n * (new_memo + new_raw_only)})
         n_raw, n_memo, before = len(cpx._raw_halves), len(cpx._halves), Counter(calls)
         copy = Complex(cx.m1, cx.m0, cx.d1, cx.d0, cat.p)
         assert all(h is h0 for h, h0 in zip(cpx.decompose(copy), split, strict=True))

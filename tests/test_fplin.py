@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from hallq import fplin
+from hallq import Bounds, fplin
+
+from .reference import listed_invertible, nullspace_by_entries
 
 
 def reference_rref(a, p):
@@ -94,3 +96,29 @@ def test_nullspace_is_the_identity_on_its_free_columns(p):
         assert np.array_equal(basis[:, free], np.eye(len(free), dtype=np.int64))
         assert not (a @ basis.T % p).any()
         assert basis.tobytes() == fplin.nullspace(a, p).tobytes()
+        assert basis.tobytes() == nullspace_by_entries(a, p).tobytes()
+
+
+# every GL_n(F_p) the default bounds let `RepCategory` list, p <= max_p = 5:
+# GL_<=4(F_2), GL_<=3(F_3) and GL_<=2(F_5)
+LISTED_GROUPS = [(n, p) for p in (2, 3, 5) for n in range(6)
+                 if fplin.gl_order(n, p) <= Bounds().max_group]
+
+
+def test_listed_groups_are_those_within_the_default_bounds():
+    assert LISTED_GROUPS == [(n, 2) for n in range(5)] + [(n, 3) for n in range(4)] + [
+        (n, 5) for n in range(3)]
+
+
+@pytest.mark.parametrize("n, p", LISTED_GROUPS)
+def test_batched_gl_listing_matches_the_rank_tested_one(n, p):
+    # the batched listing and its inverses against every n x n matrix
+    # rank-tested in lexicographic order and each element inverted alone:
+    # the same matrices in the same order, n = 0 included
+    group, inverses = fplin.all_invertible(n, p)
+    ref_group, ref_inverses = listed_invertible(n, p)
+    assert group.dtype == inverses.dtype == np.int64
+    assert group.shape == inverses.shape == (len(ref_group), n, n) == (fplin.gl_order(n, p), n, n)
+    assert group.tobytes() == np.stack(ref_group).tobytes()
+    assert inverses.tobytes() == np.stack(ref_inverses).tobytes()
+    assert not (np.matmul(group, inverses) % p - np.eye(n, dtype=np.int64)).any()

@@ -2,6 +2,8 @@ import hashlib
 import itertools
 import json
 import random
+import re
+import sys
 from collections import Counter
 
 import numpy as np
@@ -10,6 +12,7 @@ import pytest
 from hallq import (
     Bounds,
     CacheStore,
+    ComplexCategory,
     EnumerationTooLarge,
     QuiverError,
     Rep,
@@ -27,6 +30,7 @@ from .reference import (
     ext_count_with_middle,
     hom_basis,
     is_stable,
+    orbit_codes,
     subobject_middle_terms,
 )
 
@@ -164,7 +168,7 @@ def test_canonical_key_stability(a2, l2):
     rng = random.Random(3)
     for cat in (a2, l2):
         classes = cat.classes_up_to_total_dim(3)
-        gl = {d: fplin.all_invertible(d, cat.p) for d in range(4)}
+        gl = {d: list(fplin.all_invertible(d, cat.p)[0]) for d in range(4)}
         for c in classes[:40]:
             g = [rng.choice(gl[d]) for d in c.dim]
             ginv = [fplin.inverse(m, cat.p) for m in g]
@@ -1043,3 +1047,88 @@ def test_direct_sum_aut_consistency(a1):
     # |Aut(S+S)| from the stabilizer route equals GL_2 order
     ss = a1.classify((2,))[0]
     assert ss.aut_order == fplin.gl_order(2, 2)
+
+
+# fixtures with distinct representations: l2, l2m2 and l2m4 share theirs,
+# and mixed holds l2's vertex with an arrow in.  l3 is left out for time:
+# past dimension 2 it is over its bound on matrix tuples, and its Reps
+# take the routes mixed's loops take
+REDUCED_FIXTURES = ["a1", "a1p3", "a1p5", "a2", "a3", "kronecker", "mixed"]
+
+
+@pytest.mark.parametrize("name", REDUCED_FIXTURES)
+def test_reduced_reps_equal_their_checked_build(name, monkeypatch):
+    # every Rep the engine builds through `Rep._reduced` up to total
+    # dimension 3 (the classes, every subobject table, the middle terms and
+    # direct sums of pairs, and on loop-free quivers the split of each
+    # class's resolution) equals `Rep(...)` on the same data: the same key,
+    # dimension vector and matrices, int64 and reduced mod p.  With loops
+    # the pairs stop at total dimension 2, as dimension 3 has thousands
+    cat = RepCategory(load(name))
+    p, built, reduced = cat.p, Counter(), Rep._reduced
+
+    def checked(cls, quiver, dim, mats):
+        mats = list(mats)
+        rep, ref = reduced(quiver, dim, mats), Rep(quiver, dim, mats)
+        assert rep.key == ref.key and rep.dim == ref.dim
+        for m, r in zip(rep.mats, ref.mats, strict=True):
+            assert m.dtype == np.int64 and m.shape == r.shape and np.array_equal(m, r)
+            assert ((0 <= m) & (m < p)).all()
+        built[sys._getframe(1).f_code.co_name] += 1
+        return rep
+
+    monkeypatch.setattr(Rep, "_reduced", classmethod(checked))
+    by_total = [cat.classes_with_total_dim(total) for total in range(4)]
+    classes = [c for same in by_total for c in same]
+    for c in classes:
+        cat.subquot_table(c)
+    max_pair = 2 if any(cat.quiver.loops) else 3
+    for ta, tb in itertools.product(range(4), repeat=2):
+        if ta + tb <= max_pair:
+            for a, b in itertools.product(by_total[ta], by_total[tb]):
+                cat.direct_sum(a.rep, b.rep)
+                cat.middle_terms(a, b)
+    if not any(cat.quiver.loops):
+        cpx = ComplexCategory(cat)
+        for c in classes:
+            cpx.homology(cpx.resolution(c.rep))
+    # `compute` is classify's scan; with no arrow, no orbit lists a group
+    callers = {"_orbit", "compute", "middle_terms", "sub_rep", "quotient_rep", "direct_sum"}
+    assert set(built) == callers - (set() if cat.quiver.arrows else {"_orbit"})
+
+
+def test_reduced_reps_check_dimension_and_shape(a2):
+    # `Rep._reduced` refuses what `Rep(...)` refuses, with the same error
+    q, m = a2.quiver, np.zeros((1, 1), dtype=np.int64)
+    for dim, mats in [((1,), [m]), ((1, -1), [m]), ((1, 1), []), ((1, 1), [m, m]),
+                      ((2, 1), [m])]:
+        with pytest.raises(QuiverError) as checked:
+            Rep(q, dim, mats)
+        with pytest.raises(QuiverError, match=f"^{re.escape(str(checked.value))}$"):
+            Rep._reduced(q, dim, mats)
+
+
+@pytest.mark.parametrize("name,max_total", [("a2", 4), ("a3", 4), ("kronecker", 4),
+                                            ("l2", 3), ("mixed", 3)])
+def test_orbit_codes_match_np_unique_of_every_image(name, max_total):
+    # `_orbit`'s codes, deduplicated by sorting and masking equal
+    # neighbours, against np.unique of the codes of rep moved by every
+    # group element one at a time: the zero rep and random reps (some with
+    # repeated images, so duplicates occur) of every dimension vector whose
+    # group has at most 200 elements
+    cat = RepCategory(load(name))
+    rng = np.random.default_rng(5)
+    seen_repeats = False
+    for total in range(1, max_total + 1):
+        for d in _compositions(total, cat.quiver.n):
+            if cat._group_order(d) > 200:
+                continue
+            shapes = [(d[h], d[t]) for t, h in cat.quiver.arrows]
+            for draw in range(4):
+                mats = [rng.integers(0, cat.p, shape) * (draw > 0) for shape in shapes]
+                rep = cat.rep(d, mats)
+                orbit = cat._orbit(rep)[0]
+                ref = orbit_codes(cat, rep)
+                assert orbit.dtype == ref.dtype and orbit.tobytes() == ref.tobytes(), (d, mats)
+                seen_repeats |= len(orbit) < cat._group_order(d)
+    assert seen_repeats

@@ -359,3 +359,70 @@ def test_add_term_new_existing_and_cancelling():
     sum_.add_term("t", -(x + y))
     assert sum_.terms == {}  # a cancelling term is removed
     assert x.terms == {2: Fraction(1, 3)} and y.terms == {2: Fraction(1, 3)}
+
+
+# ----------------------------------------------------------------------
+# one-pass subtraction, and combinations built without the zero test
+
+
+def any_scalar(r, rng, size=4):
+    """A Scalar of up to `size` terms with int and Fraction coefficients and
+    exponents that fold past 2N both ways, on any ring of RINGS."""
+    two_n = 2 * r.n_denom
+    terms = {}
+    for _ in range(rng.randint(0, size)):
+        e = Fraction(rng.randint(-3 * two_n, 3 * two_n), r.n_denom)
+        c = rng.choice([rng.randint(-4, 4), Fraction(rng.randint(-7, 7), rng.choice([r.p, 3]))])
+        terms[e] = terms.get(e, 0) + c
+    return r.from_terms(terms)
+
+
+def test_sub_in_one_pass_matches_adding_the_negation():
+    # a - b against a + (-b): equal terms with equal coefficient types,
+    # cancelling terms and zero operands included, and an int or Fraction b
+    rng = random.Random(43)
+    for r in RINGS:
+        for _ in range(100):
+            a, b = any_scalar(r, rng), any_scalar(r, rng)
+            for x, y in ((a, b), (a, a), (a, a + b), (r.zero, b), (a, r.zero)):
+                got, want = x - y, x + (-y)
+                assert got.terms == want.terms, (r, x, y)
+                assert {k: type(c) for k, c in got.terms.items()} == \
+                    {k: type(c) for k, c in want.terms.items()}
+            for c in (0, 3, Fraction(-5, r.p)):
+                assert (a - c).terms == (a + (-r.rational(c))).terms
+    x = ring(3, 2).v_pow(1)
+    assert (x - x).terms == {} and x - 0 is x
+
+
+class Sub(Combination):
+    __slots__ = ()
+
+
+def test_unfiltered_combinations_match_the_filtered_route():
+    # -x, x.scale(s) for a nonzero s, zero(), x + y and x - y build their
+    # terms without `Combination.__init__`'s zero test: each equals the
+    # filtered build of the same coefficients, keeps the subclass and
+    # holds no zero coefficient.  y repeats some of x's terms, so sums and
+    # differences cancel
+    rng = random.Random(47)
+    for r in RINGS:
+        for _ in range(40):
+            x = Sub(r, {t: any_scalar(r, rng, 3) for t in rng.sample("abcdef", rng.randint(0, 5))})
+            y = Sub(r, {t: any_scalar(r, rng, 3) for t in rng.sample("abcdef", rng.randint(0, 5))})
+            y = y + Sub(r, {t: rng.choice([c, -c]) for t, c in x.terms.items() if rng.random() < 0.5})
+            s = any_scalar(r, rng) or r.one
+            both = set(x.terms) | set(y.terms)
+            cases = [
+                (-x, {t: -c for t, c in x.terms.items()}),
+                (Sub.zero(r), {}),
+                (x + y, {t: x.terms.get(t, r.zero) + y.terms.get(t, r.zero) for t in both}),
+                (x - y, {t: x.terms.get(t, r.zero) - y.terms.get(t, r.zero) for t in both}),
+                (x - y, (x + (-y)).terms),
+                (x - x, {}),
+            ]
+            cases += [(x.scale(f), {t: c * f for t, c in x.terms.items()})
+                      for f in (s, 0, r.zero, 3, Fraction(-1, 2))]
+            for got, coeffs in cases:
+                assert type(got) is Sub and got == Sub(r, coeffs), (r, x, y)
+                assert all(c.terms for c in got.terms.values())
