@@ -87,7 +87,6 @@ class ComplexCategory:
         self.ring = cat.quiver.scalar_ring()
         self._paths = self._enumerate_paths()
         self.projectives = [self._build_projective(i) for i in range(self.quiver.n)]
-        self._proj_dims = [pr.dim for pr in self.projectives]
         self._resolutions: dict[str, Complex] = {}
         # key -> (first complex with the key, H0 class, H1 class, M1+, M0-)
         self._registry: dict[str, tuple] = {}
@@ -147,20 +146,6 @@ class ComplexCategory:
                 out = self.cat.direct_sum(out, self.projectives[i])
         return out
 
-    def proj_rank_vector(self, dim):
-        """Multiplicities n_i with a projective of dimension vector dim
-        isomorphic to the sum of P_i^{n_i}."""
-        ranks, remaining = [0] * self.quiver.n, dim
-        for i in self.quiver.topo_order:
-            n = ranks[i] = remaining[i]
-            if n < 0:
-                raise QuiverError("representation is not projective")
-            if n:
-                remaining = [r - n * d for r, d in zip(remaining, self._proj_dims[i])]
-        if any(remaining):
-            raise QuiverError("representation is not projective")
-        return tuple(ranks)
-
     def _path_matrix(self, word, rep: Rep):
         if not word:
             raise ValueError("empty path has no single matrix")
@@ -194,10 +179,8 @@ class ComplexCategory:
                         aug[j][:, col] = vec
                 for j in range(q.n):
                     col_offsets[j] += len(self._paths[i][j])
-        for j in range(q.n):
-            if a.dim[j]:
-                assert fplin.rank(aug[j], self.p) == a.dim[j], "augmentation not onto"
         kers, frees = zip(*(fplin.nullspace_free(m, self.p) for m in aug))
+        assert [x - len(f) for x, f in zip(m0.dim, frees)] == list(a.dim), "augmentation not onto"
         sub = self.cat.sub_rep(m0, kers, frees)
         assert sub is not None, "subspace tuple is not stable"
         cx = Complex(sub, m0, [k.T for k in kers], mor_zero(m0, sub), self.p)
@@ -239,8 +222,10 @@ class ComplexCategory:
         The rows of d^T lie in ker d_back, and K is the identity on the free
         columns, so d^T[:, free] are those rows in ker d_back's coordinates:
         with R, pivots its rref, the homology is quotient_rep of ker d_back
-        on R, and im d is projective, with dimension vector the pivot
-        counts.  That is one elimination per differential per vertex.
+        on R.  im d is projective (a submodule of a projective over the
+        hereditary kQ) with dimension vector the pivot counts, so its rank
+        vector is the K(R) class of those counts: K(R) has the projective
+        basis.  That is one elimination per differential per vertex.
 
         Memoized at two levels.  The first is keyed on dst and the raw
         differentials, which catches the same differentials met again (a
@@ -273,7 +258,7 @@ class ComplexCategory:
             hom = cat.quotient_rep(ker_sub, ims, pivots)
             for m in hom.mats:
                 m.setflags(write=False)
-            ranks = self.proj_rank_vector([len(piv) for piv in pivots])
+            ranks = self.quiver.class_of_dimvec([len(piv) for piv in pivots])
             half = self._halves[memo] = (ranks, hom)
         self._raw_halves[raw] = half
         return half

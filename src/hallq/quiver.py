@@ -19,6 +19,7 @@ vectors is that form at their classes, memoized in the same dict.
 
 from __future__ import annotations
 
+import graphlib
 import hashlib
 import math
 from dataclasses import dataclass, field
@@ -75,7 +76,6 @@ class Quiver:
     # derived, filled in __post_init__
     index: dict = field(init=False, repr=False, compare=False)
     arrows: tuple = field(init=False, repr=False, compare=False)
-    topo_order: tuple = field(init=False, repr=False, compare=False)
     _simples: tuple = field(init=False, repr=False, compare=False)
     _hash: str = field(init=False, repr=False, compare=False)
     _sinv: list = field(init=False, repr=False, compare=False)
@@ -88,6 +88,8 @@ class Quiver:
             raise QuiverError(f"field size {self.p} is not prime")
         if len(set(self.vertices)) != len(self.vertices):
             raise QuiverError("duplicate vertex ids")
+        if len(self.loops) != len(self.vertices):
+            raise QuiverError("one loop count per vertex required")
         object.__setattr__(self, "index", {v: i for i, v in enumerate(self.vertices)})
         for c, v in zip(self.loops, self.vertices):
             if c < 0:
@@ -105,7 +107,7 @@ class Quiver:
             arrows.extend([(i, i)] * c)
         arrows.extend((self.index[t], self.index[h]) for t, h in self.edges)
         object.__setattr__(self, "arrows", tuple(arrows))
-        object.__setattr__(self, "topo_order", self._toposort())
+        self._check_acyclic()
         self._check_charges()
         object.__setattr__(self, "_simples", tuple(map(tuple, self._simple_matrix())))
         object.__setattr__(
@@ -123,26 +125,15 @@ class Quiver:
         object.__setattr__(self, "_gram_den", den)
         object.__setattr__(self, "_forms", {})
 
-    def _toposort(self):
-        n = len(self.vertices)
-        outs = {i: [] for i in range(n)}
-        indeg = [0] * n
+    def _check_acyclic(self):
+        """Condition A: the edges (loops stripped) have no oriented cycle."""
+        order = graphlib.TopologicalSorter()
         for t, h in self.edges:
-            outs[self.index[t]].append(self.index[h])
-            indeg[self.index[h]] += 1
-        ready = sorted(i for i in range(n) if indeg[i] == 0)
-        order = []
-        while ready:
-            i = ready.pop(0)
-            order.append(i)
-            for j in sorted(outs[i]):
-                indeg[j] -= 1
-                if indeg[j] == 0:
-                    ready.append(j)
-            ready.sort()
-        if len(order) != n:
-            raise ConditionAError("loop-stripped quiver has an oriented cycle")
-        return tuple(order)
+            order.add(h, t)
+        try:
+            order.prepare()
+        except graphlib.CycleError:
+            raise ConditionAError("loop-stripped quiver has an oriented cycle") from None
 
     def _check_charges(self):
         if len(self.charges) != len(self.vertices):
@@ -316,6 +307,8 @@ def parse_quiver(text: str) -> Quiver:
         kind, args = tokens[0], tokens[1:]
         try:
             if kind == "field":
+                if p is not None:
+                    raise ValueError("second 'field' line")
                 opts = _keyvals(args)
                 p = int(opts.pop("p"))
                 _reject_extra(opts)
@@ -354,6 +347,8 @@ def _keyvals(args):
         k, _, v = a.partition("=")
         if not _ or not k or not v:
             raise ValueError(f"expected key=value, got {a!r}")
+        if k in out:
+            raise ValueError(f"option {k!r} given twice")
         out[k] = v
     return out
 

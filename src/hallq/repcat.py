@@ -687,14 +687,11 @@ class RepCategory:
             pivots = fplin.rref(system.T, p)[1]
             free = [j for j in range(len(system)) if j not in pivots]
             assert len(free) == self.ext_dim(a.rep, b.rep), "hereditary identity broken"
-            # the code of the split middle term, and the place of each Z^1
-            # entry in a code: arrow by arrow, each matrix row by row
+            # the code of the split middle term B + A, and the place of each
+            # Z^1 entry in a code: arrow by arrow, each matrix row by row
             pows = p ** np.arange(sum(entry_counts), dtype=np.int64)
             codes, places, at = np.zeros(1, dtype=np.int64), [], 0
-            for k, (t, h) in enumerate(q.arrows):
-                m = np.zeros((d[h], d[t]), dtype=np.int64)
-                m[: b.dim[h], : b.dim[t]] = b.rep.mats[k]
-                m[b.dim[h] :, b.dim[t] :] = a.rep.mats[k]
+            for (t, h), m in zip(q.arrows, self.direct_sum(b.rep, a.rep).mats):
                 codes += m.ravel() @ pows[at : at + m.size]
                 places += [at + r * d[t] + b.dim[t] + s
                            for r in range(b.dim[h]) for s in range(a.dim[t])]

@@ -6,7 +6,7 @@ from itertools import product
 
 import numpy as np
 
-from hallq import EnumerationTooLarge, fplin
+from hallq import EnumerationTooLarge, QuiverError, fplin
 from hallq.cplx import Complex, LocElement, mor_zero
 from hallq.quiver import kv_add, kv_sub
 
@@ -384,3 +384,42 @@ def nullspace_by_entries(a, p):
         for ri, pc in enumerate(pivots):
             basis[bi, pc] = (-r[ri, j]) % p
     return basis
+
+
+def topo_order(vertices, edges):
+    """Kahn's sort of the vertex indices under the (tail, head) edges, least
+    ready index first, or None when the edges have an oriented cycle: the
+    order `Quiver` kept, and its Condition A check, before `graphlib`."""
+    n, index = len(vertices), {v: i for i, v in enumerate(vertices)}
+    outs = {i: [] for i in range(n)}
+    indeg = [0] * n
+    for t, h in edges:
+        outs[index[t]].append(index[h])
+        indeg[index[h]] += 1
+    ready = sorted(i for i in range(n) if indeg[i] == 0)
+    order = []
+    while ready:
+        i = ready.pop(0)
+        order.append(i)
+        for j in sorted(outs[i]):
+            indeg[j] -= 1
+            if indeg[j] == 0:
+                ready.append(j)
+        ready.sort()
+    return tuple(order) if len(order) == n else None
+
+
+def proj_rank_vector(cpx, dim):
+    """Multiplicities n_i with a projective of dimension vector dim
+    isomorphic to the sum of P_i^{n_i}, peeled off in `topo_order`: the
+    reading `class_of_dimvec` replaced in the oracle's split."""
+    ranks, remaining = [0] * cpx.quiver.n, dim
+    for i in topo_order(cpx.quiver.vertices, cpx.quiver.edges):
+        n = ranks[i] = remaining[i]
+        if n < 0:
+            raise QuiverError("representation is not projective")
+        if n:
+            remaining = [r - n * d for r, d in zip(remaining, cpx.projectives[i].dim)]
+    if any(remaining):
+        raise QuiverError("representation is not projective")
+    return tuple(ranks)

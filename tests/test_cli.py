@@ -526,6 +526,25 @@ def test_usage_exit_code(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("field p=2\nvertex 1 loops=0\nfield p=3\n", "line 3"),
+        ("field p=2\nvertex 1 loops=2 loops=0\n", "line 2"),
+        ("field p=2 p=3\nvertex 1 loops=0\n", "line 1"),
+    ],
+    ids=["second-field-line", "option-twice", "field-option-twice"],
+)
+def test_repeated_quiver_settings_are_usage_errors(capsys, tmp_path, text, line):
+    # a second value for a setting is refused, naming its line, rather
+    # than the last value winning
+    bad = tmp_path / "bad.quiver"
+    bad.write_text(text)
+    code, out, err = run(capsys, "classify", "--quiver", bad, "--dim", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and line in err
+
+
 @pytest.mark.parametrize("name", ["missing/cache.jsonl", ""], ids=["no-parent", "a-dir"])
 def test_unusable_cache_path_is_usage_error(capsys, tmp_path, name):
     # a path under a missing directory, and a directory, fail before any work

@@ -34,6 +34,35 @@ def test_memo_inventory(kronecker):
     assert [n for names in dicts.values() for n in names if f"`{n}`" not in memos] == []
 
 
+def test_imports_are_the_standard_library_and_numpy():
+    # pyproject.toml lists numpy as the one dependency, and fplin alone
+    # loads it, lazily, for the other modules to share.  found: top-level
+    # module -> the modules of the package that import it, by an import
+    # statement or by `_lazy_import("name")`; imports within the package
+    # are left out
+    import ast
+    import sys
+
+    found = {}
+    for path in pathlib.Path(hallq.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            elif (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_lazy_import"
+                  and isinstance(node.args[0], ast.Constant)):
+                names = [node.args[0].value]
+            else:
+                continue
+            for name in names:
+                found.setdefault(name.partition(".")[0], set()).add(path.stem)
+    # one name from each kind of import the walk reads
+    assert {"graphlib", "fractions", "numpy"} <= found.keys()
+    assert sorted(found.keys() - sys.stdlib_module_names) == ["numpy"]
+    assert found["numpy"] == {"fplin"}
+
+
 # one session up to total dimension 2: cache file argv[1], quiver file argv[2]
 SESSION = """
 import json, sys, types

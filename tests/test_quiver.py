@@ -2,6 +2,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hallq import (
     ChargeError,
@@ -13,7 +15,7 @@ from hallq import (
 from hallq.quiver import Quiver
 
 from .conftest import DATA, load
-from .reference import euler_dimvec, gram_num
+from .reference import euler_dimvec, gram_num, topo_order
 
 
 def test_parse_two_loop_vertex():
@@ -31,6 +33,43 @@ def test_single_loop_rejected():
 def test_two_cycle_rejected():
     with pytest.raises(ConditionAError):
         parse_quiver("field p=2\nvertex a loops=0\nvertex b loops=0\nedge a b\nedge b a\n")
+
+
+@st.composite
+def loop_stripped_quivers(draw):
+    """(vertices, loops, edges) on at most 4 vertices: loop counts 0 or 2
+    and up to 8 edges between distinct vertices, repeats allowed."""
+    n = draw(st.integers(1, 4))
+    vertices = tuple(map(str, range(n)))
+    loops = tuple(draw(st.lists(st.sampled_from([0, 2]), min_size=n, max_size=n)))
+    pairs = st.tuples(st.sampled_from(vertices), st.sampled_from(vertices))
+    distinct = pairs.filter(lambda e: e[0] != e[1])
+    edges = tuple(draw(st.lists(distinct, max_size=8 if n > 1 else 0)))
+    return vertices, loops, edges
+
+
+@given(loop_stripped_quivers())
+def test_condition_a_is_the_reference_kahn_check(case):
+    # Quiver refuses exactly the edge sets in which Kahn's sort finds a cycle
+    vertices, loops, edges = case
+
+    def make():
+        return Quiver(p=2, vertices=vertices, loops=loops, edges=edges,
+                      charges=(1,) * len(vertices))
+
+    if topo_order(vertices, edges) is None:
+        with pytest.raises(ConditionAError, match="oriented cycle"):
+            make()
+    else:
+        assert make().edges == edges
+
+
+@pytest.mark.parametrize("loops", [(0,), (0, 0, 0)], ids=["short", "long"])
+def test_one_loop_count_per_vertex(loops):
+    # a loops tuple of the wrong length is refused when the quiver is built,
+    # not later by an IndexError in the forms or the simples
+    with pytest.raises(QuiverError, match="one loop count per vertex"):
+        Quiver(p=2, vertices=("1", "2"), loops=loops, edges=(("1", "2"),), charges=(1, 1))
 
 
 def test_malformed_lines():
