@@ -186,7 +186,7 @@ _TOKEN = re.compile(
 
 
 def parse_expr(dh: DHAlgebra, text: str):
-    """EXPR := term (('+'|'-') term)*; a term is juxtaposed factors.
+    """EXPR := ['+'|'-'] term (('+'|'-') term)*; a term is juxtaposed factors.
 
     Factors: E[key], F[key], K(a1,...), Kd(a1,...), rational or v-power
     scalar literals.  The empty expression is the unit.
@@ -196,7 +196,7 @@ def parse_expr(dh: DHAlgebra, text: str):
     result = dh.zero()
     term = dh.one()
     sign = 1
-    saw_factor = False
+    saw_factor = saw_sign = False
     pos = 0
     while pos < len(text):
         m = _TOKEN.match(text, pos)
@@ -206,15 +206,17 @@ def parse_expr(dh: DHAlgebra, text: str):
             break
         pos = m.end()
         if m.group("plus") or m.group("minus"):
+            if saw_sign:
+                raise ExprError(f"sign directly after another sign in {text!r}")
             if saw_factor:
                 result = result + term.scale(sign)
             term = dh.one()
-            saw_factor = False
+            saw_factor, saw_sign = False, True
             sign = -1 if m.group("minus") else 1
             continue
         if m.group("star"):
             continue
-        saw_factor = True
+        saw_factor, saw_sign = True, False
         if m.group("gen"):
             kind = m.group("gen")
             if kind in ("E", "F"):
@@ -225,10 +227,11 @@ def parse_expr(dh: DHAlgebra, text: str):
             else:
                 if m.group("vec") is None:
                     raise ExprError(f"{kind} needs a coordinate vector in parentheses")
+                parts = m.group("vec").split(",")
+                if any(not x.strip() for x in parts):
+                    raise ExprError(f"{kind}({m.group('vec')}) has an empty coordinate")
                 try:
-                    coords = tuple(
-                        int(x) for x in m.group("vec").split(",") if x.strip() != ""
-                    )
+                    coords = tuple(map(int, parts))
                 except ValueError:
                     raise ExprError(f"{kind} coordinates must be integers") from None
                 if len(coords) != dh.quiver.n:
@@ -246,6 +249,8 @@ def parse_expr(dh: DHAlgebra, text: str):
             except ValueError as exc:
                 raise ExprError(f"bad scalar {lit!r}: {exc}") from None
             term = term.scale(scal)
+    if saw_sign:
+        raise ExprError("sign with no term after it")
     if saw_factor:
         result = result + term.scale(sign)
     return result

@@ -11,8 +11,8 @@ rewritten into this basis by the rule system
     (R2) K_a past E_A costs v^((a,A)), Kd_b past E_A costs v^(-(b,A));
          mirrored signs on F;
     (R3) E_A o E_B = v^(<A,B>) sum_C |Ext(A,B)_C|/|Hom(A,B)| E_C,
-         the constants read from `RepCategory.middle_terms`, and the
-         dagger image of this for F o F;
+         the twisted constants read as they are from
+         `RepCategory.middle_terms`, and the dagger image of this for F o F;
     (R4) F_B o E_A = sum v^(<A2, B-A>) g^A_{A1,A2} g^B_{A2,B1} a_{A2}
                           K_{A2} o E(A1,B1);
     (R5) E(A,B) = E_A o F_B
@@ -49,7 +49,6 @@ class DHAlgebra:
         self.quiver = cat.quiver
         self.ring = cat.quiver.scalar_ring()
         self._eab: dict[tuple, DHElement] = {}
-        self._ee: dict[tuple, list] = {}
         self._mono: dict[tuple, DHElement] = {}
         self._zero_key = cat.zero_class().key
 
@@ -118,8 +117,8 @@ class DHAlgebra:
         out = self.zero()
         for (a, al, b, be), c in x.terms.items():
             tw = self._v_sym(be, self._kcls(fkey))
-            for dkey, coeff in self._ee_coeffs(b, fkey):
-                out.add_term((a, al, dkey, be), c * tw * coeff)
+            for d, coeff in self._ee_coeffs(b, fkey):
+                out.add_term((a, al, d.key, be), c * tw * coeff)
         return out
 
     def times_e(self, x: DHElement, ekey: str) -> DHElement:
@@ -134,27 +133,17 @@ class DHAlgebra:
             for (a2, al2, b2, be2), c2 in self._fe_expand(b, ekey).terms.items():
                 c_mid = c * tw * c2 * self._v_sym(al, self._kcls(a2))
                 alpha, beta = kv_add(al, al2), kv_add(be2, be)
-                for ckey, coeff in self._ee_coeffs(a, a2):
-                    out.add_term((ckey, alpha, b2, beta), c_mid * coeff)
+                for cls, coeff in self._ee_coeffs(a, a2):
+                    out.add_term((cls.key, alpha, b2, beta), c_mid * coeff)
         return out
 
     # ------------------------------------------------------------------
     # structure constants
 
     def _ee_coeffs(self, akey: str, bkey: str):
-        """E_A o E_B = sum coeff E_C; returns [(C key, Scalar coeff)].
-
-        Memoized per key pair: the list, twist included, is shared and
-        callers only read it.
-        """
-        memo = (akey, bkey)
-        out = self._ee.get(memo)
-        if out is None:
-            a, b = self._cls(akey), self._cls(bkey)
-            tw = self.ring.v_pow(self.quiver.euler_dimvec(a.dim, b.dim))
-            out = self._ee[memo] = [(c.key, tw * coeff)
-                                    for c, coeff in self.cat.middle_terms(a, b)]
-        return out
+        """E_A o E_B = sum coeff E_C (rule R3); returns [(C, Scalar coeff)],
+        the shared `middle_terms` list, which callers only read."""
+        return self.cat.middle_terms(self._cls(akey), self._cls(bkey))
 
     def _fe_expand(self, bkey: str, akey: str) -> DHElement:
         """Normal form of F_B o E_A (rule R4, then the E(A1,B1) table).

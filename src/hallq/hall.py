@@ -6,12 +6,13 @@ Elements are linear combinations of terms (class key, alpha) standing for
     (<A> K_a) * (<B> K_b)
       = v^(<A,B> + (a,B)) sum_C  |Ext(A,B)_C| / |Hom(A,B)|  <C> K_{a+b},
 
-whose untwisted constants come from `RepCategory.middle_terms`; the
-coproduct is the Green/Xiao one, and the Hopf pairing is diagonal on
-the class basis.  The double-compatibility check at the bottom reads both
-sides of the reduced Drinfeld identity from `DHAlgebra._join`, the
-subobject-table join of rules R4 and R5, and the right side's words from
-rules R2 and R4 of `dh`, with no general product.
+whose constants, v^<A,B> included, come from `RepCategory.middle_terms`,
+so that the product applies only v^((a,B)); the coproduct is the
+Green/Xiao one, and the Hopf pairing is diagonal on the class basis.
+The double-compatibility check at the bottom reads both sides of the
+reduced Drinfeld identity from `DHAlgebra._join`, the subobject-table join
+of rules R4 and R5, and the right side's words from rules R2 and R4 of
+`dh`, with no general product.
 """
 
 from __future__ import annotations
@@ -57,11 +58,7 @@ class HallAlgebra:
             a = self._cls(ka)
             for (kb, beta), cb in y.terms.items():
                 b = self._cls(kb)
-                twist = self.ring.v_pow(
-                    self.quiver.euler_dimvec(a.dim, b.dim)
-                    + self.quiver.sym_form(alpha, b.kclass)
-                )
-                c0 = ca * cb * twist
+                c0 = ca * cb * self.ring.v_pow(self.quiver.sym_form(alpha, b.kclass))
                 gamma = kv_add(alpha, beta)
                 for c, coeff in self.cat.middle_terms(a, b):
                     out.add_term((c.key, gamma), c0 * coeff)

@@ -82,6 +82,7 @@ class Quiver:
     _gram: tuple = field(init=False, repr=False, compare=False)
     _gram_den: int = field(init=False, repr=False, compare=False)
     _forms: dict = field(init=False, repr=False, compare=False)
+    _ring: ScalarRing = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.p < 2 or any(self.p % k == 0 for k in range(2, math.isqrt(self.p) + 1)):
@@ -124,6 +125,7 @@ class Quiver:
         object.__setattr__(self, "_gram", gram)
         object.__setattr__(self, "_gram_den", den)
         object.__setattr__(self, "_forms", {})
+        object.__setattr__(self, "_ring", ScalarRing(self.p, self.scalar_denominator))
 
     def _check_acyclic(self):
         """Condition A: the edges (loops stripped) have no oriented cycle."""
@@ -269,7 +271,9 @@ class Quiver:
         return 2 * abs(det)
 
     def scalar_ring(self) -> ScalarRing:
-        return ScalarRing(self.p, self.scalar_denominator)
+        """The one ring of this quiver's coefficients, shared by every
+        context built on it, so that no Scalar crosses ring objects."""
+        return self._ring
 
     # ------------------------------------------------------------------
     # serialization

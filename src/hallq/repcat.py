@@ -227,6 +227,7 @@ class RepCategory:
     def __init__(self, quiver: Quiver, bounds: Bounds | None = None, store=None):
         self.quiver = quiver
         self.p = quiver.p
+        self.ring = quiver.scalar_ring()
         self.bounds = bounds or Bounds()
         if self.p > self.bounds.max_p:
             raise EnumerationTooLarge(f"p={self.p} exceeds bound {self.bounds.max_p}")
@@ -660,21 +661,21 @@ class RepCategory:
         return self.subquot_table(c).get((a.key, b.key), 0)
 
     def middle_terms(self, a: IsoClass, b: IsoClass) -> list:
-        """The E_A E_B structure constants, without the v-twist: [(C, coeff)].
+        """The E_A E_B structure constants, with the v-twist: [(C, coeff)].
 
-        coeff = |Ext^1(A,B)_C| / |Hom(A,B)| (Riedtmann), a Fraction, for
-        each class C of the middle terms of extensions 0 -> B -> C -> A -> 0,
-        sorted as `classify` sorts.  kQ is hereditary, so Ext^1(A,B) is
-        Z^1 / B^1 for the map `_coboundary(A, B)`: its classes are the
-        cocycles eta on the unit vectors off the pivots of B^1's echelon
-        basis, and hom = unknowns - rank.  The nullspace of the same
-        coboundary is stored as `hom_rows(A, B)`, which the hereditary check
-        reads.  The middle terms [[B_e, eta_e], [0, A_e]] are coded as
+        coeff = v^<A,B> |Ext^1(A,B)_C| / |Hom(A,B)| (Riedtmann), a Scalar of
+        the quiver's ring, for each class C of the middle terms of extensions
+        0 -> B -> C -> A -> 0, sorted as `classify` sorts.  kQ is hereditary,
+        so Ext^1(A,B) is Z^1 / B^1 for the map `_coboundary(A, B)`: its
+        classes are the cocycles eta on the unit vectors off the pivots of
+        B^1's echelon basis, and hom = unknowns - rank.  The nullspace of the
+        same coboundary is stored as `hom_rows(A, B)`, which the hereditary
+        check reads.  The middle terms [[B_e, eta_e], [0, A_e]] are coded as
         `_orbit` codes them and counted one orbit per class, as `classify`
-        scans.  The bounds `classify(dim A + dim B)` checks come first, in
-        its order; no subobject table or cache record is read.  Memoized per
+        scans.  The bounds `classify(dim A + dim B)` checks come first, in its
+        order; no subobject table or cache record is read.  Memoized per
         (A, B), so the list is shared and callers only read it; the algebras
-        that call this apply their own twists.
+        apply only their K-twists on top.
         """
         memo = (a.key, b.key)
         if memo not in self._middle:
@@ -710,7 +711,8 @@ class RepCategory:
                     seen[hit] = True
                     counts[c] = len(hit)
             hom = system.shape[1] - len(pivots)
-            self._middle[memo] = [(c, Fraction(counts[c], p**hom))
+            tw = self.ring.v_pow(q.euler_dimvec(a.dim, b.dim))
+            self._middle[memo] = [(c, tw * Fraction(counts[c], p**hom))
                                   for c in sorted(counts, key=_sort_key)]
         return self._middle[memo]
 

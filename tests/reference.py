@@ -102,13 +102,14 @@ def ext_count_with_middle(cat, a, b, c):
 def subobject_middle_terms(cat, a, b):
     """`RepCategory.middle_terms(a, b)` read off subobject tables: every
     class C of dimension dim a + dim b with g^C_{a,b} != 0, with coefficient
-    g^C_{a,b} a_a a_b / a_C, in `classify` order."""
+    v^<a,b> g^C_{a,b} a_a a_b / a_C, in `classify` order."""
     dim_c = tuple(x + y for x, y in zip(a.dim, b.dim))
+    twist = cat.ring.v_pow(cat.quiver.euler_dimvec(a.dim, b.dim))
     out = []
     for c in cat.classify(dim_c):
         g = cat.hall_number(a, b, c)
         if g:
-            out.append((c, Fraction(g * a.aut_order * b.aut_order, c.aut_order)))
+            out.append((c, twist * Fraction(g * a.aut_order * b.aut_order, c.aut_order)))
     return out
 
 

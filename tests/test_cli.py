@@ -9,6 +9,7 @@ import pytest
 import hallq.cli
 from hallq.cli import main
 from hallq.dh import DHAlgebra
+from hallq.repcat import RepCategory
 from hallq.uq import RelationVerifier
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -40,6 +41,10 @@ def test_classify_a2_and_zero(capsys):
         ("classify", "--dim", "1"),
         ("classify", "--dim", "1,-1"),
         ("product", "--expr", "K(1,x)"),
+        ("product", "--expr", "K(1,,0)"),
+        ("product", "--expr", "K(,1,0)"),
+        ("product", "--expr", "K(1,0,)"),
+        ("product", "--expr", "Kd( ,0)"),
         ("product", "--expr", "2/0"),
         ("product", "--expr", "v^(1/3)"),
     ],
@@ -156,6 +161,25 @@ def test_product_parse_error(capsys):
         capsys, "product", "--quiver", DATA / "a1.quiver", "--expr", "E[1|] %"
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("expr", ["E[1|] - - F[1|]", "E[1|] + - F[1|]", "- + E[1|]"])
+def test_product_sign_after_sign_is_usage_error(capsys, expr):
+    code, _, err = run(capsys, "product", "--quiver", DATA / "a1.quiver", "--expr", expr)
+    assert code == 2 and "sign directly after another sign" in err
+
+
+@pytest.mark.parametrize("expr", ["E[1|] +", "E[1|] - ", "+", "-"])
+def test_product_sign_without_term_is_usage_error(capsys, expr):
+    code, _, err = run(capsys, "product", "--quiver", DATA / "a1.quiver", "--expr", expr)
+    assert code == 2 and "sign with no term after it" in err
+
+
+def test_product_leading_sign_stays_legal(capsys):
+    code, out, _ = run(capsys, "product", "--quiver", DATA / "a1.quiver",
+                       "--expr", "- E[1|] + K( 1 )")
+    assert code == 0
+    assert out.strip() == "(1)*K(1) + (-1)*E[1|]"
 
 
 def test_bad_class_key(capsys):
@@ -293,9 +317,9 @@ ASSOC_DIGESTS = {
 
 @pytest.mark.parametrize("quiver", sorted(ASSOC_DIGESTS))
 def test_verify_assoc_json_is_pinned(capsys, monkeypatch, quiver):
-    # and every memoized monomial product and E·E coefficient list the suite
-    # leaves behind equals the one a fresh algebra computes: no caller
-    # mutated a shared value
+    # and every memoized monomial product the suite leaves behind equals the
+    # one a fresh algebra computes, and every E·E coefficient list the one a
+    # fresh category computes: no caller mutated a shared value
     made = []
 
     class Recording(hallq.cli.DHAlgebra):
@@ -314,9 +338,12 @@ def test_verify_assoc_json_is_pinned(capsys, monkeypatch, quiver):
     assert dh._mono
     for (m1, m2), value in dh._mono.items():
         assert fresh.mono_product(m1, m2) == value, (m1, m2)
-    assert dh._ee
-    for (akey, bkey), value in dh._ee.items():
-        assert fresh._ee_coeffs(akey, bkey) == value, (akey, bkey)
+    cat = dh.cat
+    fresh_cat = RepCategory(cat.quiver, bounds=cat.bounds)
+    assert cat._middle
+    for (akey, bkey), value in cat._middle.items():
+        a, b = fresh_cat.class_by_key(akey), fresh_cat.class_by_key(bkey)
+        assert fresh_cat.middle_terms(a, b) == value, (akey, bkey)
 
 
 # sha256 of `verify --suite relations --json` as the relation families

@@ -1,9 +1,14 @@
+import ast
 import pathlib
 
 import hallq
-from hallq import ComplexCategory, DHAlgebra, RepCategory
+from hallq import ComplexCategory, DHAlgebra, HallAlgebra, RepCategory
+from hallq.cli import main
+from hallq.scalar import Scalar
+from hallq.uq import GeneratorTable
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def test_all_exports_resolve():
@@ -24,7 +29,7 @@ def test_memo_inventory(kronecker):
     assert dicts == {
         "RepCategory": ["_class", "_classify", "_gl", "_hom_rows", "_key_heads", "_middle",
                         "_stacks", "_subquot", "_sums"],
-        "DHAlgebra": ["_eab", "_ee", "_mono"],
+        "DHAlgebra": ["_eab", "_mono"],
         "ComplexCategory": ["_auts", "_halves", "_monomials", "_product_cache", "_raw_halves",
                             "_registry", "_resolutions"],
         "Quiver": ["_forms", "index"],
@@ -34,13 +39,50 @@ def test_memo_inventory(kronecker):
     assert [n for names in dicts.values() for n in names if f"`{n}`" not in memos] == []
 
 
+def test_every_context_holds_the_quivers_one_ring(kronecker):
+    quiver = kronecker.quiver
+    cat = RepCategory(quiver)
+    dh = DHAlgebra(cat)
+    contexts = [cat, dh, HallAlgebra(cat), ComplexCategory(cat), GeneratorTable(cat, dh)]
+    assert [type(obj).__name__ for obj in contexts if obj.ring is not quiver.scalar_ring()] == []
+
+
+def test_a_verify_pass_mixes_no_rings(capsys, monkeypatch):
+    # the Kronecker pass of the verify-kronecker benchmark (every suite, as
+    # the CLI builds its contexts, at the default seed 20259) hands no
+    # Scalar of another ring object to `Scalar._coerce`
+    crossed = []
+    coerce = Scalar._coerce
+
+    def counting(self, other):
+        if type(other) is Scalar and other.ring is not self.ring:
+            crossed.append(other)
+        return coerce(self, other)
+
+    monkeypatch.setattr(Scalar, "_coerce", counting)
+    code = main(["verify", "--quiver", str(DATA / "kronecker.quiver"), "--suite", "all",
+                 "--max-dim", "2", "--max-total-dim", "4", "--seed", "20259", "--json"])
+    assert code == 0 and capsys.readouterr().out
+    assert len(crossed) == 0
+
+
+def test_only_the_quiver_builds_a_scalar_ring():
+    # every context reads its ring from `Quiver.scalar_ring`; a private
+    # ScalarRing would bring back cross-ring coercions
+    calls = {}
+    for path in pathlib.Path(hallq.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "ScalarRing":
+                calls[path.name] = calls.get(path.name, 0) + 1
+    assert calls == {"quiver.py": 1}
+
+
 def test_imports_are_the_standard_library_and_numpy():
     # pyproject.toml lists numpy as the one dependency, and fplin alone
     # loads it, lazily, for the other modules to share.  found: top-level
     # module -> the modules of the package that import it, by an import
     # statement or by `_lazy_import("name")`; imports within the package
     # are left out
-    import ast
     import sys
 
     found = {}

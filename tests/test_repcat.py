@@ -5,6 +5,7 @@ import random
 import re
 import sys
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -217,7 +218,8 @@ def test_total_count_identity(a2, l2):
     # sum over middles of |Ext(A,B)_C| recovers |Ext(A,B)| = q^(hom - euler);
     # nonzero pairs up to total dimension 3 (the zero-class cases are a
     # one-term tautology and get a spot check).  middle_terms lists exactly
-    # the middles with a nonzero count, each as |Ext(A,B)_C| / |Hom(A,B)|.
+    # the middles with a nonzero count, each as
+    # v^<A,B> |Ext(A,B)_C| / |Hom(A,B)|.
     for cat in (a2, l2):
         for da in range(1, 3):
             for db in range(1, 4 - da):
@@ -234,8 +236,9 @@ def test_total_count_identity(a2, l2):
                             k for k, n in counts.items() if n
                         ]
                         hom = cat.hom_count(a.rep, b.rep)
+                        twist = cat.ring.v_pow(cat.quiver.euler_dimvec(a.dim, b.dim))
                         for c, coeff in middles:
-                            assert coeff * hom == counts[c.key]
+                            assert coeff == twist * Fraction(counts[c.key], hom)
         zero = cat.zero_class()
         b = cat.classes_with_total_dim(2)[0]
         assert ext_count_with_middle(cat, zero, b, b) == 1
