@@ -179,81 +179,73 @@ class ExprError(ValueError):
 
 
 _TOKEN = re.compile(
-    r"\s*(?:(?P<plus>\+)|(?P<minus>-)|(?P<gen>E|F|Kd|K)\s*(?:\[(?P<cls>[^\]]*)\]|"
+    r"\s*(?:(?P<sign>[+-])|(?P<gen>E|F|Kd|K)\s*(?:\[(?P<cls>[^\]]*)\]|"
     r"\((?P<vec>[^)]*)\))|(?P<scal>(?:\d+(?:/\d+)?\*?)?v(?:\^\(?-?\d+(?:/\d+)?\)?)?|"
     r"\d+(?:/\d+)?)|(?P<star>\*))"
 )
 
 
 def parse_expr(dh: DHAlgebra, text: str):
-    """EXPR := ['+'|'-'] term (('+'|'-') term)*; a term is juxtaposed factors.
+    """EXPR := [sign] term (sign term)*, term := factor (['*'] factor)*.
 
-    Factors: E[key], F[key], K(a1,...), Kd(a1,...), rational or v-power
-    scalar literals.  The empty expression is the unit.
+    A sign is '+' or '-'; factors are E[key], F[key], K(a1,...),
+    Kd(a1,...) and rational or v-power scalar literals.  The empty
+    expression is the unit.  The whole text is tokenized, checked against
+    the grammar and made into factors before the first product.
     """
-    if not text.strip():
-        return dh.one()
-    result = dh.zero()
-    term = dh.one()
-    sign = 1
-    saw_factor = saw_sign = False
-    pos = 0
-    while pos < len(text):
+    tokens, pos = [], 0
+    while text[pos:].strip():
         m = _TOKEN.match(text, pos)
         if not m:
-            if text[pos:].strip():
-                raise ExprError(f"cannot parse expression at {text[pos:]!r}")
-            break
+            raise ExprError(f"cannot parse expression at {text[pos:]!r}")
+        tokens.append(m)
         pos = m.end()
-        if m.group("plus") or m.group("minus"):
-            if saw_sign:
-                raise ExprError(f"sign directly after another sign in {text!r}")
-            if saw_factor:
-                result = result + term.scale(sign)
-            term = dh.one()
-            saw_factor, saw_sign = False, True
-            sign = -1 if m.group("minus") else 1
-            continue
-        if m.group("star"):
-            continue
-        saw_factor, saw_sign = True, False
-        if m.group("gen"):
-            kind = m.group("gen")
-            if kind in ("E", "F"):
-                if m.group("cls") is None:
-                    raise ExprError(f"{kind} needs a class key in brackets")
-                cls = dh.cat.class_by_key(m.group("cls").strip())
-                factor = dh.e_elem(cls.key) if kind == "E" else dh.f_elem(cls.key)
-            else:
-                if m.group("vec") is None:
-                    raise ExprError(f"{kind} needs a coordinate vector in parentheses")
-                parts = m.group("vec").split(",")
-                if any(not x.strip() for x in parts):
-                    raise ExprError(f"{kind}({m.group('vec')}) has an empty coordinate")
-                try:
-                    coords = tuple(map(int, parts))
-                except ValueError:
-                    raise ExprError(f"{kind} coordinates must be integers") from None
-                if len(coords) != dh.quiver.n:
-                    raise ExprError(
-                        f"{kind} vector needs {dh.quiver.n} coordinates"
-                    )
-                factor = dh.k_elem(coords) if kind == "K" else dh.kd_elem(coords)
-            term = dh.product(term, factor)
-        else:
-            lit = m.group("scal")
-            try:
-                scal = parse_scalar(dh.ring, lit)
-            except ZeroDivisionError:
-                raise ExprError(f"scalar {lit!r} divides by zero") from None
-            except ValueError as exc:
-                raise ExprError(f"bad scalar {lit!r}: {exc}") from None
-            term = term.scale(scal)
-    if saw_sign:
-        raise ExprError("sign with no term after it")
-    if saw_factor:
-        result = result + term.scale(sign)
-    return result
+    if not tokens:
+        return dh.one()
+    kinds = [m.lastgroup if m.lastgroup in ("sign", "star") else "factor" for m in tokens]
+    for prev, kind in zip(["start", *kinds], [*kinds, "end"]):
+        if prev == "sign" and kind == "sign":
+            raise ExprError(f"sign directly after another sign in {text!r}")
+        if prev == "sign" and kind == "end":
+            raise ExprError("sign with no term after it")
+        if "star" in (prev, kind) and "factor" not in (prev, kind):
+            raise ExprError(f"'*' not between two factors in {text!r}")
+    terms = [[1]]  # each term: its sign, then its factors
+    for m, kind in zip(tokens, kinds):
+        if kind == "sign":
+            terms.append([-1 if m.group("sign") == "-" else 1])
+        elif kind == "factor":
+            terms[-1].append(_factor(dh, m))
+    return sum((dh.product_all(fs).scale(sign) for sign, *fs in terms if fs), dh.zero())
+
+
+def _factor(dh: DHAlgebra, m):
+    """The element of one factor token."""
+    kind = m.group("gen")
+    if kind in ("E", "F"):
+        if m.group("cls") is None:
+            raise ExprError(f"{kind} needs a class key in brackets")
+        cls = dh.cat.class_by_key(m.group("cls").strip())
+        return dh.e_elem(cls.key) if kind == "E" else dh.f_elem(cls.key)
+    if kind:
+        if m.group("vec") is None:
+            raise ExprError(f"{kind} needs a coordinate vector in parentheses")
+        parts = m.group("vec").split(",")
+        if any(not x.strip() for x in parts):
+            raise ExprError(f"{kind}({m.group('vec')}) has an empty coordinate")
+        try:
+            coords = tuple(map(int, parts))
+        except ValueError:
+            raise ExprError(f"{kind} coordinates must be integers") from None
+        if len(coords) != dh.quiver.n:
+            raise ExprError(f"{kind} vector needs {dh.quiver.n} coordinates")
+        return dh.k_elem(coords) if kind == "K" else dh.kd_elem(coords)
+    try:
+        return dh.one().scale(parse_scalar(dh.ring, m.group("scal")))
+    except ZeroDivisionError:
+        raise ExprError(f"scalar {m.group('scal')!r} divides by zero") from None
+    except ValueError as exc:
+        raise ExprError(f"bad scalar {m.group('scal')!r}: {exc}") from None
 
 
 def cmd_product(args) -> int:

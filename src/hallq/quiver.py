@@ -328,8 +328,6 @@ def parse_quiver(text: str) -> Quiver:
                 edges.append((tail, head))
             else:
                 raise ValueError(f"unknown directive {kind!r}")
-        except QuiverError:
-            raise
         except Exception as exc:
             raise QuiverError(f"line {lineno}: malformed ({exc})") from exc
     if p is None:

@@ -228,6 +228,9 @@ class Scalar:
         return isinstance(other, Scalar) and self.ring == other.ring and self.terms == other.terms
 
     def __hash__(self):
+        # a rational Scalar hashes as its value, since it equals that int or Fraction
+        if self.terms.keys() <= {0}:
+            return hash(self.terms.get(0, 0))
         return hash((self.ring.p, self.ring.n_denom, tuple(sorted(self.terms.items()))))
 
     def __bool__(self):

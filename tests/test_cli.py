@@ -182,6 +182,52 @@ def test_product_leading_sign_stays_legal(capsys):
     assert out.strip() == "(1)*K(1) + (-1)*E[1|]"
 
 
+@pytest.mark.parametrize(
+    "quiver, expr, fragment",
+    [
+        ("a2", "E(1,0)", "E needs a class key in brackets"),
+        ("a2", "K[1,0|]", "K needs a coordinate vector in parentheses"),
+        ("a2", "K(1)", "K vector needs 2 coordinates"),
+        ("kronecker", "E[2,1|01;00]", "is not a canonical class key (use 2,1|10;00)"),
+        ("l2m2", "E[1|0;0] * * E[1|0;0]", "'*' not between two factors"),
+        ("l2m2", "E[1|0;0] *", "'*' not between two factors"),
+        ("l2m2", "* E[1|0;0]", "'*' not between two factors"),
+        ("l2m2", "E[1|0;0] * - E[1|0;0]", "'*' not between two factors"),
+    ],
+    ids=["E-in-parentheses", "K-in-brackets", "K-too-short", "key-not-canonical",
+         "star-star", "star-at-end", "star-at-start", "star-before-sign"],
+)
+def test_product_refusals_are_usage_errors(capsys, quiver, expr, fragment):
+    code, out, err = run(capsys, "product", "--quiver", DATA / f"{quiver}.quiver",
+                         f"--expr={expr}")
+    assert code == 2 and out == "" and fragment in err
+
+
+@pytest.mark.parametrize("expr", ["E[1|0;0] %", "E[1|0;0] *"])
+def test_product_reads_no_class_before_the_grammar_holds(capsys, monkeypatch, expr):
+    calls = []
+    real = RepCategory.class_by_key
+    monkeypatch.setattr(RepCategory, "class_by_key",
+                        lambda self, key: calls.append(key) or real(self, key))
+    code, _, _ = run(capsys, "product", "--quiver", DATA / "l2m2.quiver", "--expr", expr)
+    assert code == 2 and calls == []
+
+
+@pytest.mark.parametrize(
+    "tail, fragment",
+    [("%", "cannot parse expression at"), ("*", "'*' not between two factors"),
+     ("K(1,0)", "K vector needs 1 coordinates"), ("+ F[1|0]", "malformed class key"),
+     ("- 2/0", "divides by zero")],
+)
+def test_product_usage_error_is_not_hidden_by_a_bound(capsys, tail, fragment):
+    # E[1|0;0] E[1|0;0] alone exceeds the bound (exit 3); the error after it
+    # is found first, since the whole expression is read, and every factor
+    # made, before any product
+    code, _, err = run(capsys, "product", "--quiver", DATA / "l2m2.quiver",
+                       "--max-total-dim", "1", "--expr", f"E[1|0;0] E[1|0;0] {tail}")
+    assert code == 2 and fragment in err
+
+
 def test_bad_class_key(capsys):
     code, _, err = run(
         capsys, "product", "--quiver", DATA / "a1.quiver", "--expr", "E[2|0]"

@@ -85,6 +85,32 @@ def test_malformed_lines():
             parse_quiver(f"field p={p}\nvertex 1 loops=0\n")
 
 
+@pytest.mark.parametrize(
+    "text, error, fragment",
+    [
+        ("vertex 1 loops=0\nvertex 1 loops=0\n", QuiverError, "duplicate vertex ids"),
+        ("vertex 1 loops=-2\n", QuiverError, "negative loop count at 1"),
+        ("vertex 1 loops=0\nedge 1 2\n", QuiverError, "edge 1->2 uses unknown vertex"),
+        ("vertex 1 loops=0\nedge 1 1\n", QuiverError, "loops must be declared via loops="),
+        ("vertex 1 loops=2 charge=0\n", ChargeError, "charge at 1 must be positive"),
+        ("", QuiverError, "quiver has no vertices"),
+        ("vertex 1 loops\n", QuiverError, "line 2: malformed (expected key=value"),
+        ("vertex 1 colour=red\n", QuiverError, "line 2: malformed (unknown options ['colour'])"),
+    ],
+    ids=["vertex-twice", "negative-loops", "unknown-vertex", "edge-loop", "charge-zero",
+         "no-vertex", "option-without-value", "unknown-option"],
+)
+def test_quiver_file_refusals(text, error, fragment):
+    with pytest.raises(error) as exc:
+        parse_quiver("field p=2\n" + text)
+    assert fragment in str(exc.value)
+
+
+def test_one_charge_per_vertex():
+    with pytest.raises(ChargeError, match="one charge per vertex"):
+        Quiver(p=2, vertices=("1", "2"), loops=(0, 0), edges=(("1", "2"),), charges=(1,))
+
+
 def test_charge_validation():
     with pytest.raises(ChargeError):
         parse_quiver("field p=2\nvertex 1 loops=2 charge=5\n")  # 5 > 2^2

@@ -93,6 +93,19 @@ def test_hom_basis_elements_intertwine(a2, l2):
                         assert (lhs == rhs).all()
 
 
+def test_simple_needs_one_scalar_per_loop(l2m2):
+    with pytest.raises(QuiverError, match="vertex 1 needs 2 loop scalars"):
+        l2m2.simple(0, ())
+
+
+def test_hom_rows_refuses_a_rep_of_another_parse(l2m2):
+    # an equal quiver parsed a second time is another context
+    other = RepCategory(load("l2m2"))
+    s = other.simple(0, (0, 0))
+    with pytest.raises(QuiverError, match="representations from a different context"):
+        l2m2.hom_rows(s, s)
+
+
 def test_ext_dim_examples(l2, a2):
     lam = l2.simple(0, (0, 0))
     mu = l2.simple(0, (0, 1))

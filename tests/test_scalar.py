@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from hallq.combo import Combination
 from hallq.scalar import ScalarDomainError, ScalarRing, parse_scalar
 
+from .conftest import load
 from .reference import quantum_integer, scalar_product
 
 
@@ -139,10 +141,31 @@ def test_quantum_binomials_against_factorials():
 
 def test_ring_mixing_rejected():
     r2, r3 = ring(2), ring(3)
-    with pytest.raises(ValueError):
-        r2.one + r3.one
-    with pytest.raises(ValueError):
-        r2.v_pow(1) * r3.v_pow(1)
+    for op in ("__add__", "__sub__", "__mul__"):
+        with pytest.raises(ValueError, match="mixing scalars from different rings"):
+            getattr(r2.v_pow(1), op)(r3.v_pow(1))
+
+
+@pytest.mark.parametrize("text, fragment", [("", "empty scalar"), (" ", "empty scalar"),
+                                            ("3x", "malformed scalar term '3x'"),
+                                            ("v^", "malformed scalar term 'v^'")])
+def test_parse_scalar_refusals(text, fragment):
+    with pytest.raises(ValueError, match=re.escape(fragment)):
+        parse_scalar(ring(), text)
+
+
+@pytest.mark.parametrize("quiver", ["a2", "l2m2"])
+@pytest.mark.parametrize("value", [0, 1, -3, Fraction(1, 2)])
+def test_rational_scalars_hash_as_their_value(quiver, value):
+    # Scalar == int or Fraction holds for a rational Scalar, so the hashes
+    # agree too: a set or dict treats the two as one key
+    s = load(quiver).scalar_ring().rational(value)
+    assert s == value and hash(s) == hash(value)
+    assert len({s, value}) == 1 and {value: "x"}.get(s) == "x"
+    # and a Scalar off exponent 0 hashes alike in two equal rings
+    other = load("l2m2" if quiver == "a2" else "a2").scalar_ring()
+    assert s.ring == other and s.ring is not other
+    assert hash(s.ring.v_pow(1) * value) == hash(other.v_pow(1) * value)
 
 
 def test_ring_guard():
