@@ -13,13 +13,12 @@ are infinite dimensional and none of this applies.
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 
 from . import fplin
 from .fplin import np
 from .combo import Combination
 from .quiver import QuiverError, kv_add, kv_neg, kv_sub
-from .repcat import EnumerationTooLarge, Rep, RepCategory
+from .repcat import EnumerationTooLarge, Rep, RepCategory, int_matrix
 
 
 class LocElement(Combination):
@@ -53,8 +52,8 @@ class Complex:
     def __init__(self, m1: Rep, m0: Rep, d1, d0, p: int):
         self.m1 = m1
         self.m0 = m0
-        self.d1 = tuple(np.asarray(m, dtype=np.int64) % p for m in d1)
-        self.d0 = tuple(np.asarray(m, dtype=np.int64) % p for m in d0)
+        self.d1 = tuple(int_matrix(m, p) for m in d1)
+        self.d0 = tuple(int_matrix(m, p) for m in d0)
         for i in range(len(m1.dim)):
             if self.d1[i].shape != (m0.dim[i], m1.dim[i]):
                 raise QuiverError("d1 component shape mismatch")
@@ -505,20 +504,19 @@ class ComplexCategory:
     # ------------------------------------------------------------------
     # Hall structure
 
-    def mu(self, a: Complex, b: Complex) -> int | Fraction:
+    def mu(self, a: Complex, b: Complex):
         am1p, am0p, am1m, am0m = self.plus_minus_classes(a)
         bm1p, bm0p, bm1m, bm0m = self.plus_minus_classes(b)
         e = self.quiver.euler_form
         return e(am0p, bm1p) + e(am1p, bm1m) + e(am0m, bm0p) + e(am1m, bm0m)
 
-    def h_value(self, a: Complex, b: Complex) -> Fraction:
-        """h(a,b) = q^mu |Hom(H a, H b)|, a positive rational."""
+    def h_exponent(self, a: Complex, b: Complex) -> int:
+        """The int e with h(a,b) = q^mu |Hom(H a, H b)| = q^e."""
         mu = self.mu(a, b)
         assert mu.denominator == 1, "mu must be integral on loop-free quivers"
         ha0, ha1 = self._registry[self.complex_key(a)][1:3]
         hb0, hb1 = self._registry[self.complex_key(b)][1:3]
-        hom = self.cat.hom_dim(ha0.rep, hb0.rep) + self.cat.hom_dim(ha1.rep, hb1.rep)
-        return Fraction(self.p) ** (int(mu) + hom)
+        return int(mu) + self.cat.hom_dim(ha0.rep, hb0.rep) + self.cat.hom_dim(ha1.rep, hb1.rep)
 
     def product(self, x: LocElement, y: LocElement) -> LocElement:
         out = LocElement.zero(self.ring)
@@ -568,11 +566,12 @@ class ComplexCategory:
         a, b = self.by_key(ka), self.by_key(kb)
         # the terms: M1 = M1+ + M1-, M0 = M0+ + M0-
         (a1p, a0p, a1m, a0m), (b1p, b0p, b1m, b0m) = map(self.plus_minus_classes, (a, b))
-        tw = self.ring.v_pow(
+        # the twist over h(A, B) = q^h_exponent, with q = v^2
+        coeff = self.ring.v_pow(
             self.quiver.euler_form(kv_add(a0p, a0m), kv_add(b0p, b0m))
             + self.quiver.euler_form(kv_add(a1p, a1m), kv_add(b1p, b1m))
+            - 2 * self.h_exponent(a, b)
         )
-        coeff = tw * (1 / self.h_value(a, b))
         bshift = self.dagger(b)
         (zero_map, _one), *rest = self.homotopy_classes(a, bshift)
         counts = Counter({self._sum_key(self.cone(zero_map, a, bshift), kb, ka): 1})

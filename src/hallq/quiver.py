@@ -22,6 +22,7 @@ from __future__ import annotations
 import graphlib
 import hashlib
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add, mul, neg, sub
@@ -183,11 +184,20 @@ class Quiver:
             c[t][h] -= 1
         return c
 
+    def read_dimvec(self, d) -> tuple:
+        """d as a tuple of Python ints, nonnegative and one per vertex.  Each
+        entry is read by `operator.index`, so 1.5 or "1" is refused, not cut."""
+        try:
+            d = tuple(map(operator.index, d))
+        except TypeError:
+            raise QuiverError(f"dimension vector {d!r} must have integer entries") from None
+        if len(d) != self.n or min(d, default=0) < 0:
+            raise QuiverError("dimension vector must be nonnegative, one per vertex")
+        return d
+
     def class_of_dimvec(self, d) -> KVector:
         """Class of any representation with dimension vector d."""
-        if len(d) != self.n or any(x < 0 for x in d):
-            raise QuiverError("dimension vector must be nonnegative, one per vertex")
-        return self._dimvec_class(d)
+        return self._dimvec_class(self.read_dimvec(d))
 
     def _dimvec_class(self, d) -> KVector:
         """sum d_i S_i, linear in the integer vector d."""

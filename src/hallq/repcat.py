@@ -12,9 +12,9 @@ scale.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 
 from . import fplin
@@ -61,6 +61,34 @@ def _key_shape(quiver: Quiver, dims: str):
     return shape
 
 
+def int_matrix(m, p: int):
+    """The int64 array of m's entries reduced mod p.
+
+    Each entry must be an integer: numpy's, Python's of any size, or a float
+    of integral value (as `np.zeros` gives).  Any other entry (1.7, "1",
+    nan) is refused with QuiverError, where an int64 cast would cut or
+    parse it.  So is a ragged m, which numpy cannot make an array of.
+    """
+    try:
+        a = np.asarray(m)
+    except ValueError:
+        raise QuiverError(f"matrix {m!r} is not rectangular") from None
+    if a.dtype.kind not in "biu":  # entry by entry, each reduced before the cast
+        a = np.array([_int_entry(x) % p for x in a.flat], dtype=np.int64).reshape(a.shape)
+    return (a % p).astype(np.int64, copy=False)
+
+
+def _int_entry(x) -> int:
+    """x as a Python int, if it is an integer or a float of integral value."""
+    x = x.item() if isinstance(x, np.generic) else x
+    if isinstance(x, float) and x.is_integer():
+        return int(x)
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise QuiverError(f"matrix entry {x!r} is not an integer") from None
+
+
 @dataclass(frozen=True)
 class Bounds:
     max_total_dim: int = 6
@@ -95,10 +123,8 @@ class Rep:
     def _fill(self, quiver: Quiver, dim, mats, p):
         """Set and check the fields; the matrices are reduced mod p unless p is None."""
         self.quiver = quiver
-        self.dim = tuple(map(int, dim))
-        if len(self.dim) != quiver.n or any(x < 0 for x in self.dim):
-            raise QuiverError("bad dimension vector")
-        mats = tuple(mats if p is None else (np.asarray(m, dtype=np.int64) % p for m in mats))
+        self.dim = quiver.read_dimvec(dim)
+        mats = tuple(mats if p is None else (int_matrix(m, p) for m in mats))
         if len(mats) != len(quiver.arrows):
             raise QuiverError("one matrix per arrow required")
         for (t, h), m in zip(quiver.arrows, mats):
@@ -272,7 +298,7 @@ class RepCategory:
         loop_at = 0
         for t, h in q.arrows:
             if t == h == i:
-                mats.append(np.array([[lam[loop_at] % self.p]], dtype=np.int64))
+                mats.append([[lam[loop_at]]])  # read by Rep, as every matrix is
                 loop_at += 1
             else:
                 mats.append(np.zeros((dim[h], dim[t]), dtype=np.int64))
@@ -431,9 +457,7 @@ class RepCategory:
 
     def classify(self, d) -> list:
         """All isomorphism classes with dimension vector d, sorted by key."""
-        d = tuple(int(x) for x in d)
-        if len(d) != self.quiver.n or min(d, default=0) < 0:
-            raise QuiverError("dimension vector must be nonnegative, one per vertex")
+        d = self.quiver.read_dimvec(d)
         if d in self._classify:
             return self._classify[d]
         entry_counts = self._entry_counts(d)
@@ -711,9 +735,8 @@ class RepCategory:
                     seen[hit] = True
                     counts[c] = len(hit)
             hom = system.shape[1] - len(pivots)
-            tw = self.ring.v_pow(q.euler_dimvec(a.dim, b.dim))
-            self._middle[memo] = [(c, tw * Fraction(counts[c], p**hom))
-                                  for c in sorted(counts, key=_sort_key)]
+            tw = self.ring.v_pow(q.euler_dimvec(a.dim, b.dim) - 2 * hom)  # v^<A,B> / q^hom
+            self._middle[memo] = [(c, tw * counts[c]) for c in sorted(counts, key=_sort_key)]
         return self._middle[memo]
 
     # ------------------------------------------------------------------

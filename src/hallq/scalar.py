@@ -16,17 +16,33 @@ only across ring objects (which must be equal) and for an int or Fraction
 operand of `+` and `-`.  Exponents from outside, e in (1/N)Z, enter only
 through `ScalarRing.from_terms`, `v_pow` and `parse_scalar`, which raise
 ScalarDomainError when N*e is not an integer; `render` writes k as the
-exponent k/N again.
+exponent k/N again.  Coefficients and exponents from outside are stored as
+Python ints or Fractions (`_exact`): a numpy integer is converted, and a
+float is refused.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from fractions import Fraction
 
 
 class ScalarDomainError(ValueError):
-    """Exponent denominator does not divide the ring constant N."""
+    """Exponent denominator does not divide the ring constant N, or a
+    coefficient or exponent is not an exact rational."""
+
+
+def _exact(x):
+    """x as a Python int or Fraction.  An integer of another type (numpy's,
+    whose arithmetic wraps around) is read by `operator.index`; a float,
+    whose binary value is rarely the number written, is refused."""
+    if type(x) is int or type(x) is Fraction:
+        return x
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ScalarDomainError(f"{x!r} is not an int or a Fraction") from None
 
 
 def _canon(c):
@@ -68,10 +84,10 @@ class ScalarRing:
         two_n = 2 * self.n_denom
         out: dict = {}
         for e, c in terms.items():
-            c = Fraction(c)
+            c = _exact(c)
             if c == 0:
                 continue
-            k = Fraction(e) * self.n_denom
+            k = Fraction(_exact(e)) * self.n_denom
             if k.denominator != 1:
                 raise ScalarDomainError(
                     f"exponent {Fraction(e)} not representable with N={self.n_denom}"
@@ -85,7 +101,7 @@ class ScalarRing:
         return Scalar(self, out)
 
     def rational(self, c) -> "Scalar":
-        c = _canon(Fraction(c))
+        c = _canon(_exact(c))
         return Scalar(self, {0: c} if c else {})
 
     def v_pow(self, r) -> "Scalar":

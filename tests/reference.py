@@ -288,7 +288,7 @@ def mono_product(cpx, ka, kb):
         cpx.quiver.euler_form(kv_add(a0p, a0m), kv_add(b0p, b0m))
         + cpx.quiver.euler_form(kv_add(a1p, a1m), kv_add(b1p, b1m))
     )
-    hval = cpx.h_value(a, b)
+    hval = Fraction(cpx.p) ** cpx.h_exponent(a, b)
     out = LocElement.zero(cpx.ring)
     bshift = cpx.dagger(b)
     for s in homotopy_class_listing(cpx, a, bshift):

@@ -103,6 +103,9 @@ def test_imports_are_the_standard_library_and_numpy():
     assert {"graphlib", "fractions", "numpy"} <= found.keys()
     assert sorted(found.keys() - sys.stdlib_module_names) == ["numpy"]
     assert found["numpy"] == {"fplin"}
+    # the Hall-counting coefficients of `repcat` and `cplx` are powers of v
+    # times integers, so no rational is built there
+    assert found["fractions"] == {"scalar", "quiver", "uq"}
 
 
 # one session up to total dimension 2: cache file argv[1], quiver file argv[2]

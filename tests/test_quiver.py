@@ -1,6 +1,8 @@
+import re
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -133,6 +135,20 @@ def test_class_of_dimvec():
     assert a2.class_of_dimvec((0, 0)) == (0, 0)
     with pytest.raises(QuiverError):
         a2.class_of_dimvec((1, -1))
+
+
+@pytest.mark.parametrize("d, fragment", [((0.5, 1), "(0.5, 1) must have integer entries"),
+                                         (("1", 0), "('1', 0) must have integer entries"),
+                                         (1, "1 must have integer entries")])
+def test_class_of_dimvec_refuses_non_integers(d, fragment):
+    # read by operator.index: (0.5, 1) is not cut to a class with entries 0.5
+    with pytest.raises(QuiverError, match=re.escape(fragment)):
+        load("a2").class_of_dimvec(d)
+
+
+def test_class_of_dimvec_reads_numpy_integers_as_ints():
+    cls = load("a2").class_of_dimvec((np.int64(1), np.uint8(0)))
+    assert cls == (1, -1) and {type(x) for x in cls} == {int}
 
 
 def test_simple_class_matches_loop_formula():

@@ -293,6 +293,17 @@ def test_middle_terms_match_the_subobject_route(name, max_total):
     assert any(len(cat.middle_terms(a, b)) > 1 for a, b in pairs)
 
 
+@pytest.mark.parametrize("name", sorted(path.stem for path in DATA.glob("*.quiver")))
+def test_middle_terms_coefficients_are_one_term(name):
+    # v^<A,B> |Ext^1(A,B)_C| / |Hom(A,B)| is one power of v times a positive
+    # rational, since |Hom(A,B)| = q^hom = v^(2 hom): never a sum of terms
+    cat = RepCategory(load(name))
+    classes = cat.classes_up_to_total_dim(2)
+    coeffs = [coeff for a in classes for b in classes if a.total_dim + b.total_dim <= 2
+              for _c, coeff in cat.middle_terms(a, b)]
+    assert coeffs and [x for x in coeffs if len(x.terms) != 1 or min(x.terms.values()) <= 0] == []
+
+
 @pytest.mark.parametrize(
     "name, bounds, dims, message",
     [
@@ -958,6 +969,32 @@ def test_classes_decode_their_rep_on_first_use(tmp_path, name, monkeypatch):
 def test_classify_refuses_malformed_dimension_vectors(a2, d):
     with pytest.raises(QuiverError, match="nonnegative, one per vertex"):
         a2.classify(d)
+
+
+@pytest.mark.parametrize("name, build, fragment", [
+    ("a2", lambda cat: cat.classify((1.5, 0.9)), "(1.5, 0.9) must have integer entries"),
+    ("a2", lambda cat: cat.rep((1.9, 1), [[[1]]]), "(1.9, 1) must have integer entries"),
+    ("a2", lambda cat: cat.rep((1, 1), [[[1.7]]]), "matrix entry 1.7 is not an integer"),
+    ("a2", lambda cat: cat.rep((1, 1), [[[2.5]]]), "matrix entry 2.5 is not an integer"),
+    ("a2", lambda cat: cat.rep((1, 1), [[["1"]]]), "matrix entry '1' is not an integer"),
+    ("a2", lambda cat: cat.rep((1, 1), [[[float("nan")]]]), "matrix entry nan is not"),
+    ("a2", lambda cat: cat.rep((1, 1), [[[1], [2, 3]]]), "matrix [[1], [2, 3]] is not rectangular"),
+    ("l2m2", lambda cat: cat.simple(0, (0.5, 1.9)), "matrix entry 0.5 is not an integer"),
+], ids=["classify", "rep-dim", "rep-1.7", "rep-2.5", "rep-str", "rep-nan", "rep-ragged", "simple"])
+def test_integer_inputs_are_read_exactly(name, build, fragment, request):
+    # a dimension vector or matrix entry that is not an integer is refused,
+    # where int() or an int64 cast would cut 1.9 to 1 or parse "1"
+    with pytest.raises(QuiverError, match=re.escape(fragment)):
+        build(request.getfixturevalue(name))
+
+
+@pytest.mark.parametrize("big", [2**70, -(2**70) - 1, 2**64 - 1, 1e20])
+def test_integer_entries_of_any_size_are_reduced_exactly(l2m2, big):
+    # integers past int64, and floats of integral value, are reduced mod p
+    # before any cast
+    small = int(big) % l2m2.p
+    assert l2m2.rep((1,), [[[big]], [[1]]]).key == l2m2.rep((1,), [[[small]], [[1]]]).key
+    assert l2m2.simple(0, (big, 1)).key == l2m2.simple(0, (small, 1)).key
 
 
 def test_keys_need_one_digit_per_entry():

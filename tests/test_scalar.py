@@ -2,6 +2,7 @@ import random
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -166,6 +167,29 @@ def test_rational_scalars_hash_as_their_value(quiver, value):
     other = load("l2m2" if quiver == "a2" else "a2").scalar_ring()
     assert s.ring == other and s.ring is not other
     assert hash(s.ring.v_pow(1) * value) == hash(other.v_pow(1) * value)
+
+
+def test_numpy_integers_are_read_exactly():
+    # a numpy integer is stored as a Python int, so the arithmetic on it
+    # does not wrap around at 2^63
+    r = load("a2").scalar_ring()
+    a = r.rational(np.int64(2**62))
+    assert (a * r.rational(4)).render() == str(2**64)
+    assert (a + a).render() == str(2**63)
+    b = r.from_terms({np.int64(1): np.int64(2**62)})
+    assert [(type(k), type(c)) for k, c in b.terms.items()] == [(int, int)]
+    assert (b * b).render() == str(2**124 * r.p)
+
+
+@pytest.mark.parametrize("make", [lambda r: r.rational(0.1), lambda r: r.from_terms({1: 0.1}),
+                                  lambda r: r.from_terms({0.5: 1}),
+                                  lambda r: r.v_pow(np.float64(2))],
+                         ids=["rational", "coefficient", "exponent", "v_pow"])
+def test_floats_are_refused(make):
+    # a float's binary value is rarely the number it was written as:
+    # 0.1 is not 3602879701896397/36028797018963968
+    with pytest.raises(ScalarDomainError, match="is not an int or a Fraction"):
+        make(load("a2").scalar_ring())
 
 
 def test_ring_guard():
